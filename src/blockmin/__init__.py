@@ -6,8 +6,8 @@ a small problem zoo, and a benchmark CLI.
 """
 
 from . import errors
-from .certificates import (BoundSpec, CertificateReport, CertificateRow,
-                           check_aam_Ak, check_aam_adaptive, check_aam_main,
+from .certificates import (CertificateReport, CertificateRow, check_aam_Ak,
+                           check_aam_adaptive, check_aam_main,
                            check_aam_recurrence, check_am_linear,
                            check_am_sublinear, check_nearly_pl,
                            check_sufficient_decrease, estimate_empirical_rate)
@@ -35,7 +35,7 @@ __all__ = [
     "SolverConfig", "SolverTrace", "IterationRecord",
     "run_am", "run_aam", "run_fgm", "exact_line_search", "greedy_block",
     "choose_a_known_L", "choose_a_adaptive", "golden_section",
-    "BoundSpec", "CertificateReport", "CertificateRow",
+    "CertificateReport", "CertificateRow",
     "check_am_linear", "check_nearly_pl", "check_aam_main", "check_aam_Ak",
     "check_aam_adaptive", "check_am_sublinear", "check_sufficient_decrease",
     "check_aam_recurrence", "estimate_empirical_rate",

@@ -11,7 +11,8 @@ slacks in (-FAIL_TOL, -WARN_TOL) scaled are counted as warnings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,46 +23,6 @@ from .solvers import SolverTrace
 
 FAIL_TOL = 1e-8
 WARN_TOL = 1e-10
-
-BOUND_KINDS = (
-    "am_linear_pl",
-    "am_sublinear",
-    "aam_main",
-    "aam_Ak_growth",
-    "aam_recurrence",
-    "aam_adaptive",
-    "nearly_pl_combined",
-    "sufficient_decrease",
-    "nonacc_max_bound",
-)
-
-REQUIRED_CONSTANTS = {
-    "am_linear_pl": ("l_blocks", "mu_blocks", "f_star"),
-    "am_sublinear": ("l_blocks", "radius", "f_star"),
-    "aam_main": ("l_global", "mu", "n_blocks", "radius", "f_star"),
-    "aam_Ak_growth": ("l_global", "mu", "n_blocks"),
-    "aam_recurrence": ("mu",),
-    "aam_adaptive": ("mu_true", "f_star"),
-    "nearly_pl_combined": ("l_blocks", "mu_blocks", "f_star"),
-    "sufficient_decrease": ("l_blocks",),
-    "nonacc_max_bound": ("l_blocks", "radius", "f_star"),
-}
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    """A certificate kind plus the constants it needs."""
-
-    kind: str
-    constants: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        missing = [c for c in REQUIRED_CONSTANTS[self.kind] if c not in self.constants]
-        if missing:
-            raise MissingConstants(f"{self.kind} needs constants {missing}")
-
 
 @dataclass(frozen=True)
 class CertificateRow:
@@ -111,17 +72,30 @@ def _need(trace: SolverTrace, method: str, what: str):
         raise ValueError(f"{what} expects a {method!r} trace, got {trace.method!r}")
 
 
+def am_linear_factor(l_blocks, mu_blocks) -> float:
+    """Per-sweep AM contraction factor prod_i (1 - mu_i/L_i)."""
+    factor = 1.0
+    for li, mi in zip(l_blocks, mu_blocks):
+        if li <= 0 or mi <= 0 or mi > li:
+            raise ValueError("need 0 < mu_i <= L_i for every block")
+        factor *= 1.0 - mi / li
+    return factor
+
+
+def aam_main_bound(k: int, l_global: float, mu: float, n_blocks: int,
+                   radius: float) -> float:
+    """Accelerated bound on f(x^k) - f*: n L R^2 min{4/k^2, (1 - sqrt(mu/(nL)))^{k-1}}."""
+    nl = n_blocks * l_global
+    return nl * radius ** 2 * min(4.0 / k ** 2, (1.0 - math.sqrt(mu / nl)) ** (k - 1))
+
+
 def check_am_linear(trace: SolverTrace, l_blocks, mu_blocks, f_star: float,
                     tol: float = FAIL_TOL) -> CertificateReport:
     """Per-sweep contraction F(next) - F* <= prod_i (1 - mu_i/L_i) (F(prev) - F*)."""
     _need(trace, "am", "am_linear_pl")
     if l_blocks is None or mu_blocks is None or f_star is None:
         raise MissingConstants("am_linear_pl needs per-block L_i, mu_i and F*")
-    factor = 1.0
-    for li, mi in zip(l_blocks, mu_blocks):
-        if li <= 0 or mi <= 0 or mi > li:
-            raise ValueError("need 0 < mu_i <= L_i for every block")
-        factor *= 1.0 - mi / li
+    factor = am_linear_factor(l_blocks, mu_blocks)
     sweeps = trace.sweep_records()
     gaps = [r.composite_value - f_star for r in sweeps]
     rows = [_row(s, factor * gaps[s - 1], gaps[s], tol) for s in range(1, len(gaps))]
@@ -159,18 +133,14 @@ def check_nearly_pl(trace: SolverTrace, l_blocks, mu_blocks, f_star: float,
 
 def check_aam_main(trace: SolverTrace, l_global: float, mu: float, n_blocks: int,
                    radius: float, f_star: float, tol: float = FAIL_TOL) -> CertificateReport:
-    """Accelerated bound f(x^k) - f* <= n L R^2 min{4/k^2, (1 - sqrt(mu/(nL)))^{k-1}}."""
+    """Accelerated bound f(x^k) - f* <= aam_main_bound(k, L, mu, n, R)."""
     _need(trace, "aam", "aam_main")
     if l_global is None or f_star is None or radius is None:
         raise MissingConstants("aam_main needs L, R and F*")
     if not 0.0 <= mu < n_blocks * l_global:
         raise ValueError("need 0 <= mu < n L")
-    lead = n_blocks * l_global * radius * radius
-    geo = 1.0 - math.sqrt(mu / (n_blocks * l_global))
-    rows = []
-    for r in trace.records[1:]:
-        bound = lead * min(4.0 / r.k ** 2, geo ** (r.k - 1))
-        rows.append(_row(r.k, bound, r.f_value - f_star, tol))
+    rows = [_row(r.k, aam_main_bound(r.k, l_global, mu, n_blocks, radius),
+                 r.f_value - f_star, tol) for r in trace.records[1:]]
     return CertificateReport("aam_main", tuple(rows), tol)
 
 
@@ -290,3 +260,49 @@ def estimate_empirical_rate(trace: SolverTrace, f_star: float,
     pos = mask & (ks >= 1)
     slope_log = np.polyfit(np.log(ks[pos]), np.log(gaps[pos]), 1)[0]
     return float(np.exp(slope_lin)), float(slope_log)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """One certificate kind as ``blockmin verify`` runs it.
+
+    method: the solver whose trace the check reads, "am" or "aam".
+    constants: the instance constants the check reads, by attribute name of
+        ``blockmin.cli.InstanceInfo``; None there means unknown.
+    from_csv: (trace, instance, mu assumed by the run) -> report, on a trace
+        rebuilt from trace.csv; None when the check needs the iterate vectors,
+        which the CSV does not keep.
+    mu_zero_only: the bound holds only for runs with mu_assumed = 0.
+    """
+
+    method: str
+    constants: tuple[str, ...]
+    from_csv: Callable[[SolverTrace, object, float], CertificateReport] | None
+    mu_zero_only: bool = False
+
+
+# The lambdas look each check up on this module when they run, so a check
+# rebound here (for instance by a tracer) is the one that runs.
+CERTIFICATES = {
+    "am_linear_pl": Certificate(
+        "am", ("l_blocks", "mu_blocks", "f_star"),
+        lambda t, c, mu: check_am_linear(t, c.l_blocks, c.mu_blocks, c.f_star)),
+    "am_sublinear": Certificate(
+        "am", ("l_blocks", "sublevel_radius", "f_star"),
+        lambda t, c, mu: check_am_sublinear(t, c.l_blocks, c.sublevel_radius, c.f_star)),
+    "aam_main": Certificate(
+        "aam", ("l_global", "radius", "f_star"),
+        lambda t, c, mu: check_aam_main(t, c.l_global, mu, c.n_blocks, c.radius, c.f_star)),
+    "aam_Ak_growth": Certificate(
+        "aam", ("l_global",),
+        lambda t, c, mu: check_aam_Ak(t, c.l_global, mu, c.n_blocks)),
+    "aam_recurrence": Certificate("aam", (), None),
+    "aam_adaptive": Certificate(
+        "aam", ("mu_true", "f_star"),
+        lambda t, c, mu: check_aam_adaptive(t, c.mu_true, c.f_star), mu_zero_only=True),
+    "nearly_pl_combined": Certificate(
+        "am", ("l_blocks", "mu_blocks", "f_star"),
+        lambda t, c, mu: check_nearly_pl(t, c.l_blocks, c.mu_blocks, c.f_star)),
+    "sufficient_decrease": Certificate("am", ("l_blocks",), None),
+}
+CERTIFICATES["nonacc_max_bound"] = CERTIFICATES["am_sublinear"]

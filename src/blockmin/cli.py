@@ -42,11 +42,6 @@ CSV_HEADER = ["k", "solver", "f_gap", "grad_norm", "block", "beta", "a", "A",
 
 GAP_FLOOR = -1e-12
 
-# certificates computable from a CSV trace (the rest need iterate vectors)
-CSV_CERTIFICATES = ("am_linear_pl", "nearly_pl_combined", "aam_main",
-                    "aam_Ak_growth", "aam_adaptive", "am_sublinear",
-                    "nonacc_max_bound")
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -82,7 +77,7 @@ def load_config(path) -> dict:
 
 
 class InstanceInfo:
-    """Resolved problem plus the constants certificates need."""
+    """Resolved problem plus the constants certificates need; None means unknown."""
 
     def __init__(self, spec: dict):
         kind = spec.get("kind")
@@ -105,31 +100,20 @@ class InstanceInfo:
                                      eps=float(spec.get("eps", 0.25)))
         else:
             raise ConfigError(f"unknown instance kind {kind!r}")
-        self.spec = spec
-        self.kind = kind
         self.problem = prob
-        self.handle = prob.handle()
+        self.handle = h = prob.handle()
         self.x0 = np.asarray(prob.default_start, dtype=float)
-        self.n_blocks = self.handle.n_blocks
-        if kind == "nonlinear_pl":
-            self.f_star = 0.0
-            self.l_global = None
-            self.mu_global = None
-            self.l_blocks = None
-            self.mu_blocks = None
-            self.mu_true = prob.pl_constant
-            self.radius = float(np.linalg.norm(self.x0 - prob.x_solution))
-            self.sublevel_radius = None
-        else:
-            self.f_star = prob.f_star
-            self.l_global = prob.l_global
-            self.mu_global = prob.mu_global
-            self.l_blocks = prob.l_blocks
-            self.mu_blocks = prob.mu_blocks
-            self.mu_true = prob.mu_global
-            self.radius = float(np.linalg.norm(self.x0 - prob.x_star))
-            self.sublevel_radius = (prob.sublevel_radius(self.x0)
-                                    if hasattr(prob, "sublevel_radius") else None)
+        self.n_blocks = h.n_blocks
+        x_opt, self.f_star = h.optimum
+        self.radius = float(np.linalg.norm(self.x0 - x_opt))
+        self.l_global = h.l_global
+        self.l_blocks = h.l_blocks
+        self.mu_blocks = h.mu_blocks if h.mu_blocks and min(h.mu_blocks) > 0 else None
+        # strong convexity implies PL with the same modulus
+        mu_true = getattr(prob, "pl_constant", h.mu_global)
+        self.mu_true = mu_true if mu_true and mu_true > 0 else None
+        self.sublevel_radius = (prob.sublevel_radius(self.x0)
+                                if hasattr(prob, "sublevel_radius") else None)
 
     def resolve_mu(self, raw) -> float:
         if raw in ("optimal", "true"):
@@ -150,8 +134,7 @@ class InstanceInfo:
 
 def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
     known = {"name", "method", "max_iters", "target_gap", "grad_tolerance",
-             "mu_assumed", "l_known", "line_search_tol", "rng_seed",
-             "momentum_rule"}
+             "mu_assumed", "l_known", "line_search_tol", "momentum_rule"}
     unknown = set(entry) - known
     if unknown:
         raise ConfigError(f"unknown solver option(s): {sorted(unknown)}")
@@ -163,7 +146,6 @@ def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
             mu_assumed=info.resolve_mu(entry.get("mu_assumed", 0.0)),
             l_known=info.resolve_l(entry.get("l_known")),
             line_search_tol=float(entry.get("line_search_tol", 1e-10)),
-            rng_seed=int(entry.get("rng_seed", 0)),
             momentum_rule=str(entry.get("momentum_rule", "proof")))
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
@@ -190,14 +172,11 @@ def _bound_columns(method: str, rec: IterationRecord, info: InstanceInfo,
     bound_main = None
     bound_linear = None
     if method == "aam" and rec.k >= 1 and info.l_global is not None:
-        nl = info.n_blocks * info.l_global
-        geo = 1.0 - np.sqrt(cfg.mu_assumed / nl)
-        bound_main = nl * info.radius ** 2 * min(4.0 / rec.k ** 2, geo ** (rec.k - 1))
+        bound_main = certs.aam_main_bound(rec.k, info.l_global, cfg.mu_assumed,
+                                          info.n_blocks, info.radius)
     if (method == "am" and rec.k >= 1 and rec.k % info.n_blocks == 0
-            and info.mu_blocks and min(info.mu_blocks) > 0):
-        factor = 1.0
-        for li, mi in zip(info.l_blocks, info.mu_blocks):
-            factor *= 1.0 - mi / li
+            and info.mu_blocks is not None):
+        factor = certs.am_linear_factor(info.l_blocks, info.mu_blocks)
         bound_linear = gap0 * factor ** (rec.k // info.n_blocks)
     return bound_main, bound_linear
 
@@ -311,58 +290,13 @@ def cmd_run(config_path, out_dir) -> int:
     return 0
 
 
-def _verify_one(kind: str, method: str, trace: SolverTrace, info: InstanceInfo,
-                mu_run: float):
-    if kind == "am_linear_pl":
-        return certs.check_am_linear(trace, info.l_blocks, info.mu_blocks, info.f_star)
-    if kind == "nearly_pl_combined":
-        return certs.check_nearly_pl(trace, info.l_blocks, info.mu_blocks, info.f_star)
-    if kind == "aam_main":
-        return certs.check_aam_main(trace, info.l_global, mu_run, info.n_blocks,
-                                    info.radius, info.f_star)
-    if kind == "aam_Ak_growth":
-        return certs.check_aam_Ak(trace, info.l_global, mu_run, info.n_blocks)
-    if kind == "aam_adaptive":
-        return certs.check_aam_adaptive(trace, info.mu_true, info.f_star)
-    if kind in ("am_sublinear", "nonacc_max_bound"):
-        return certs.check_am_sublinear(trace, info.l_blocks, info.sublevel_radius,
-                                        info.f_star)
-    raise ConfigError(f"certificate {kind!r} cannot be verified from a CSV trace")
-
-
-_CERT_METHOD = {
-    "am_linear_pl": "am", "nearly_pl_combined": "am", "am_sublinear": "am",
-    "nonacc_max_bound": "am", "aam_main": "aam", "aam_Ak_growth": "aam",
-    "aam_adaptive": "aam",
-}
-
-
-def _applicable(kind: str, method: str, info: InstanceInfo, mu_run: float) -> str | None:
-    """Return a skip reason, or None when the certificate applies."""
-    if _CERT_METHOD.get(kind) != method:
-        return "method mismatch"
-    if kind in ("am_linear_pl", "nearly_pl_combined"):
-        if not info.mu_blocks or min(info.mu_blocks) <= 0:
-            return "missing constants: positive per-block strong convexity"
-    if kind in ("am_sublinear", "nonacc_max_bound") and info.sublevel_radius is None:
-        return "missing constants: sublevel radius"
-    if kind in ("aam_main", "aam_Ak_growth") and info.l_global is None:
-        return "missing constants: L"
-    if kind == "aam_adaptive":
-        if mu_run != 0.0:
-            return "applies to mu_assumed = 0 runs only"
-        if not info.mu_true:
-            return "missing constants: true strong convexity / PL modulus"
-    return None
-
-
 def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
     cfg = load_config(config_path)
     info = InstanceInfo(cfg["instance"])
     per_solver = read_trace_csv(trace_path)
     requested = cfg.get("certificates", [])
     for kind in requested:
-        if kind not in certs.BOUND_KINDS:
+        if kind not in certs.CERTIFICATES:
             raise ConfigError(f"unknown certificate kind {kind!r}")
     results = []
     violations = 0
@@ -384,19 +318,23 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
         if bad:
             violations += 1
         for kind in requested:
-            if kind not in CSV_CERTIFICATES:
-                results.append({"certificate": kind, "solver": name,
-                                "skipped": "needs full iterate vectors (library-level only)"})
-                skipped += 1
-                continue
-            reason = _applicable(kind, method, info, mu_run)
-            if reason == "method mismatch":
+            cert = certs.CERTIFICATES[kind]
+            missing = [c for c in cert.constants if getattr(info, c) is None]
+            if cert.from_csv is None:
+                reason = "needs full iterate vectors (library-level only)"
+            elif cert.method != method:
                 continue  # certificate simply targets another solver
+            elif cert.mu_zero_only and mu_run != 0.0:
+                reason = "applies to mu_assumed = 0 runs only"
+            elif missing:
+                reason = f"missing constants: {', '.join(missing)}"
+            else:
+                reason = None
             if reason is not None:
                 results.append({"certificate": kind, "solver": name, "skipped": reason})
                 skipped += 1
                 continue
-            report = _verify_one(kind, method, trace, info, mu_run)
+            report = cert.from_csv(trace, info, mu_run)
             results.append({
                 "certificate": kind, "solver": name, "passed": report.passed,
                 "worst_slack": report.worst_slack,

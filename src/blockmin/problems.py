@@ -23,7 +23,7 @@ import scipy.optimize
 from .errors import BadDimension, BadShape, SolverError
 from .linalg import SpdFactorization, cholesky, solve_spd, spectral_extremes
 from .objective import BlockPartition, ObjectiveHandle
-from .proxmaps import BoxTerm, L1Term, ZeroTerm, soft_threshold
+from .proxmaps import BoxTerm, L1Term, ZeroTerm
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -228,14 +228,34 @@ def _fista_reference(W, b, terms, partition, l_smooth, dim,
     raise SolverError("prox-gradient reference failed to reach the mapping tolerance")
 
 
+def _coordinate_descent(gram, lin, x_init, weight, lo, hi,
+                        max_sweeps: int = 100_000) -> np.ndarray:
+    """Exact cyclic coordinate descent for
+    min_z z^T gram z - 2 lin^T z + sum_j weight[j] |z_j| over lo <= z <= hi,
+    with the per-coordinate weight, lo and hi given as Python lists."""
+    x = x_init.copy()
+    diag = np.diag(gram)
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for j in range(x.size):
+            r = lin[j] - (gram[j] @ x - diag[j] * x[j])
+            if weight[j] > 0.0:
+                new = math.copysign(max(abs(r) - 0.5 * weight[j], 0.0), r) / diag[j]
+            else:
+                new = r / diag[j]
+            new = min(hi[j], max(lo[j], new))
+            delta = max(delta, abs(new - x[j]))
+            x[j] = new
+        if delta < 1e-15 * (1.0 + float(np.abs(x).max())):
+            break
+    return x
+
+
 def _coordinate_descent_reference(W, b, terms, partition, l_smooth, dim,
                                   tol: float = 1e-12,
                                   max_sweeps: int = 200_000) -> np.ndarray:
     """Exact cyclic coordinate minimization over the full vector, started from
     zero. Second, independent optimum solver."""
-    gram = W.T @ W
-    lin = W.T @ b
-    diag = np.diag(gram)
     weight = np.zeros(dim)
     lo = np.full(dim, -np.inf)
     hi = np.full(dim, np.inf)
@@ -245,44 +265,10 @@ def _coordinate_descent_reference(W, b, terms, partition, l_smooth, dim,
             weight[idx] = t.weight
         elif isinstance(t, BoxTerm):
             lo[idx], hi[idx] = t.lo, t.hi
-    x = np.zeros(dim)
-    for sweep in range(max_sweeps):
-        delta = 0.0
-        for j in range(dim):
-            r = lin[j] - (gram[j] @ x - diag[j] * x[j])
-            if weight[j] > 0.0:
-                new = soft_threshold(np.array([r]), 0.5 * weight[j])[0] / diag[j]
-            else:
-                new = r / diag[j]
-            new = min(hi[j], max(lo[j], new))
-            delta = max(delta, abs(new - x[j]))
-            x[j] = new
-        if delta < 1e-15 * (1.0 + float(np.abs(x).max())):
-            break
+    x = _coordinate_descent(W.T @ W, W.T @ b, np.zeros(dim), weight.tolist(),
+                            lo.tolist(), hi.tolist(), max_sweeps)
     if _grad_mapping_norm(W, b, terms, partition, x, l_smooth) > 100 * tol:
         raise SolverError("coordinate-descent reference failed to converge")
-    return x
-
-
-def _block_coordinate_descent(gram, lin, x_init, weight, lo, hi,
-                              max_sweeps: int = 100_000) -> np.ndarray:
-    """Exact coordinate descent for one block subproblem
-    min_z z^T gram z - 2 lin^T z + weight ||z||_1 over [lo, hi]."""
-    x = x_init.copy()
-    diag = np.diag(gram)
-    for sweep in range(max_sweeps):
-        delta = 0.0
-        for j in range(x.size):
-            r = lin[j] - (gram[j] @ x - diag[j] * x[j])
-            if weight > 0.0:
-                new = math.copysign(max(abs(r) - 0.5 * weight, 0.0), r) / diag[j]
-            else:
-                new = r / diag[j]
-            new = min(hi, max(lo, new))
-            delta = max(delta, abs(new - x[j]))
-            x[j] = new
-        if delta < 1e-15 * (1.0 + float(np.abs(x).max())):
-            break
     return x
 
 
@@ -326,7 +312,9 @@ class CompositeQuadraticProblem:
             weight, lo, hi = 0.0, term.lo, term.hi
         else:
             raise SolverError("no exact block solver for this term type")
-        out[idx] = _block_coordinate_descent(self._grams[i], lin, x[idx], weight, lo, hi)
+        n = idx.size
+        out[idx] = _coordinate_descent(self._grams[i], lin, x[idx], [weight] * n,
+                                       [lo] * n, [hi] * n)
         return out
 
     def line_minimizer(self, x: np.ndarray, d: np.ndarray) -> float:

@@ -63,7 +63,6 @@ class SolverConfig:
     mu_assumed: float = 0.0
     l_known: float | None = None
     line_search_tol: float = 1e-10
-    rng_seed: int = 0
     momentum_rule: str = "proof"
 
     def __post_init__(self):

@@ -36,7 +36,7 @@ def rankdef16():
 
 @pytest.fixture(scope="session")
 def nonlinear20():
-    return make_nonlinear_pl(seed=2, n=20, m=10)
+    return make_nonlinear_pl(seed=2, n=20, m=14)
 
 
 @pytest.fixture()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from blockmin import (BoundSpec, QuadraticSplitProblem, SolverConfig,
-                      check_aam_Ak, check_aam_adaptive, check_aam_main,
-                      check_am_linear, check_am_sublinear, check_nearly_pl,
+from blockmin import (QuadraticSplitProblem, SolverConfig, check_aam_Ak,
+                      check_aam_adaptive, check_aam_main, check_am_linear,
+                      check_am_sublinear, check_nearly_pl,
                       estimate_empirical_rate, run_aam, run_am)
 from blockmin.errors import MissingConstants, TooShort
 from blockmin.solvers import IterationRecord, SolverTrace
@@ -192,17 +192,3 @@ class TestEmpiricalRate:
         with pytest.raises(TooShort):
             estimate_empirical_rate(trace, 0.0)
 
-
-class TestBoundSpec:
-    def test_accepts_known_kinds(self):
-        spec = BoundSpec(kind="aam_main", constants={
-            "l_global": 1.0, "mu": 0.0, "n_blocks": 2, "radius": 1.0, "f_star": 0.0})
-        assert spec.kind == "aam_main"
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            BoundSpec(kind="made_up")
-
-    def test_rejects_missing_constants(self):
-        with pytest.raises(MissingConstants):
-            BoundSpec(kind="aam_main", constants={"l_global": 1.0})

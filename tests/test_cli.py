@@ -75,10 +75,16 @@ class TestRun:
         assert (env_out / "trace.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
-    def test_bad_config_json(self, tmp_path):
+    def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        # a solver option no solver reads is rejected, not ignored
+        solvers = [{"name": "am", "method": "am", "max_iters": 5, "rng_seed": 0}]
+        cfg_path, _ = base_config(tmp_path, solvers=solvers)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown solver option(s)" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -134,7 +140,8 @@ class TestVerify:
         assert main(["verify", "--trace", str(trace), "--config", str(cfg_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         skipped = [r for r in report["results"] if "skipped" in r]
-        assert any(r["certificate"] == "am_linear_pl" for r in skipped)
+        assert any(r["certificate"] == "am_linear_pl"
+                   and r["skipped"] == "missing constants: mu_blocks" for r in skipped)
         assert main(["verify", "--trace", str(trace), "--config", str(cfg_path),
                      "--strict"]) == 1
 
@@ -158,11 +165,16 @@ class TestVerify:
         ran = {r["certificate"] for r in report["results"] if "passed" in r}
         assert "aam_main" in ran
 
-    def test_malformed_trace(self, run_outputs, tmp_path):
-        cfg_path, _ = run_outputs
+    def test_malformed_trace(self, run_outputs, tmp_path, capsys):
+        cfg_path, trace = run_outputs
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
         assert main(["verify", "--trace", str(bad), "--config", str(cfg_path)]) == 2
+        # a well-formed trace with a certificate kind verify does not know
+        unknown_path, _ = base_config(tmp_path, certificates=["aam_main", "made_up"])
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(trace), "--config", str(unknown_path)]) == 2
+        assert "unknown certificate kind 'made_up'" in capsys.readouterr().err
 
 
 class TestStandardSuite:
@@ -172,10 +184,15 @@ class TestStandardSuite:
         for cfg_path in suite:
             out = tmp_path / cfg_path.stem
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            capsys.readouterr()
             code = main(["verify", "--trace", str(out / "trace.csv"),
                          "--config", str(cfg_path)])
-            capsys.readouterr()
+            report = json.loads(capsys.readouterr().out)
             assert code == 0, f"{cfg_path.name} failed verification"
+            # a certificate that ran must have checked enough rows to mean something
+            for r in report["results"]:
+                if "rows" in r:
+                    assert r["rows"] >= 5, f"{cfg_path.name}: {r}"
 
     def test_solver_failure_exit_code(self, tmp_path):
         # fgm on the nonlinear instance has no L anywhere: solver error, exit 3
