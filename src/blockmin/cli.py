@@ -292,12 +292,12 @@ def cmd_run(config_path, out_dir) -> int:
 
 def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
     cfg = load_config(config_path)
-    info = InstanceInfo(cfg["instance"])
-    per_solver = read_trace_csv(trace_path)
     requested = cfg.get("certificates", [])
     for kind in requested:
         if kind not in certs.CERTIFICATES:
             raise ConfigError(f"unknown certificate kind {kind!r}")
+    info = InstanceInfo(cfg["instance"])
+    per_solver = read_trace_csv(trace_path)
     results = []
     violations = 0
     skipped = 0

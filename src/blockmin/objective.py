@@ -5,7 +5,8 @@ is a convex, possibly non-smooth per-block term (constraints enter as
 indicator terms). The handle exposes exactly what solvers and certificates
 consume: value, per-block gradients, optional exact per-block minimization,
 per-block composite terms with prox operators, declared smoothness/strong
-convexity constants, and an optional optimum oracle.
+convexity constants, an optional optimum oracle, and an optional
+value-and-gradient hook that evaluates f and grad f at a point in one pass.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ class ObjectiveHandle:
     line_minimizer : callable (x, d) -> float, optional
         Unclipped minimizer of t -> f(x + t d); exact line searches use it
         instead of a numeric search when present (closed form for quadratics).
+    value_and_gradient : callable x -> (float, ndarray of length dim), optional
+        f(x) and the full gradient of f in one pass, sharing the work the two
+        have in common (a residual, say). It must return the same floats as
+        smooth_value and the per-block block_gradient. When present,
+        evaluate and full_gradient go through it.
     """
 
     partition: BlockPartition
@@ -108,6 +114,7 @@ class ObjectiveHandle:
     mu_blocks: tuple[float, ...] | None = None
     optimum: tuple[np.ndarray, float] | None = field(default=None, repr=False)
     line_minimizer: Callable[[np.ndarray, np.ndarray], float] | None = None
+    value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.terms is not None and len(self.terms) != self.partition.n_blocks:
@@ -152,8 +159,11 @@ class ObjectiveHandle:
     # -- operations --------------------------------------------------------
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of f assembled from the per-block gradients."""
+        """Gradient of f, from value_and_gradient when the handle has it and
+        assembled from the per-block gradients otherwise."""
         x = self._check_dim(x)
+        if self.value_and_gradient is not None:
+            return self.evaluate(x)[1]
         out = np.empty(self.dim)
         for i, idx in enumerate(self.partition.blocks):
             gi = np.asarray(self.block_gradient(x, i), dtype=float)
@@ -163,10 +173,24 @@ class ObjectiveHandle:
             out[idx] = gi
         return out
 
-    def composite_value(self, x: np.ndarray) -> float:
-        """F(x) = f(x) + sum_i g_i(x_i)."""
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)): one value_and_gradient call when the handle has
+        the hook, smooth_value plus full_gradient otherwise."""
         x = self._check_dim(x)
-        total = float(self.smooth_value(x))
+        if self.value_and_gradient is None:
+            return float(self.smooth_value(x)), self.full_gradient(x)
+        f, g = self.value_and_gradient(x)
+        g = np.asarray(g, dtype=float)
+        if g.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"value_and_gradient returned a gradient of shape {g.shape}, "
+                f"expected ({self.dim},)")
+        return float(f), g
+
+    def composite_value(self, x: np.ndarray, smooth: float | None = None) -> float:
+        """F(x) = f(x) + sum_i g_i(x_i); pass smooth = f(x) when it is known."""
+        x = self._check_dim(x)
+        total = float(self.smooth_value(x) if smooth is None else smooth)
         if self.terms is not None:
             for i, idx in enumerate(self.partition.blocks):
                 t = self.terms[i]

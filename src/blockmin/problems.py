@@ -44,8 +44,39 @@ def _design_matrix(rng: np.random.Generator, dim: int, cond_number: float) -> np
 # smooth split quadratic
 # ---------------------------------------------------------------------------
 
+class _LeastSquaresOracles:
+    """Oracles of f(x) = ||W x - b||^2 over the blocks of ``partition``,
+    with ``_cols[i]`` the columns of W in block i."""
+
+    def smooth_value(self, x: np.ndarray) -> float:
+        r = self.W @ x - self.b
+        return float(r @ r)
+
+    def full_grad(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.W.T @ (self.W @ x - self.b))
+
+    def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
+        return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """One residual for f and every block gradient; the same floats as
+        smooth_value and block_gradient."""
+        r = self.W @ x - self.b
+        g = np.empty(x.size)
+        for c, idx in zip(self._cols, self.partition.blocks):
+            g[idx] = 2.0 * (c.T @ r)
+        return float(r @ r), g
+
+    def line_minimizer(self, x: np.ndarray, d: np.ndarray) -> float:
+        wd = self.W @ d
+        curv = 2.0 * float(wd @ wd)
+        if curv == 0.0:
+            return 0.0
+        return -float(self.full_grad(x) @ d) / curv
+
+
 @dataclass
-class QuadraticSplitProblem:
+class QuadraticSplitProblem(_LeastSquaresOracles):
     """f(z) = ||W z - b||^2 over two equal coordinate blocks."""
 
     W: np.ndarray
@@ -95,16 +126,6 @@ class QuadraticSplitProblem:
 
     # -- objective callables -------------------------------------------------
 
-    def smooth_value(self, x: np.ndarray) -> float:
-        r = self.W @ x - self.b
-        return float(r @ r)
-
-    def full_grad(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.W.T @ (self.W @ x - self.b))
-
-    def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
-
     def block_argmin(self, x: np.ndarray, i: int) -> np.ndarray:
         idx = self.partition.blocks[i]
         # normal equations of the block least-squares with the rest fixed
@@ -112,13 +133,6 @@ class QuadraticSplitProblem:
         out = x.copy()
         out[idx] = solve_spd(self._facts[i], rhs)
         return out
-
-    def line_minimizer(self, x: np.ndarray, d: np.ndarray) -> float:
-        wd = self.W @ d
-        curv = 2.0 * float(wd @ wd)
-        if curv == 0.0:
-            return 0.0
-        return -float(self.full_grad(x) @ d) / curv
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(
@@ -131,7 +145,8 @@ class QuadraticSplitProblem:
             l_blocks=self.l_blocks,
             mu_blocks=self.mu_blocks,
             optimum=(self.x_star, self.f_star),
-            line_minimizer=self.line_minimizer)
+            line_minimizer=self.line_minimizer,
+            value_and_gradient=self.value_and_gradient)
 
     def sublevel_radius(self, x0: np.ndarray) -> float:
         """Distance-to-solution-set radius of the f(x0) sublevel set.
@@ -273,7 +288,7 @@ def _coordinate_descent_reference(W, b, terms, partition, l_smooth, dim,
 
 
 @dataclass
-class CompositeQuadraticProblem:
+class CompositeQuadraticProblem(_LeastSquaresOracles):
     """||W x - b||^2 plus per-block l1 / box / zero terms."""
 
     W: np.ndarray
@@ -290,13 +305,6 @@ class CompositeQuadraticProblem:
     _cols: tuple[np.ndarray, ...] = field(repr=False, default=())
     _grams: tuple[np.ndarray, ...] = field(repr=False, default=())
     _facts: tuple[SpdFactorization, ...] = field(repr=False, default=())
-
-    def smooth_value(self, x: np.ndarray) -> float:
-        r = self.W @ x - self.b
-        return float(r @ r)
-
-    def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
 
     def block_argmin(self, x: np.ndarray, i: int) -> np.ndarray:
         idx = self.partition.blocks[i]
@@ -317,13 +325,6 @@ class CompositeQuadraticProblem:
                                        [lo] * n, [hi] * n)
         return out
 
-    def line_minimizer(self, x: np.ndarray, d: np.ndarray) -> float:
-        wd = self.W @ d
-        curv = 2.0 * float(wd @ wd)
-        if curv == 0.0:
-            return 0.0
-        return -float(2.0 * (self.W.T @ (self.W @ x - self.b)) @ d) / curv
-
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(
             partition=self.partition,
@@ -336,7 +337,8 @@ class CompositeQuadraticProblem:
             l_blocks=self.l_blocks,
             mu_blocks=self.mu_blocks,
             optimum=(self.x_star, self.f_star),
-            line_minimizer=self.line_minimizer)
+            line_minimizer=self.line_minimizer,
+            value_and_gradient=self.value_and_gradient)
 
 
 def make_composite(seed: int, dim: int, gamma: float,
@@ -435,6 +437,12 @@ class NonlinearEqPlProblem:
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (self.jacobian(x).T @ self.residual(x))
 
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """One residual and Jacobian for f and grad f; the same floats as
+        smooth_value and full_grad."""
+        r = self.residual(x)
+        return float(r @ r), 2.0 * (self.jacobian(x).T @ r)
+
     def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.full_grad(x)[self.partition.blocks[i]]
 
@@ -498,7 +506,8 @@ class NonlinearEqPlProblem:
             smooth_value=self.smooth_value,
             block_gradient=self.block_gradient,
             block_argmin=self.block_argmin,
-            optimum=(self.x_solution, 0.0))
+            optimum=(self.x_solution, 0.0),
+            value_and_gradient=self.value_and_gradient)
 
     @property
     def pl_constant(self) -> float:

@@ -157,34 +157,38 @@ class QuadraticLowerModel:
 
 
 def exact_line_search(h: ObjectiveHandle, x: np.ndarray, v: np.ndarray,
-                      tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Minimize f(x + beta (v - x)) over beta in [0, 1].
+                      tol: float = 1e-10, *,
+                      f_x: float) -> tuple[float, np.ndarray, float]:
+    """Minimize f(x + beta (v - x)) over beta in [0, 1]; returns (beta, y, f(y)).
 
-    Uses the handle's closed-form directional minimizer when available,
-    golden-section search otherwise; the endpoints are always candidates, so
-    f at the result never exceeds min(f(x), f(v)).
+    f_x is f(x), already known to the caller. Uses the handle's closed-form
+    directional minimizer when available, golden-section search otherwise;
+    the endpoints are always candidates, so f at the result never exceeds
+    min(f(x), f(v)).
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     d = v - x
     if not np.any(d):
-        return 0.0, x.copy()
+        return 0.0, x.copy(), f_x
     if h.line_minimizer is not None:
         beta = float(h.line_minimizer(x, d))
         beta = min(1.0, max(0.0, beta))
     else:
         beta = golden_section(lambda t: float(h.smooth_value(x + t * d)), 0.0, 1.0, tol)
     candidates = [0.0, beta, 1.0]
-    values = [float(h.smooth_value(x + t * d)) for t in candidates]
-    beta = candidates[int(np.argmin(values))]
-    return beta, x + beta * d
+    values = [f_x] + [float(h.smooth_value(x + t * d)) for t in candidates[1:]]
+    best = int(np.argmin(values))
+    beta = candidates[best]
+    return beta, x + beta * d, values[best]
 
 
-def greedy_block(h: ObjectiveHandle, y: np.ndarray) -> int:
-    """Block with the largest gradient norm; ties go to the lowest index."""
+def greedy_block(h: ObjectiveHandle, grad_y: np.ndarray) -> int:
+    """Block with the largest norm of grad_y, the gradient at the extrapolated
+    point; ties go to the lowest index."""
     best, best_norm = 0, -1.0
-    for i in range(h.n_blocks):
-        ni = float(np.linalg.norm(np.asarray(h.block_gradient(y, i), dtype=float)))
+    for i, idx in enumerate(h.partition.blocks):
+        ni = float(np.linalg.norm(grad_y[idx]))
         if ni > best_norm:
             best, best_norm = i, ni
     return best
@@ -264,32 +268,34 @@ def _adaptive_coefficient(delta: float, grad_sq: float, v_dist_sq: float,
     return a
 
 
-def choose_a_adaptive(h: ObjectiveHandle, y: np.ndarray, x_next: np.ndarray,
-                      a_sum: float, tau: float, mu: float,
+def choose_a_adaptive(f_y: float, f_next: float, grad_y: np.ndarray,
+                      y: np.ndarray, a_sum: float, tau: float, mu: float,
                       v: np.ndarray) -> float:
     """Coefficient from the measured decrease f(y) - f(x_next).
 
     Solves, for the largest positive a,
         f(y) - a^2 G / (2 (A+a)(tau+mu a)) + mu tau a V / (2 (A+a)(tau+mu a))
             = f(x_next)
-    with G = ||grad f(y)||^2 and V = ||v - y||^2. Raises NoPositiveRoot when
+    with G = ||grad_y||^2 and V = ||v - y||^2. Raises NoPositiveRoot when
     no progress is measurable (converged).
     """
-    f_y = float(h.smooth_value(y))
-    f_next = float(h.smooth_value(x_next))
-    g = h.full_gradient(y)
     vy = np.asarray(v, dtype=float) - np.asarray(y, dtype=float)
     delta = f_y - f_next
     if delta < 0.0:
         delta = 0.0  # block minimization guarantees descent; clip rounding
-    return _adaptive_coefficient(delta, float(g @ g), float(vy @ vy), a_sum, tau, mu)
+    return _adaptive_coefficient(delta, float(grad_y @ grad_y), float(vy @ vy),
+                                 a_sum, tau, mu)
+
+
+def _point_values(h: ObjectiveHandle, x: np.ndarray) -> tuple[float, float, float]:
+    """f(x), F(x) and ||grad f(x)|| of a recorded point, from one evaluate."""
+    f, g = h.evaluate(x)
+    return f, h.composite_value(x, smooth=f), float(np.linalg.norm(g))
 
 
 def _start_record(h: ObjectiveHandle, x0: np.ndarray, accelerated: bool) -> IterationRecord:
-    g = h.full_gradient(x0)
-    rec = IterationRecord(
-        k=0, x=x0.copy(), f_value=float(h.smooth_value(x0)),
-        composite_value=h.composite_value(x0), grad_norm=float(np.linalg.norm(g)))
+    f, comp, gn = _point_values(h, x0)
+    rec = IterationRecord(k=0, x=x0.copy(), f_value=f, composite_value=comp, grad_norm=gn)
     if accelerated:
         rec.a, rec.a_sum, rec.tau = 0.0, 0.0, 1.0
         rec.v = x0.copy()
@@ -321,11 +327,9 @@ def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace
                 break
             x = h.exact_block_min(x, i)
             k += 1
-            g = h.full_gradient(x)
-            gn = float(np.linalg.norm(g))
+            f, comp, gn = _point_values(h, x)
             records.append(IterationRecord(
-                k=k, x=x.copy(), f_value=float(h.smooth_value(x)),
-                composite_value=h.composite_value(x), grad_norm=gn,
+                k=k, x=x.copy(), f_value=f, composite_value=comp, grad_norm=gn,
                 sweep=(k + h.n_blocks - 1) // h.n_blocks, block=i,
                 wall_time=time.perf_counter() - t_start))
             if h.is_smooth() and gn <= cfg.grad_tolerance:
@@ -364,20 +368,22 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
                 and records[-1].f_value - f_star <= cfg.target_gap):
             status = "target_gap"
             break
-        beta, y = exact_line_search(h, x, v, cfg.line_search_tol)
+        beta, y, f_y = exact_line_search(h, x, v, cfg.line_search_tol,
+                                         f_x=records[-1].f_value)
         grad_y = h.full_gradient(y)
         grad_norm = float(np.linalg.norm(grad_y))
         if grad_norm <= cfg.grad_tolerance:
             status = "grad_tolerance"
             break
-        i = greedy_block(h, y)
+        i = greedy_block(h, grad_y)
         x_next = h.exact_block_min(y, i)
-        f_y = float(h.smooth_value(y))
+        f_next, comp_next, gn_next = _point_values(h, x_next)
         try:
             if cfg.l_known is not None:
                 a = choose_a_known_L(model.a_sum, model.tau, mu, cfg.l_known, h.n_blocks)
             else:
-                a = choose_a_adaptive(h, y, x_next, model.a_sum, model.tau, mu, v)
+                a = choose_a_adaptive(f_y, f_next, grad_y, y, model.a_sum, model.tau,
+                                      mu, v)
         except NoPositiveRoot:
             status = "converged"
             break
@@ -396,10 +402,8 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             break
         x = x_next
         records.append(IterationRecord(
-            k=k + 1, x=x.copy(), f_value=float(h.smooth_value(x)),
-            composite_value=h.composite_value(x),
-            grad_norm=float(np.linalg.norm(h.full_gradient(x))),
-            block=i, beta=beta, a=a, a_sum=model.a_sum, tau=model.tau,
+            k=k + 1, x=x.copy(), f_value=f_next, composite_value=comp_next,
+            grad_norm=gn_next, block=i, beta=beta, a=a, a_sum=model.a_sum, tau=model.tau,
             y=y, v=v.copy(), f_y=f_y, grad_y=grad_y, psi_min=model.min_value,
             wall_time=time.perf_counter() - t_start))
     return SolverTrace("aam", records, status, cfg, h.n_blocks)
@@ -436,9 +440,8 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             break
         v = z + (k / (k + 3.0)) * (z_new - z)
         z = z_new
+        f_z, comp_z, gn_z = _point_values(h, z)
         records.append(IterationRecord(
-            k=k + 1, x=z.copy(), f_value=float(h.smooth_value(z)),
-            composite_value=h.composite_value(z),
-            grad_norm=float(np.linalg.norm(h.full_gradient(z))),
+            k=k + 1, x=z.copy(), f_value=f_z, composite_value=comp_z, grad_norm=gn_z,
             v=v.copy(), wall_time=time.perf_counter() - t_start))
     return SolverTrace("fgm", records, status, cfg, h.n_blocks)

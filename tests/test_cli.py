@@ -175,6 +175,11 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--trace", str(trace), "--config", str(unknown_path)]) == 2
         assert "unknown certificate kind 'made_up'" in capsys.readouterr().err
+        # the kind is checked before the trace is read
+        unknown_path, _ = base_config(tmp_path, certificates=["made_up"])
+        missing = tmp_path / "no_such_trace.csv"
+        assert main(["verify", "--trace", str(missing), "--config", str(unknown_path)]) == 2
+        assert "unknown certificate kind 'made_up'" in capsys.readouterr().err
 
 
 class TestStandardSuite:

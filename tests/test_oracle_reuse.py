@@ -1,0 +1,168 @@
+"""Each point is evaluated once: the value-and-gradient hook gives the same
+floats as the per-block oracles, the solvers give the same traces with and
+without it, and the calls per iteration stay at what the methods need."""
+
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from blockmin import (BlockPartition, ObjectiveHandle, SolverConfig,
+                      exact_line_search, make_quadratic, run_aam, run_am, run_fgm)
+from blockmin.errors import DimensionMismatch
+
+# an upper bound on the smoothness constant of the nonlinear fixture, which
+# declares none; AAM with known L and FGM need one
+NONLINEAR_L = 20.0
+
+
+@pytest.fixture(params=["quad16", "composite12", "nonlinear20"])
+def problem(request):
+    return request.param, request.getfixturevalue(request.param)
+
+
+def without_hook(h):
+    return dataclasses.replace(h, value_and_gradient=None)
+
+
+class TestValueAndGradientHook:
+    def test_matches_per_block_oracles_exactly(self, problem, rng):
+        _, p = problem
+        h = p.handle()
+        assert h.value_and_gradient is not None
+        plain = without_hook(h)
+        for _ in range(5):
+            x = p.default_start + rng.standard_normal(h.dim)
+            f, g = h.value_and_gradient(x)
+            assert f == h.smooth_value(x)
+            assert np.array_equal(g, plain.full_gradient(x))
+            f_eval, g_eval = h.evaluate(x)
+            assert f_eval == f and np.array_equal(g_eval, g)
+            assert np.array_equal(h.full_gradient(x), g)
+
+    def test_evaluate_without_hook(self):
+        part = BlockPartition.contiguous([1, 2])
+        h = ObjectiveHandle(partition=part, smooth_value=lambda x: float(x @ x),
+                            block_gradient=lambda x, i: 2 * x[part.blocks[i]])
+        f, g = h.evaluate(np.array([1.0, -2.0, 3.0]))
+        assert f == 14.0
+        np.testing.assert_array_equal(g, [2.0, -4.0, 6.0])
+
+    def test_hook_gradient_shape_checked(self, quad16):
+        h = dataclasses.replace(quad16.handle(),
+                                value_and_gradient=lambda x: (0.0, np.zeros(3)))
+        with pytest.raises(DimensionMismatch):
+            h.full_gradient(np.zeros(16))
+        with pytest.raises(DimensionMismatch):
+            h.evaluate(np.zeros(16))
+
+    def test_composite_value_takes_known_smooth_value(self, composite12):
+        h = composite12.handle()
+        x = composite12.default_start
+        f = h.smooth_value(x)
+        assert h.composite_value(x, smooth=f) == h.composite_value(x)
+        assert h.composite_value(x, smooth=f + 1.0) == h.composite_value(x) + 1.0
+
+    def test_line_search_returns_value_at_result(self, quad16, rng):
+        h = quad16.handle()
+        for _ in range(10):
+            x = quad16.x_star + rng.standard_normal(16)
+            v = quad16.x_star + rng.standard_normal(16)
+            _, y, f_y = exact_line_search(h, x, v, f_x=h.smooth_value(x))
+            assert f_y == h.smooth_value(y)
+
+
+def _solver_runs(p):
+    """(label, runner) pairs of every solver that applies to the instance."""
+    h = p.handle()
+    runs = [("am", lambda hh: run_am(hh, p.default_start, SolverConfig(max_iters=12)))]
+    if not h.is_smooth():
+        return runs
+    l_const = h.l_global if h.l_global is not None else NONLINEAR_L
+    for label, l_known in (("aam_adaptive", None), ("aam_known_l", l_const)):
+        cfg = SolverConfig(max_iters=12, l_known=l_known)
+        runs.append((label, lambda hh, cfg=cfg: run_aam(hh, p.default_start, cfg)))
+    cfg = SolverConfig(max_iters=12, l_known=l_const)
+    runs.append(("fgm", lambda hh: run_fgm(hh, p.default_start, cfg)))
+    return runs
+
+
+def test_traces_identical_with_and_without_hook(problem):
+    _, p = problem
+    h = p.handle()
+    for label, run in _solver_runs(p):
+        with_hook, plain = run(h), run(without_hook(h))
+        assert with_hook.status == plain.status, label
+        assert len(with_hook.records) == len(plain.records), label
+        for r1, r2 in zip(with_hook.records, plain.records):
+            for attr in ("f_value", "composite_value", "grad_norm", "beta", "a"):
+                assert getattr(r1, attr) == getattr(r2, attr), (label, r1.k, attr)
+
+
+_ORACLES = ("smooth_value", "block_gradient", "block_argmin", "line_minimizer",
+            "value_and_gradient")
+
+
+def counted(h):
+    """Copy of h whose callables count their calls into the returned Counter."""
+    counts = Counter()
+
+    def wrap(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    fields = {n: wrap(n, getattr(h, n)) for n in _ORACLES if getattr(h, n) is not None}
+    return dataclasses.replace(h, **fields), counts
+
+
+def calls_per_iteration(h, run, cfg):
+    """Oracle calls per iteration, from the difference of a 5- and a
+    10-iteration run, so the start record and the first step drop out."""
+    totals = []
+    for n in (5, 10):
+        hc, counts = counted(h)
+        trace = run(hc, cfg(n))
+        assert trace.status == "max_iters" and trace.final.k == n
+        totals.append(counts)
+    return {name: (totals[1][name] - totals[0][name]) / 5 for name in _ORACLES}
+
+
+class TestOracleCounts:
+    @pytest.fixture(scope="class")
+    def quad32(self):
+        return make_quadratic(0, 32, 1000.0)
+
+    def test_am(self, quad32):
+        calls = calls_per_iteration(
+            quad32.handle(), lambda h, c: run_am(h, quad32.default_start, c),
+            lambda n: SolverConfig(max_iters=n))
+        assert calls == {"value_and_gradient": 1, "block_argmin": 1, "smooth_value": 0,
+                         "block_gradient": 0, "line_minimizer": 0}
+
+    @pytest.mark.parametrize("known_l", [False, True])
+    def test_aam(self, quad32, known_l):
+        l_known = quad32.l_global if known_l else None
+        calls = calls_per_iteration(
+            quad32.handle(), lambda h, c: run_aam(h, quad32.default_start, c),
+            lambda n: SolverConfig(max_iters=n, l_known=l_known))
+        assert calls == {"value_and_gradient": 2, "smooth_value": 2, "line_minimizer": 1,
+                         "block_argmin": 1, "block_gradient": 0}
+
+    def test_fgm(self, quad32):
+        calls = calls_per_iteration(
+            quad32.handle(), lambda h, c: run_fgm(h, quad32.default_start, c),
+            lambda n: SolverConfig(max_iters=n, l_known=quad32.l_global))
+        assert calls == {"value_and_gradient": 2, "smooth_value": 0, "block_gradient": 0,
+                         "block_argmin": 0, "line_minimizer": 0}
+
+    def test_aam_without_hook(self, quad32):
+        calls = calls_per_iteration(
+            without_hook(quad32.handle()),
+            lambda h, c: run_aam(h, quad32.default_start, c),
+            lambda n: SolverConfig(max_iters=n))
+        assert calls["block_gradient"] <= 4
+        assert calls["smooth_value"] <= 3
+        assert calls["value_and_gradient"] == 0

@@ -70,7 +70,8 @@ class TestRunAm:
 
 class TestExactLineSearch:
     def test_equal_points(self, quad16):
-        beta, y = exact_line_search(quad16.handle(), quad16.x_star, quad16.x_star)
+        beta, y, _ = exact_line_search(quad16.handle(), quad16.x_star, quad16.x_star,
+                                       f_x=quad16.smooth_value(quad16.x_star))
         assert beta == 0.0
         np.testing.assert_allclose(y, quad16.x_star)
 
@@ -78,7 +79,8 @@ class TestExactLineSearch:
         part = BlockPartition.contiguous([1])
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: float(x[0] ** 2),
                             block_gradient=lambda x, i: 2 * x)
-        beta, y = exact_line_search(h, np.array([1.0]), np.array([-1.0]), tol=1e-12)
+        beta, y, _ = exact_line_search(h, np.array([1.0]), np.array([-1.0]), tol=1e-12,
+                                       f_x=1.0)
         assert beta == pytest.approx(0.5, abs=1e-10)
         assert y[0] == pytest.approx(0.0, abs=1e-10)
 
@@ -95,8 +97,9 @@ class TestExactLineSearch:
             wd = p.W @ d
             beta_star = float(-p.full_grad(x) @ d / (2 * wd @ wd))
             beta_star = min(1.0, max(0.0, beta_star))
-            b_closed, _ = exact_line_search(closed, x, v)
-            b_gold, _ = exact_line_search(numeric, x, v, tol=1e-12)
+            b_closed, _, _ = exact_line_search(closed, x, v, f_x=p.smooth_value(x))
+            b_gold, _, _ = exact_line_search(numeric, x, v, tol=1e-12,
+                                             f_x=p.smooth_value(x))
             assert b_closed == pytest.approx(beta_star, abs=1e-8)
             assert b_gold == pytest.approx(beta_star, abs=1e-8)
 
@@ -105,7 +108,7 @@ class TestExactLineSearch:
         for _ in range(20):
             x = quad16.x_star + rng.standard_normal(16)
             v = quad16.x_star + rng.standard_normal(16)
-            _, y = exact_line_search(h, x, v)
+            _, y, _ = exact_line_search(h, x, v, f_x=h.smooth_value(x))
             assert h.smooth_value(y) <= min(h.smooth_value(x), h.smooth_value(v)) + 1e-10
 
     def test_golden_section_quadratic(self):
@@ -118,7 +121,7 @@ class TestExactLineSearch:
         for _ in range(30):
             x = quad16.x_star + rng.standard_normal(16)
             v = quad16.x_star + rng.standard_normal(16)
-            _, y = exact_line_search(h, x, v)
+            _, y, _ = exact_line_search(h, x, v, f_x=h.smooth_value(x))
             g = h.full_gradient(y)
             scale = np.linalg.norm(g) * np.linalg.norm(v - y)
             assert float(g @ (v - y)) >= -1e-8 * (1 + scale)
@@ -134,7 +137,7 @@ class TestGreedyBlock:
 
     def test_picks_larger_block(self):
         h = self.gradient_handle([3.0, 0.0, 0.0, 4.0], [2, 2])
-        assert greedy_block(h, np.zeros(4)) == 1
+        assert greedy_block(h, h.full_gradient(np.zeros(4))) == 1
 
     def test_tie_breaks_low_index(self):
         h = self.gradient_handle([0.0, 0.0, 0.0, 0.0], [2, 2])
@@ -145,12 +148,12 @@ class TestGreedyBlock:
         sizes = [3, 3, 3, 3]
         h = self.gradient_handle(g, sizes)
         norms = [np.linalg.norm(g[i * 3:(i + 1) * 3]) for i in range(4)]
-        assert greedy_block(h, np.zeros(12)) == int(np.argmax(norms))
+        assert greedy_block(h, h.full_gradient(np.zeros(12))) == int(np.argmax(norms))
 
     def test_norm_share_guarantee(self, rng):
         g = rng.standard_normal(12)
         h = self.gradient_handle(g, [3, 3, 3, 3])
-        i = greedy_block(h, np.zeros(12))
+        i = greedy_block(h, h.full_gradient(np.zeros(12)))
         gi = g[i * 3:(i + 1) * 3]
         assert float(gi @ gi) >= float(g @ g) / 4 - 1e-12
 
@@ -179,7 +182,8 @@ class TestCoefficientRules:
         v = quad16.x_star + rng.standard_normal(16)
         for mu in (0.0, quad16.mu_global):
             a_sum, tau = 0.7, 1.0 + mu * 0.7
-            a = choose_a_adaptive(h, y, x_next, a_sum, tau, mu, v)
+            a = choose_a_adaptive(h.smooth_value(y), h.smooth_value(x_next),
+                                  h.full_gradient(y), y, a_sum, tau, mu, v)
             g = h.full_gradient(y)
             gsq = float(g @ g)
             vsq = float((v - y) @ (v - y))
@@ -193,17 +197,19 @@ class TestCoefficientRules:
         h = quad16.handle()
         rng = np.random.default_rng(1)
         y = quad16.x_star + rng.standard_normal(16)
-        i = greedy_block(h, y)
+        i = greedy_block(h, h.full_gradient(y))
         x_next = h.exact_block_min(y, i)
         a_known = choose_a_known_L(0.0, 1.0, 0.0, quad16.l_global, 2)
-        a_adapt = choose_a_adaptive(h, y, x_next, 0.0, 1.0, 0.0, y)
+        a_adapt = choose_a_adaptive(h.smooth_value(y), h.smooth_value(x_next),
+                                    h.full_gradient(y), y, 0.0, 1.0, 0.0, y)
         assert a_adapt >= a_known - 1e-12
 
     def test_adaptive_no_positive_root_when_converged(self, quad16):
         h = quad16.handle()
         y = quad16.x_star + np.ones(16)  # f(y) == f(x_next), gradient nonzero
         with pytest.raises(NoPositiveRoot):
-            choose_a_adaptive(h, y, y, 0.0, 1.0, 0.0, y)
+            choose_a_adaptive(h.smooth_value(y), h.smooth_value(y), h.full_gradient(y),
+                              y, 0.0, 1.0, 0.0, y)
 
 
 class TestRunAam:
