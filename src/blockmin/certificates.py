@@ -186,7 +186,7 @@ def check_am_sublinear(trace: SolverTrace, l_blocks, radius: float, f_star: floa
                        tol: float = FAIL_TOL) -> CertificateReport:
     """Non-strongly-convex AM bound over sweeps N >= 2:
 
-    f(x^N) - f* <= max{(f(x^0) - f*)/2^{(N-1)/2}, 8 min_i L_i R^2 / (N - 1)}.
+    F(x^N) - F* <= max{(F(x^0) - F*)/2^{(N-1)/2}, 8 min_i L_i R^2 / (N - 1)}.
     """
     _need(trace, "am", "am_sublinear")
     if l_blocks is None or radius is None or f_star is None:
@@ -194,7 +194,7 @@ def check_am_sublinear(trace: SolverTrace, l_blocks, radius: float, f_star: floa
     sweeps = trace.sweep_records()
     if len(sweeps) < 3:
         raise TooShort("need at least two complete sweeps")
-    gaps = [r.f_value - f_star for r in sweeps]
+    gaps = [r.composite_value - f_star for r in sweeps]
     lmin = min(l_blocks)
     rows = []
     for n in range(2, len(gaps)):

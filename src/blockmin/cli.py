@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import certificates as certs
-from .errors import BlockminError, ConfigError, MissingL, TraceParseError
+from .errors import (BadDimension, BadShape, BlockminError, ConfigError, MissingL,
+                     TraceParseError)
 from .problems import (make_composite, make_nonlinear_pl, make_quadratic,
                        make_rank_deficient)
 from .solvers import (IterationRecord, SolverConfig, SolverTrace, run_aam,
@@ -65,11 +66,13 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    if "instance" not in cfg:
-        raise ConfigError("config needs an 'instance' section")
+    if not isinstance(cfg.get("instance"), dict):
+        raise ConfigError("config needs an 'instance' object")
     solvers = cfg.get("solvers", [])
-    if not solvers:
+    if not solvers or not isinstance(solvers, list):
         raise ConfigError("config needs a non-empty 'solvers' list")
+    if not all(isinstance(s, dict) for s in solvers):
+        raise ConfigError("every solver entry must be a JSON object")
     names = [s.get("name", s.get("method")) for s in solvers]
     if len(set(names)) != len(names):
         raise ConfigError("solver names must be unique")
@@ -81,25 +84,31 @@ class InstanceInfo:
 
     def __init__(self, spec: dict):
         kind = spec.get("kind")
-        seed = int(spec.get("seed", 0))
-        if kind == "quadratic":
-            prob = make_quadratic(seed, int(spec.get("dim", 32)),
-                                  float(spec.get("cond_number", 100.0)))
-        elif kind == "rank_deficient":
-            prob = make_rank_deficient(seed, int(spec.get("dim", 32)),
-                                       int(spec.get("rank", int(spec.get("dim", 32)) * 3 // 4)))
-        elif kind == "composite":
-            prob = make_composite(seed, int(spec.get("dim", 32)),
-                                  float(spec.get("gamma", 0.5)),
-                                  kinds=tuple(spec.get("kinds", ("l1", "zero"))),
-                                  box_bounds=tuple(spec.get("box_bounds", (-0.5, 0.5))),
-                                  cond_number=float(spec.get("cond_number", 50.0)))
-        elif kind == "nonlinear_pl":
-            prob = make_nonlinear_pl(seed, int(spec.get("n", 20)),
-                                     int(spec.get("m", 10)),
-                                     eps=float(spec.get("eps", 0.25)))
-        else:
-            raise ConfigError(f"unknown instance kind {kind!r}")
+        # a bad argument is an input error; a failing reference solve
+        # (SolverError) stays a solver failure
+        try:
+            seed = int(spec.get("seed", 0))
+            if kind == "quadratic":
+                prob = make_quadratic(seed, int(spec.get("dim", 32)),
+                                      float(spec.get("cond_number", 100.0)))
+            elif kind == "rank_deficient":
+                prob = make_rank_deficient(
+                    seed, int(spec.get("dim", 32)),
+                    int(spec.get("rank", int(spec.get("dim", 32)) * 3 // 4)))
+            elif kind == "composite":
+                prob = make_composite(seed, int(spec.get("dim", 32)),
+                                      float(spec.get("gamma", 0.5)),
+                                      kinds=tuple(spec.get("kinds", ("l1", "zero"))),
+                                      box_bounds=tuple(spec.get("box_bounds", (-0.5, 0.5))),
+                                      cond_number=float(spec.get("cond_number", 50.0)))
+            elif kind == "nonlinear_pl":
+                prob = make_nonlinear_pl(seed, int(spec.get("n", 20)),
+                                         int(spec.get("m", 10)),
+                                         eps=float(spec.get("eps", 0.25)))
+            else:
+                raise ConfigError(f"unknown instance kind {kind!r}")
+        except (BadDimension, BadShape, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad {kind} instance: {exc}") from exc
         self.problem = prob
         self.handle = h = prob.handle()
         self.x0 = np.asarray(prob.default_start, dtype=float)
@@ -141,13 +150,14 @@ def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
     try:
         return SolverConfig(
             max_iters=int(entry.get("max_iters", 100)),
-            target_gap=entry.get("target_gap"),
+            target_gap=None if entry.get("target_gap") is None
+            else float(entry["target_gap"]),
             grad_tolerance=float(entry.get("grad_tolerance", 1e-13)),
             mu_assumed=info.resolve_mu(entry.get("mu_assumed", 0.0)),
             l_known=info.resolve_l(entry.get("l_known")),
             line_search_tol=float(entry.get("line_search_tol", 1e-10)),
             momentum_rule=str(entry.get("momentum_rule", "proof")))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
 

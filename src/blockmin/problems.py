@@ -1,13 +1,15 @@
 """Concrete problem instances with exact block solvers and optimum oracles.
 
-Three families:
+Two families:
 
-* QuadraticSplitProblem -- f(z) = ||W z - b||^2 split into two equal blocks,
-  with closed-form block minimization through cached SPD factorizations.
-  The Hessian is 2 W^T W, so the declared constants carry that factor of two.
-* CompositeQuadraticProblem -- the same smooth part plus per-block l1 / box /
-  zero terms; block minimization by exact cyclic coordinate descent, and the
-  optimum cross-validated by two independent reference methods.
+* CompositeQuadraticProblem -- least squares F(x) = ||W x - b||^2 plus
+  per-block l1 / box / zero terms over any block partition. A block with no
+  term, or a zero one, is minimized in closed form through a cached SPD
+  factorization; the others by exact cyclic coordinate descent. The Hessian of
+  the smooth part is 2 W^T W, so the declared constants carry that factor of
+  two. ``make_composite`` cross-validates the optimum by two independent
+  reference methods. Its subclass QuadraticSplitProblem is the case with no
+  terms (g = 0), split into two equal blocks, with the optimum in closed form.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction.
 """
@@ -41,154 +43,7 @@ def _design_matrix(rng: np.random.Generator, dim: int, cond_number: float) -> np
 
 
 # ---------------------------------------------------------------------------
-# smooth split quadratic
-# ---------------------------------------------------------------------------
-
-class _LeastSquaresOracles:
-    """Oracles of f(x) = ||W x - b||^2 over the blocks of ``partition``,
-    with ``_cols[i]`` the columns of W in block i."""
-
-    def smooth_value(self, x: np.ndarray) -> float:
-        r = self.W @ x - self.b
-        return float(r @ r)
-
-    def full_grad(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.W.T @ (self.W @ x - self.b))
-
-    def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
-
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """One residual for f and every block gradient; the same floats as
-        smooth_value and block_gradient."""
-        r = self.W @ x - self.b
-        g = np.empty(x.size)
-        for c, idx in zip(self._cols, self.partition.blocks):
-            g[idx] = 2.0 * (c.T @ r)
-        return float(r @ r), g
-
-    def line_minimizer(self, x: np.ndarray, d: np.ndarray) -> float:
-        wd = self.W @ d
-        curv = 2.0 * float(wd @ wd)
-        if curv == 0.0:
-            return 0.0
-        return -float(self.full_grad(x) @ d) / curv
-
-
-@dataclass
-class QuadraticSplitProblem(_LeastSquaresOracles):
-    """f(z) = ||W z - b||^2 over two equal coordinate blocks."""
-
-    W: np.ndarray
-    b: np.ndarray
-    partition: BlockPartition
-    x_star: np.ndarray
-    f_star: float
-    l_global: float
-    mu_global: float
-    l_blocks: tuple[float, ...]
-    mu_blocks: tuple[float, ...]
-    lambda_min_plus: float
-    default_start: np.ndarray
-    _cols: tuple[np.ndarray, ...] = field(repr=False, default=())
-    _facts: tuple[SpdFactorization, ...] = field(repr=False, default=())
-
-    @classmethod
-    def from_matrix(cls, W, b, start_seed: int = 0,
-                    rank_tol: float = 1e-10) -> "QuadraticSplitProblem":
-        W = np.asarray(W, dtype=float)
-        b = np.asarray(b, dtype=float)
-        dim = W.shape[1]
-        if dim % 2 != 0 or dim < 2:
-            raise BadDimension("dimension must be even and >= 2")
-        partition = BlockPartition.halves(dim)
-        gram = W.T @ W
-        lam = np.linalg.eigvalsh(gram)
-        positive = lam[lam > rank_tol * max(1.0, lam[-1])]
-        full_rank = positive.size == dim
-        if full_rank:
-            x_star = solve_spd(cholesky(gram), W.T @ b)
-        else:
-            x_star = np.linalg.lstsq(W, b, rcond=None)[0]
-        res = W @ x_star - b
-        cols = tuple(W[:, idx] for idx in partition.blocks)
-        facts = tuple(cholesky(c.T @ c) for c in cols)
-        l_blocks = tuple(2.0 * spectral_extremes(c.T @ c)[1] for c in cols)
-        mu_global = 2.0 * lam[0] if full_rank else 0.0
-        rng = np.random.default_rng(start_seed)
-        start = x_star + rng.standard_normal(dim)
-        return cls(
-            W=W, b=b, partition=partition, x_star=x_star, f_star=float(res @ res),
-            l_global=2.0 * lam[-1], mu_global=mu_global, l_blocks=l_blocks,
-            mu_blocks=(mu_global,) * partition.n_blocks,
-            lambda_min_plus=float(positive[0]), default_start=start,
-            _cols=cols, _facts=facts)
-
-    # -- objective callables -------------------------------------------------
-
-    def block_argmin(self, x: np.ndarray, i: int) -> np.ndarray:
-        idx = self.partition.blocks[i]
-        # normal equations of the block least-squares with the rest fixed
-        rhs = self._cols[i].T @ (self.b - self.W @ x + self._cols[i] @ x[idx])
-        out = x.copy()
-        out[idx] = solve_spd(self._facts[i], rhs)
-        return out
-
-    def handle(self) -> ObjectiveHandle:
-        return ObjectiveHandle(
-            partition=self.partition,
-            smooth_value=self.smooth_value,
-            block_gradient=self.block_gradient,
-            block_argmin=self.block_argmin,
-            l_global=self.l_global,
-            mu_global=self.mu_global,
-            l_blocks=self.l_blocks,
-            mu_blocks=self.mu_blocks,
-            optimum=(self.x_star, self.f_star),
-            line_minimizer=self.line_minimizer,
-            value_and_gradient=self.value_and_gradient)
-
-    def sublevel_radius(self, x0: np.ndarray) -> float:
-        """Distance-to-solution-set radius of the f(x0) sublevel set.
-
-        f(x) - f* = ||W (x - proj)||^2 >= lambda_min_plus * dist(x, X*)^2, so
-        every point of the sublevel set is within this radius of a minimizer.
-        """
-        gap0 = self.smooth_value(np.asarray(x0, dtype=float)) - self.f_star
-        return math.sqrt(max(gap0, 0.0) / self.lambda_min_plus)
-
-
-def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitProblem:
-    """Seeded dense quadratic with eigenvalue ratio of W^T W == cond_number."""
-    if dim % 2 != 0 or dim < 2:
-        raise BadDimension("dim must be even and >= 2")
-    if cond_number < 1.0:
-        raise BadDimension("cond_number must be >= 1")
-    rng = np.random.default_rng(seed)
-    W = _design_matrix(rng, dim, cond_number)
-    b = rng.standard_normal(dim)
-    problem = QuadraticSplitProblem.from_matrix(W, b)
-    problem.default_start = problem.x_star + rng.standard_normal(dim)
-    return problem
-
-
-def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem:
-    """Quadratic with a deliberate null space (mu = 0, still block-solvable)."""
-    if dim % 2 != 0 or not dim // 2 < rank < dim:
-        raise BadDimension("need dim even and dim/2 < rank < dim")
-    rng = np.random.default_rng(seed)
-    u = _orthogonal(rng, dim)
-    v = _orthogonal(rng, dim)
-    sigma = np.concatenate([np.geomspace(1.0, 3.0, rank), np.zeros(dim - rank)])
-    W = u @ (sigma[:, None] * v.T)
-    b = rng.standard_normal(dim)
-    problem = QuadraticSplitProblem.from_matrix(W, b)
-    problem.default_start = problem.x_star + rng.standard_normal(dim)
-    return problem
-
-
-# ---------------------------------------------------------------------------
-# composite quadratic
+# least squares: ||W x - b||^2 plus per-block terms
 # ---------------------------------------------------------------------------
 
 def _composite_value(W, b, terms, partition, x) -> float:
@@ -288,30 +143,72 @@ def _coordinate_descent_reference(W, b, terms, partition, l_smooth, dim,
 
 
 @dataclass
-class CompositeQuadraticProblem(_LeastSquaresOracles):
-    """||W x - b||^2 plus per-block l1 / box / zero terms."""
+class CompositeQuadraticProblem:
+    """F(x) = ||W x - b||^2 + sum_i g_i(x_i) over the blocks of ``partition``,
+    each g_i an l1, box or zero term; ``terms=None`` means every g_i = 0.
+
+    The columns of W in each block, the Cholesky factors of their Gram
+    matrices and the block constants L_i are built once, from W and the
+    partition.
+    """
 
     W: np.ndarray
     b: np.ndarray
     partition: BlockPartition
-    terms: tuple
+    terms: tuple | None
     x_star: np.ndarray
     f_star: float
     l_global: float
     mu_global: float
-    l_blocks: tuple[float, ...]
-    mu_blocks: tuple[float, ...]
     default_start: np.ndarray
-    _cols: tuple[np.ndarray, ...] = field(repr=False, default=())
-    _grams: tuple[np.ndarray, ...] = field(repr=False, default=())
-    _facts: tuple[SpdFactorization, ...] = field(repr=False, default=())
+    l_blocks: tuple[float, ...] = field(init=False)
+    _cols: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _facts: tuple[SpdFactorization, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._cols = tuple(self.W[:, idx] for idx in self.partition.blocks)
+        self._facts = tuple(cholesky(c.T @ c) for c in self._cols)
+        self.l_blocks = tuple(2.0 * spectral_extremes(f.source)[1] for f in self._facts)
+
+    @property
+    def mu_blocks(self) -> tuple[float, ...]:
+        return (self.mu_global,) * self.partition.n_blocks
+
+    # -- objective callables -------------------------------------------------
+
+    def smooth_value(self, x: np.ndarray) -> float:
+        r = self.W @ x - self.b
+        return float(r @ r)
+
+    def full_grad(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.W.T @ (self.W @ x - self.b))
+
+    def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
+        return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """One residual for f and every block gradient; the same floats as
+        smooth_value and block_gradient."""
+        r = self.W @ x - self.b
+        g = np.empty(x.size)
+        for c, idx in zip(self._cols, self.partition.blocks):
+            g[idx] = 2.0 * (c.T @ r)
+        return float(r @ r), g
+
+    def line_minimizer(self, x: np.ndarray, d: np.ndarray) -> float:
+        wd = self.W @ d
+        curv = 2.0 * float(wd @ wd)
+        if curv == 0.0:
+            return 0.0
+        return -float(self.full_grad(x) @ d) / curv
 
     def block_argmin(self, x: np.ndarray, i: int) -> np.ndarray:
         idx = self.partition.blocks[i]
+        # normal equations of the block least squares with the rest fixed
         lin = self._cols[i].T @ (self.b - self.W @ x + self._cols[i] @ x[idx])
-        term = self.terms[i]
+        term = None if self.terms is None else self.terms[i]
         out = x.copy()
-        if term.is_zero:
+        if term is None or term.is_zero:
             out[idx] = solve_spd(self._facts[i], lin)
             return out
         if isinstance(term, L1Term):
@@ -321,7 +218,8 @@ class CompositeQuadraticProblem(_LeastSquaresOracles):
         else:
             raise SolverError("no exact block solver for this term type")
         n = idx.size
-        out[idx] = _coordinate_descent(self._grams[i], lin, x[idx], [weight] * n,
+        # the factorization keeps the block Gram matrix as its source
+        out[idx] = _coordinate_descent(self._facts[i].source, lin, x[idx], [weight] * n,
                                        [lo] * n, [hi] * n)
         return out
 
@@ -341,6 +239,83 @@ class CompositeQuadraticProblem(_LeastSquaresOracles):
             value_and_gradient=self.value_and_gradient)
 
 
+# The smooth case subclasses the composite, not the other way round:
+# blockbench/tracer.py wraps ``handle`` once per class, in the order
+# (QuadraticSplitProblem, CompositeQuadraticProblem), so this way each class
+# gets one wrapper. With the composite as the subclass, or with one class under
+# two names, composite handles would be wrapped twice and every traced count
+# doubled.
+@dataclass
+class QuadraticSplitProblem(CompositeQuadraticProblem):
+    """The smooth case g = 0 (``terms=None``) over two equal blocks, with the
+    optimum in closed form and the smallest positive eigenvalue of W^T W."""
+
+    lambda_min_plus: float = field(kw_only=True)
+
+    @classmethod
+    def from_matrix(cls, W, b, start_seed: int = 0,
+                    rank_tol: float = 1e-10) -> "QuadraticSplitProblem":
+        W = np.asarray(W, dtype=float)
+        b = np.asarray(b, dtype=float)
+        dim = W.shape[1]
+        if dim % 2 != 0 or dim < 2:
+            raise BadDimension("dimension must be even and >= 2")
+        gram = W.T @ W
+        lam = np.linalg.eigvalsh(gram)
+        positive = lam[lam > rank_tol * max(1.0, lam[-1])]
+        full_rank = positive.size == dim
+        if full_rank:
+            x_star = solve_spd(cholesky(gram), W.T @ b)
+        else:
+            x_star = np.linalg.lstsq(W, b, rcond=None)[0]
+        res = W @ x_star - b
+        rng = np.random.default_rng(start_seed)
+        start = x_star + rng.standard_normal(dim)
+        return cls(
+            W=W, b=b, partition=BlockPartition.halves(dim), terms=None,
+            x_star=x_star, f_star=float(res @ res), l_global=2.0 * lam[-1],
+            mu_global=2.0 * lam[0] if full_rank else 0.0, default_start=start,
+            lambda_min_plus=float(positive[0]))
+
+    def sublevel_radius(self, x0: np.ndarray) -> float:
+        """Distance-to-solution-set radius of the f(x0) sublevel set.
+
+        f(x) - f* = ||W (x - proj)||^2 >= lambda_min_plus * dist(x, X*)^2, so
+        every point of the sublevel set is within this radius of a minimizer.
+        """
+        gap0 = self.smooth_value(np.asarray(x0, dtype=float)) - self.f_star
+        return math.sqrt(max(gap0, 0.0) / self.lambda_min_plus)
+
+
+def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitProblem:
+    """Seeded dense quadratic with eigenvalue ratio of W^T W == cond_number."""
+    if dim % 2 != 0 or dim < 2:
+        raise BadDimension("dim must be even and >= 2")
+    if not cond_number >= 1.0:  # written so that NaN fails too
+        raise BadDimension("cond_number must be >= 1")
+    rng = np.random.default_rng(seed)
+    W = _design_matrix(rng, dim, cond_number)
+    b = rng.standard_normal(dim)
+    problem = QuadraticSplitProblem.from_matrix(W, b)
+    problem.default_start = problem.x_star + rng.standard_normal(dim)
+    return problem
+
+
+def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem:
+    """Quadratic with a deliberate null space (mu = 0, still block-solvable)."""
+    if dim % 2 != 0 or not dim // 2 < rank < dim:
+        raise BadDimension("need dim even and dim/2 < rank < dim")
+    rng = np.random.default_rng(seed)
+    u = _orthogonal(rng, dim)
+    v = _orthogonal(rng, dim)
+    sigma = np.concatenate([np.geomspace(1.0, 3.0, rank), np.zeros(dim - rank)])
+    W = u @ (sigma[:, None] * v.T)
+    b = rng.standard_normal(dim)
+    problem = QuadraticSplitProblem.from_matrix(W, b)
+    problem.default_start = problem.x_star + rng.standard_normal(dim)
+    return problem
+
+
 def make_composite(seed: int, dim: int, gamma: float,
                    kinds: tuple[str, str] = ("l1", "zero"),
                    box_bounds: tuple[float, float] = (-0.5, 0.5),
@@ -348,10 +323,14 @@ def make_composite(seed: int, dim: int, gamma: float,
     """Composite instance; by default l1 (weight gamma) on block 1, nothing on
     block 2. The reference optimum is computed by accelerated prox-gradient and
     cross-validated by coordinate descent before it is trusted."""
-    if gamma < 0:
+    if not gamma >= 0.0:  # written so that NaN fails too
         raise ValueError("gamma must be >= 0")
+    if not cond_number >= 1.0:
+        raise BadDimension("cond_number must be >= 1")
     if dim % 2 != 0 or dim < 4:
         raise BadDimension("dim must be even and >= 4")
+    if len(kinds) != 2:
+        raise ValueError("need one term kind per block")
     rng = np.random.default_rng(seed)
     W = _design_matrix(rng, dim, cond_number)
     b = rng.standard_normal(dim)
@@ -367,13 +346,8 @@ def make_composite(seed: int, dim: int, gamma: float,
         raise ValueError(f"unknown term kind {kind!r}")
 
     terms = tuple(build_term(k) for k in kinds)
-    gram = W.T @ W
-    lam = np.linalg.eigvalsh(gram)
-    l_global, mu_global = 2.0 * lam[-1], 2.0 * lam[0]
-    cols = tuple(W[:, idx] for idx in partition.blocks)
-    grams = tuple(c.T @ c for c in cols)
-    facts = tuple(cholesky(g) for g in grams)
-    l_blocks = tuple(2.0 * spectral_extremes(g)[1] for g in grams)
+    lam = np.linalg.eigvalsh(W.T @ W)
+    l_global = 2.0 * lam[-1]
 
     x_a = _fista_reference(W, b, terms, partition, l_global, dim)
     x_b = _coordinate_descent_reference(W, b, terms, partition, l_global, dim)
@@ -389,9 +363,7 @@ def make_composite(seed: int, dim: int, gamma: float,
             start[idx] = np.clip(start[idx], terms[i].lo, terms[i].hi)
     return CompositeQuadraticProblem(
         W=W, b=b, partition=partition, terms=terms, x_star=x_star, f_star=f_star,
-        l_global=l_global, mu_global=mu_global, l_blocks=l_blocks,
-        mu_blocks=(mu_global,) * partition.n_blocks, default_start=start,
-        _cols=cols, _grams=grams, _facts=facts)
+        l_global=l_global, mu_global=2.0 * lam[0], default_start=start)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,30 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown solver option(s)" in capsys.readouterr().err
+        # arguments a problem constructor rejects are input errors, NaN included
+        nan = float("nan")
+        for instance in ({"kind": "quadratic", "dim": 7},
+                         {"kind": "quadratic", "dim": "abc"},
+                         {"kind": "quadratic", "dim": 8, "cond_number": nan},
+                         {"kind": "nonlinear_pl", "n": 7, "m": 3},
+                         {"kind": "composite", "dim": 8, "kinds": ["l2", "zero"]},
+                         {"kind": "composite", "dim": 8, "kinds": ["l1"]},
+                         {"kind": "composite", "dim": 8, "cond_number": nan},
+                         {"kind": "composite", "dim": 8, "gamma": -1},
+                         {"kind": "composite", "dim": 8, "gamma": nan}):
+            cfg_path, _ = base_config(tmp_path, instance=instance)
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2, instance
+            assert "error: bad" in capsys.readouterr().err
+        cfg_path, _ = base_config(tmp_path, instance="quadratic")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        # a solver entry that is not an object, or an unconvertible option
+        for solvers in (["am"],
+                        [{"name": "am", "method": "am", "target_gap": [1e-3]}],
+                        [{"name": "am", "method": "am", "target_gap": "abc"}]):
+            cfg_path, _ = base_config(tmp_path, solvers=solvers)
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2, solvers
 
 
 class TestVerify:

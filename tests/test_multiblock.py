@@ -1,15 +1,20 @@
-"""Four-block coverage: the solvers and bound checks are generic in the
-number of blocks even though the shipped zoo instances use two."""
+"""Four-block coverage: the solvers, the bound checks and the least-squares
+problem class are generic in the number of blocks even though the shipped zoo
+instances use two."""
 
 import numpy as np
 import pytest
 
-from blockmin import (BlockPartition, ObjectiveHandle, SolverConfig,
-                      check_aam_Ak, check_aam_main, check_aam_recurrence,
-                      check_am_linear, greedy_block, run_aam, run_am)
+from blockmin import (BlockPartition, CompositeQuadraticProblem, ObjectiveHandle,
+                      SolverConfig, check_aam_Ak, check_aam_main,
+                      check_aam_recurrence, check_am_linear, greedy_block,
+                      run_aam, run_am)
 
 
-def four_block_quadratic(seed=0, dim=16, cond=80.0):
+def four_block_quadratic(seed=0, dim=16, cond=80.0, merged=False):
+    """A four-block least squares. The handle is built by hand from W and b,
+    with no value-and-gradient hook; with ``merged`` it is instead the handle
+    of a CompositeQuadraticProblem with no terms on the same W, b and blocks."""
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     v, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -50,12 +55,16 @@ def four_block_quadratic(seed=0, dim=16, cond=80.0):
         mu_blocks=(2.0 * lam[0],) * 4,
         optimum=(x_star, f_star), line_minimizer=line_min)
     x0 = x_star + rng.standard_normal(dim)
+    if merged:
+        handle = CompositeQuadraticProblem(
+            W=w, b=b, partition=part, terms=None, x_star=x_star, f_star=f_star,
+            l_global=2.0 * lam[-1], mu_global=2.0 * lam[0], default_start=x0).handle()
     return handle, x0, f_star, 2.0 * lam[0], 2.0 * lam[-1]
 
 
-@pytest.fixture(scope="module")
-def four_block():
-    return four_block_quadratic()
+@pytest.fixture(scope="module", params=["hand_built", "merged"])
+def four_block(request):
+    return four_block_quadratic(merged=request.param == "merged")
 
 
 def test_am_cyclic_four_blocks(four_block):
