@@ -11,9 +11,7 @@ Subcommands:
   the four-method quadratic comparison (AM, accelerated AM with mu=0 and
   mu=mu*, fast gradient).
 
-The config is a single JSON object; see README for the schema. The
-environment variable BLOCKMIN_OUT_DIR overrides the output directory of
-``run`` (nothing else).
+The config is a single JSON object; see README for the schema.
 
 Exit codes: 0 pass, 1 certificate violation, 2 input/config error,
 3 solver failure.
@@ -24,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -265,7 +262,7 @@ def _trace_from_rows(rows: list[dict], method: str, info: InstanceInfo) -> Solve
 def cmd_run(config_path, out_dir) -> int:
     cfg = load_config(config_path)
     info = InstanceInfo(cfg["instance"])
-    out = Path(os.environ.get("BLOCKMIN_OUT_DIR", out_dir))
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -318,7 +315,7 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             raise TraceParseError(f"trace has no rows for solver {name!r}")
         rows = per_solver[name]
         trace = _trace_from_rows(rows, method, info)
-        mu_run = info.resolve_mu(entry.get("mu_assumed", 0.0)) if method == "aam" else 0.0
+        mu_run = _solver_config(entry, info).mu_assumed  # only AAM checks read it
         # built-in sanity certificate: gaps never dip below the floor
         bad = [r["k"] for r in rows if r["f_gap"] < GAP_FLOOR * (1.0 + abs(info.f_star))]
         results.append({"certificate": "gap_nonnegative", "solver": name,
@@ -335,7 +332,10 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             elif cert.method != method:
                 continue  # certificate simply targets another solver
             elif cert.mu_zero_only and mu_run != 0.0:
-                reason = "applies to mu_assumed = 0 runs only"
+                # does not apply to this run: listed, but not counted as skipped
+                results.append({"certificate": kind, "solver": name,
+                                "skipped": "applies to mu_assumed = 0 runs only"})
+                continue
             elif missing:
                 reason = f"missing constants: {', '.join(missing)}"
             else:

@@ -66,16 +66,19 @@ class SolverConfig:
     momentum_rule: str = "proof"
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        # every range check is written so that NaN fails it
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tolerance <= 0:
+        if not self.grad_tolerance > 0:
             raise ValueError("grad_tolerance must be positive")
-        if self.target_gap is not None and self.target_gap <= 0:
+        if self.target_gap is not None and not self.target_gap > 0:
             raise ValueError("target_gap must be positive when set")
-        if self.line_search_tol <= 0:
+        if not self.line_search_tol > 0:
             raise ValueError("line_search_tol must be positive")
-        if self.mu_assumed < 0:
+        if not self.mu_assumed >= 0:
             raise ValueError("mu_assumed must be >= 0")
+        if self.l_known is not None and not 0 < self.l_known >= self.mu_assumed:
+            raise ValueError("l_known must be positive and >= mu_assumed when set")
         if self.momentum_rule not in ("proof", "literal"):
             raise ValueError("momentum_rule must be 'proof' or 'literal'")
 
@@ -194,33 +197,31 @@ def greedy_block(h: ObjectiveHandle, grad_y: np.ndarray) -> int:
     return best
 
 
+def _largest_root(lead: float, lin: float, const: float) -> float:
+    """Largest positive root of lead a^2 - lin a - const = 0, or const / lin
+    (needing lin, const > 0) when lead <= 0; raises NoPositiveRoot if none."""
+    if lead <= 0.0:
+        a = const / lin if lin > 0.0 and const > 0.0 else 0.0
+    else:
+        disc = lin * lin + 4.0 * lead * const
+        a = (lin + math.sqrt(disc)) / (2.0 * lead)
+    if a <= 0.0:
+        raise NoPositiveRoot("coefficient equation has no positive root")
+    return a
+
+
 def choose_a_known_L(a_sum: float, tau: float, mu: float, l_const: float,
                      n_blocks: int) -> float:
     """Coefficient satisfying a^2 / ((A + a)(tau + mu a)) = 1/(L n).
 
     Expands to (Ln - mu) a^2 - (tau + mu A) a - A tau = 0; returns the largest
-    positive root.
+    positive root. Ln - mu <= 0 only in the degenerate one-block, mu == L case.
     """
     if a_sum < 0 or tau < 1.0 - 1e-12 or l_const <= 0 or n_blocks < 1:
         raise ValueError("invalid coefficient-equation inputs")
     if not (0.0 <= mu <= l_const):
         raise ValueError("need 0 <= mu <= L")
-    lead = l_const * n_blocks - mu
-    lin = tau + mu * a_sum
-    const = a_sum * tau
-    if lead <= 0:
-        # mu == L n only in the degenerate one-block, mu == L case
-        if lin <= 0:
-            raise NoPositiveRoot("degenerate coefficient equation")
-        a = const / lin if const > 0 else 0.0
-        if a <= 0:
-            raise NoPositiveRoot("no positive coefficient")
-        return a
-    disc = lin * lin + 4.0 * lead * const
-    a = (lin + math.sqrt(disc)) / (2.0 * lead)
-    if a <= 0:
-        raise NoPositiveRoot("no positive coefficient")
-    return a
+    return _largest_root(l_const * n_blocks - mu, tau + mu * a_sum, a_sum * tau)
 
 
 def _adaptive_coefficient(delta: float, grad_sq: float, v_dist_sq: float,
@@ -229,20 +230,16 @@ def _adaptive_coefficient(delta: float, grad_sq: float, v_dist_sq: float,
 
     The equation 2 delta (A + a)(tau + mu a) = a^2 G - mu tau V a clears to
     the quadratic (G - 2 delta mu) a^2 - (mu tau V + 2 delta (mu A + tau)) a
-    - 2 delta A tau = 0 with delta = f(y) - f(x_next) >= 0.
+    - 2 delta A tau = 0 with delta = f(y) - f(x_next) >= 0. The leading
+    coefficient is <= 0 only within rounding of the optimum (delta ~ gap
+    bound).
     """
     lead = grad_sq - 2.0 * delta * mu
     lin = mu * tau * v_dist_sq + 2.0 * delta * (mu * a_sum + tau)
     const = 2.0 * delta * a_sum * tau
+    a = _largest_root(lead, lin, const)
     if lead <= 0.0:
-        # happens only within rounding of the optimum (delta ~ gap bound)
-        if lin > 0.0 and const > 0.0:
-            return const / lin
-        raise NoPositiveRoot("adaptive coefficient equation has no positive root")
-    disc = lin * lin + 4.0 * lead * const
-    a = (lin + math.sqrt(disc)) / (2.0 * lead)
-    if a <= 0.0:
-        raise NoPositiveRoot("adaptive coefficient equation has no positive root")
+        return a
     # polish: the cleared-denominator polynomial is well-behaved around the root
     def poly(t: float) -> float:
         return (lead * t - lin) * t - const

@@ -67,14 +67,6 @@ class TestRun:
         main(["run", "--config", str(cfg_path), "--out", str(out2)])
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        cfg_path, _ = base_config(tmp_path)
-        env_out = tmp_path / "env_out"
-        monkeypatch.setenv("BLOCKMIN_OUT_DIR", str(env_out))
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "ignored")])
-        assert (env_out / "trace.csv").exists()
-        assert not (tmp_path / "ignored").exists()
-
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
@@ -109,6 +101,21 @@ class TestRun:
             cfg_path, _ = base_config(tmp_path, solvers=solvers)
             assert main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2, solvers
+        # an out-of-range or unconvertible option is an input error for run
+        # and for verify alike, NaN included
+        out = tmp_path / "good"
+        good_path, _ = base_config(tmp_path)
+        assert main(["run", "--config", str(good_path), "--out", str(out)]) == 0
+        for option in ({"mu_assumed": "abc"}, {"mu_assumed": nan}, {"l_known": nan},
+                       {"mu_assumed": 2.0, "l_known": 1.0}):
+            solvers = [{"name": "aam0", "method": "aam", "max_iters": 5, **option}]
+            cfg_path, _ = base_config(tmp_path, solvers=solvers)
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2, option
+            assert main(["verify", "--trace", str(out / "trace.csv"),
+                         "--config", str(cfg_path)]) == 2, option
+            assert "error: bad solver options" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -222,6 +229,10 @@ class TestStandardSuite:
             for r in report["results"]:
                 if "rows" in r:
                     assert r["rows"] >= 5, f"{cfg_path.name}: {r}"
+            # nothing the config asks for is skipped, so strict mode passes too
+            assert main(["verify", "--trace", str(out / "trace.csv"),
+                         "--config", str(cfg_path), "--strict"]) == 0, cfg_path.name
+            capsys.readouterr()
 
     def test_solver_failure_exit_code(self, tmp_path):
         # fgm on the nonlinear instance has no L anywhere: solver error, exit 3

@@ -153,7 +153,7 @@ class TestNonlinearPl:
         p = nonlinear20
         for _ in range(50):
             x = p.x_solution + rng.standard_normal(20)
-            g = p.full_grad(x)
+            g = p.value_and_gradient(x)[1]
             assert 0.5 * float(g @ g) >= p.pl_constant * p.smooth_value(x) - 1e-9
 
     def test_block_argmin_quality(self, nonlinear20, rng):

@@ -364,6 +364,14 @@ class TestStopping:
             SolverConfig(grad_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(momentum_rule="sometimes")
+        # NaN fails every range check
+        nan = float("nan")
+        for bad in (dict(grad_tolerance=nan), dict(target_gap=nan),
+                    dict(line_search_tol=nan), dict(mu_assumed=nan),
+                    dict(l_known=nan), dict(l_known=0.0), dict(l_known=-1.0),
+                    dict(mu_assumed=2.0, l_known=1.0)):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
 
 class TestNonlinearAam:
