@@ -140,7 +140,7 @@ def check_aam_main(trace: SolverTrace, l_global: float, mu: float, n_blocks: int
     if not 0.0 <= mu < n_blocks * l_global:
         raise ValueError("need 0 <= mu < n L")
     rows = [_row(r.k, aam_main_bound(r.k, l_global, mu, n_blocks, radius),
-                 r.f_value - f_star, tol) for r in trace.records[1:]]
+                 r.composite_value - f_star, tol) for r in trace.records[1:]]
     return CertificateReport("aam_main", tuple(rows), tol)
 
 
@@ -173,12 +173,12 @@ def check_aam_adaptive(trace: SolverTrace, mu_true: float, f_star: float,
     _need(trace, "aam", "aam_adaptive")
     if f_star is None:
         raise MissingConstants("aam_adaptive needs F*")
-    gap0 = trace.records[0].f_value - f_star
+    gap0 = trace.records[0].composite_value - f_star
     prod = 1.0
     rows = []
     for r in trace.records[1:]:
         prod *= max(0.0, 1.0 - mu_true * r.a * r.a / r.a_sum)
-        rows.append(_row(r.k, prod * gap0, r.f_value - f_star, tol))
+        rows.append(_row(r.k, prod * gap0, r.composite_value - f_star, tol))
     return CertificateReport("aam_adaptive", tuple(rows), tol)
 
 
@@ -234,12 +234,11 @@ def check_aam_recurrence(trace: SolverTrace, mu: float,
             dev = v - recs[j].y
             psi += recs[j].a * (recs[j].f_y + float(recs[j].grad_y @ dev)
                                 + 0.5 * mu * float(dev @ dev))
-        rows.append(_row(recs[k].k, psi, recs[k].a_sum * recs[k].f_value, tol))
+        rows.append(_row(recs[k].k, psi, recs[k].a_sum * recs[k].composite_value, tol))
     return CertificateReport("aam_recurrence", tuple(rows), tol)
 
 
 def estimate_empirical_rate(trace: SolverTrace, f_star: float,
-                            composite: bool = False,
                             min_points: int = 10,
                             floor_ratio: float = 1e-12) -> tuple[float, float]:
     """Least-squares decay estimates from a trace with known optimum.
@@ -249,7 +248,7 @@ def estimate_empirical_rate(trace: SolverTrace, f_star: float,
     Gaps at or below floor_ratio times the initial gap are excluded so the
     numeric noise floor does not pollute the fit.
     """
-    gaps = trace.gaps(f_star, composite=composite)
+    gaps = trace.gaps(f_star)
     ks = np.array([r.k for r in trace.records], dtype=float)
     floor = max(gaps[0], 0.0) * floor_ratio
     mask = gaps > floor

@@ -79,8 +79,21 @@ def load_config(path) -> dict:
 class InstanceInfo:
     """Resolved problem plus the constants certificates need; None means unknown."""
 
+    # the keys each instance kind accepts besides "kind"
+    KEYS = {
+        "quadratic": {"seed", "dim", "cond_number"},
+        "rank_deficient": {"seed", "dim", "rank"},
+        "composite": {"seed", "dim", "gamma", "kinds", "box_bounds", "cond_number"},
+        "nonlinear_pl": {"seed", "n", "m", "eps"},
+    }
+
     def __init__(self, spec: dict):
         kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in self.KEYS:
+            raise ConfigError(f"unknown instance kind {kind!r}")
+        unknown = set(spec) - self.KEYS[kind] - {"kind"}
+        if unknown:
+            raise ConfigError(f"unknown {kind} instance key(s): {sorted(unknown)}")
         # a bad argument is an input error; a failing reference solve
         # (SolverError) stays a solver failure
         try:
@@ -98,12 +111,10 @@ class InstanceInfo:
                                       kinds=tuple(spec.get("kinds", ("l1", "zero"))),
                                       box_bounds=tuple(spec.get("box_bounds", (-0.5, 0.5))),
                                       cond_number=float(spec.get("cond_number", 50.0)))
-            elif kind == "nonlinear_pl":
+            else:
                 prob = make_nonlinear_pl(seed, int(spec.get("n", 20)),
                                          int(spec.get("m", 10)),
                                          eps=float(spec.get("eps", 0.25)))
-            else:
-                raise ConfigError(f"unknown instance kind {kind!r}")
         except (BadDimension, BadShape, ValueError, TypeError) as exc:
             raise ConfigError(f"bad {kind} instance: {exc}") from exc
         self.problem = prob
@@ -140,7 +151,7 @@ class InstanceInfo:
 
 def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
     known = {"name", "method", "max_iters", "target_gap", "grad_tolerance",
-             "mu_assumed", "l_known", "line_search_tol", "momentum_rule"}
+             "mu_assumed", "l_known", "momentum_rule"}
     unknown = set(entry) - known
     if unknown:
         raise ConfigError(f"unknown solver option(s): {sorted(unknown)}")
@@ -152,7 +163,6 @@ def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
             grad_tolerance=float(entry.get("grad_tolerance", 1e-13)),
             mu_assumed=info.resolve_mu(entry.get("mu_assumed", 0.0)),
             l_known=info.resolve_l(entry.get("l_known")),
-            line_search_tol=float(entry.get("line_search_tol", 1e-10)),
             momentum_rule=str(entry.get("momentum_rule", "proof")))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
@@ -191,11 +201,9 @@ def _bound_columns(method: str, rec: IterationRecord, info: InstanceInfo,
 def write_trace_csv(path, runs, info: InstanceInfo, record_wall: bool):
     rows = []
     for name, method, cfg, trace in runs:
-        composite = method == "am"
-        gap0 = (trace.records[0].composite_value if composite
-                else trace.records[0].f_value) - info.f_star
+        gap0 = trace.records[0].composite_value - info.f_star
         for rec in trace.records:
-            gap = (rec.composite_value if composite else rec.f_value) - info.f_star
+            gap = rec.composite_value - info.f_star
             bound_main, bound_linear = _bound_columns(method, rec, info, cfg, gap0)
             rows.append([
                 rec.k, name, _fmt(gap), _fmt(rec.grad_norm),
@@ -245,13 +253,10 @@ def read_trace_csv(path) -> dict[str, list[dict]]:
 
 
 def _trace_from_rows(rows: list[dict], method: str, info: InstanceInfo) -> SolverTrace:
-    records = []
-    for r in rows:
-        val = r["f_gap"] + info.f_star
-        records.append(IterationRecord(
-            k=r["k"], x=None, f_value=val, composite_value=val,
-            grad_norm=r["grad_norm"], block=r["block"], beta=r["beta"],
-            a=r["a"], a_sum=r["A"], tau=r["tau"]))
+    records = [IterationRecord(
+        k=r["k"], x=None, composite_value=r["f_gap"] + info.f_star,
+        grad_norm=r["grad_norm"], block=r["block"], beta=r["beta"],
+        a=r["a"], a_sum=r["A"], tau=r["tau"]) for r in rows]
     return SolverTrace(method, records, "from_csv", SolverConfig(), info.n_blocks)
 
 
@@ -283,8 +288,7 @@ def cmd_run(config_path, out_dir) -> int:
         "runs": [{
             "solver": name,
             "method": method,
-            "final_gap": (trace.final.composite_value if method == "am"
-                          else trace.final.f_value) - info.f_star,
+            "final_gap": trace.final.composite_value - info.f_star,
             "iterations": trace.final.k,
             "status": trace.status,
             "wall_ms": trace.final.wall_time * 1e3,
@@ -326,11 +330,11 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             violations += 1
         for kind in requested:
             cert = certs.CERTIFICATES[kind]
+            if cert.method != method:
+                continue  # certificate simply targets another solver
             missing = [c for c in cert.constants if getattr(info, c) is None]
             if cert.from_csv is None:
                 reason = "needs full iterate vectors (library-level only)"
-            elif cert.method != method:
-                continue  # certificate simply targets another solver
             elif cert.mu_zero_only and mu_run != 0.0:
                 # does not apply to this run: listed, but not counted as skipped
                 results.append({"certificate": kind, "solver": name,
@@ -378,7 +382,7 @@ def cmd_figure(config_path, out_path) -> int:
     for name, method, entry in methods:
         scfg = _solver_config(entry, info)
         trace = _run_one(method, info, scfg)
-        gaps = [r.f_value - info.f_star for r in trace.records]
+        gaps = [r.composite_value - info.f_star for r in trace.records]
         gaps += [gaps[-1]] * (iters + 1 - len(gaps))  # pad early-stopped runs
         columns[name] = gaps
     out = Path(out_path)

@@ -253,8 +253,10 @@ class QuadraticSplitProblem(CompositeQuadraticProblem):
     lambda_min_plus: float = field(kw_only=True)
 
     @classmethod
-    def from_matrix(cls, W, b, start_seed: int = 0,
-                    rank_tol: float = 1e-10) -> "QuadraticSplitProblem":
+    def from_matrix(cls, W, b, rng: np.random.Generator | None = None
+                    ) -> "QuadraticSplitProblem":
+        """Instance for f(x) = ||W x - b||^2, started at x_star plus a standard
+        normal draw from rng (a generator seeded 0 when None)."""
         W = np.asarray(W, dtype=float)
         b = np.asarray(b, dtype=float)
         dim = W.shape[1]
@@ -262,14 +264,15 @@ class QuadraticSplitProblem(CompositeQuadraticProblem):
             raise BadDimension("dimension must be even and >= 2")
         gram = W.T @ W
         lam = np.linalg.eigvalsh(gram)
-        positive = lam[lam > rank_tol * max(1.0, lam[-1])]
+        positive = lam[lam > 1e-10 * max(1.0, lam[-1])]
         full_rank = positive.size == dim
         if full_rank:
             x_star = solve_spd(cholesky(gram), W.T @ b)
         else:
             x_star = np.linalg.lstsq(W, b, rcond=None)[0]
         res = W @ x_star - b
-        rng = np.random.default_rng(start_seed)
+        if rng is None:
+            rng = np.random.default_rng(0)
         start = x_star + rng.standard_normal(dim)
         return cls(
             W=W, b=b, partition=BlockPartition.halves(dim), terms=None,
@@ -296,9 +299,7 @@ def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitPro
     rng = np.random.default_rng(seed)
     W = _design_matrix(rng, dim, cond_number)
     b = rng.standard_normal(dim)
-    problem = QuadraticSplitProblem.from_matrix(W, b)
-    problem.default_start = problem.x_star + rng.standard_normal(dim)
-    return problem
+    return QuadraticSplitProblem.from_matrix(W, b, rng)
 
 
 def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem:
@@ -311,9 +312,7 @@ def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem
     sigma = np.concatenate([np.geomspace(1.0, 3.0, rank), np.zeros(dim - rank)])
     W = u @ (sigma[:, None] * v.T)
     b = rng.standard_normal(dim)
-    problem = QuadraticSplitProblem.from_matrix(W, b)
-    problem.default_start = problem.x_star + rng.standard_normal(dim)
-    return problem
+    return QuadraticSplitProblem.from_matrix(W, b, rng)
 
 
 def make_composite(seed: int, dim: int, gamma: float,

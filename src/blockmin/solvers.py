@@ -50,11 +50,15 @@ def golden_section(fun: Callable[[float], float], lo: float, hi: float,
 class SolverConfig:
     """Run parameters shared by all solvers.
 
-    mu_assumed = 0 runs the accelerated method in "strong convexity unknown"
-    mode; l_known = None selects the adaptive coefficient rule. momentum_rule
-    chooses between the lower-model minimizer update ("proof", default) and
-    the plain v - a * grad update ("literal"); the two coincide when
-    mu_assumed = 0.
+    max_iters caps the recorded iterations. A run also stops once F(x^k) - F*
+    <= target_gap (when set and the handle knows F*) or once the gradient
+    norm it monitors drops to grad_tolerance (for AM, on smooth objectives
+    only). mu_assumed = 0 runs the accelerated method in "strong convexity
+    unknown" mode; l_known = None selects the adaptive coefficient rule.
+    momentum_rule chooses between the lower-model minimizer update ("proof",
+    default) and the plain v - a * grad update ("literal"); the two coincide
+    when mu_assumed = 0. AAM's exact line search always uses the default
+    tolerance of exact_line_search.
     """
 
     max_iters: int = 100
@@ -62,7 +66,6 @@ class SolverConfig:
     grad_tolerance: float = 1e-13
     mu_assumed: float = 0.0
     l_known: float | None = None
-    line_search_tol: float = 1e-10
     momentum_rule: str = "proof"
 
     def __post_init__(self):
@@ -73,8 +76,6 @@ class SolverConfig:
             raise ValueError("grad_tolerance must be positive")
         if self.target_gap is not None and not self.target_gap > 0:
             raise ValueError("target_gap must be positive when set")
-        if not self.line_search_tol > 0:
-            raise ValueError("line_search_tol must be positive")
         if not self.mu_assumed >= 0:
             raise ValueError("mu_assumed must be >= 0")
         if self.l_known is not None and not 0 < self.l_known >= self.mu_assumed:
@@ -85,11 +86,15 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """One trace row; acceleration fields stay None for plain methods."""
+    """One trace row; acceleration fields stay None for plain methods.
+
+    composite_value is F(x^k) = f(x^k) + sum_i g_i(x^k_i), the value every
+    certificate bounds. AAM and FGM accept g == 0 only, so for them it is
+    f(x^k) bit for bit.
+    """
 
     k: int
     x: np.ndarray
-    f_value: float
     composite_value: float
     grad_norm: float
     sweep: int | None = None
@@ -122,9 +127,8 @@ class SolverTrace:
     def final(self) -> IterationRecord:
         return self.records[-1]
 
-    def gaps(self, f_star: float, composite: bool = False) -> np.ndarray:
-        vals = [r.composite_value if composite else r.f_value for r in self.records]
-        return np.asarray(vals) - f_star
+    def gaps(self, f_star: float) -> np.ndarray:
+        return np.asarray([r.composite_value for r in self.records]) - f_star
 
     def sweep_records(self) -> list[IterationRecord]:
         """Records at full-sweep boundaries (k multiple of n_blocks)."""
@@ -199,7 +203,12 @@ def greedy_block(h: ObjectiveHandle, grad_y: np.ndarray) -> int:
 
 def _largest_root(lead: float, lin: float, const: float) -> float:
     """Largest positive root of lead a^2 - lin a - const = 0, or const / lin
-    (needing lin, const > 0) when lead <= 0; raises NoPositiveRoot if none."""
+    (needing lin, const > 0) when lead <= 0; raises NoPositiveRoot if none.
+
+    Both coefficient rules call it with lin, const >= 0, so for lead > 0 the
+    root formula adds only non-negative terms and cancels nothing: its
+    relative residual stays at the rounding level without any refinement.
+    """
     if lead <= 0.0:
         a = const / lin if lin > 0.0 and const > 0.0 else 0.0
     else:
@@ -224,47 +233,6 @@ def choose_a_known_L(a_sum: float, tau: float, mu: float, l_const: float,
     return _largest_root(l_const * n_blocks - mu, tau + mu * a_sum, a_sum * tau)
 
 
-def _adaptive_coefficient(delta: float, grad_sq: float, v_dist_sq: float,
-                          a_sum: float, tau: float, mu: float) -> float:
-    """Largest positive root of the adaptive coefficient equation.
-
-    The equation 2 delta (A + a)(tau + mu a) = a^2 G - mu tau V a clears to
-    the quadratic (G - 2 delta mu) a^2 - (mu tau V + 2 delta (mu A + tau)) a
-    - 2 delta A tau = 0 with delta = f(y) - f(x_next) >= 0. The leading
-    coefficient is <= 0 only within rounding of the optimum (delta ~ gap
-    bound).
-    """
-    lead = grad_sq - 2.0 * delta * mu
-    lin = mu * tau * v_dist_sq + 2.0 * delta * (mu * a_sum + tau)
-    const = 2.0 * delta * a_sum * tau
-    a = _largest_root(lead, lin, const)
-    if lead <= 0.0:
-        return a
-    # polish: the cleared-denominator polynomial is well-behaved around the root
-    def poly(t: float) -> float:
-        return (lead * t - lin) * t - const
-    r = poly(a)
-    if abs(r) > 1e-12 * (abs(lead) * a * a + abs(lin) * a + abs(const) + 1e-300):
-        if r > 0.0:
-            lo, hi = 0.0, a
-        else:
-            lo, hi = a, 2.0 * a
-            for _ in range(200):  # double until the sign changes
-                if poly(hi) > 0.0:
-                    break
-                lo, hi = hi, 2.0 * hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if poly(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        a = 0.5 * (lo + hi)
-    return a
-
-
 def choose_a_adaptive(f_y: float, f_next: float, grad_y: np.ndarray,
                       y: np.ndarray, a_sum: float, tau: float, mu: float,
                       v: np.ndarray) -> float:
@@ -273,69 +241,59 @@ def choose_a_adaptive(f_y: float, f_next: float, grad_y: np.ndarray,
     Solves, for the largest positive a,
         f(y) - a^2 G / (2 (A+a)(tau+mu a)) + mu tau a V / (2 (A+a)(tau+mu a))
             = f(x_next)
-    with G = ||grad_y||^2 and V = ||v - y||^2. Raises NoPositiveRoot when
-    no progress is measurable (converged).
+    with G = ||grad_y||^2 and V = ||v - y||^2. Cleared of denominators this is
+    (G - 2 delta mu) a^2 - (mu tau V + 2 delta (mu A + tau)) a - 2 delta A tau
+    = 0 with delta = f(y) - f(x_next) >= 0. The leading coefficient is <= 0
+    only within rounding of the optimum (delta ~ gap bound). Raises
+    NoPositiveRoot when no progress is measurable (converged).
     """
     vy = np.asarray(v, dtype=float) - np.asarray(y, dtype=float)
     delta = f_y - f_next
     if delta < 0.0:
         delta = 0.0  # block minimization guarantees descent; clip rounding
-    return _adaptive_coefficient(delta, float(grad_y @ grad_y), float(vy @ vy),
-                                 a_sum, tau, mu)
+    return _largest_root(float(grad_y @ grad_y) - 2.0 * delta * mu,
+                         mu * tau * float(vy @ vy) + 2.0 * delta * (mu * a_sum + tau),
+                         2.0 * delta * a_sum * tau)
 
 
-def _point_values(h: ObjectiveHandle, x: np.ndarray) -> tuple[float, float, float]:
-    """f(x), F(x) and ||grad f(x)|| of a recorded point, from one evaluate."""
+def _record(h: ObjectiveHandle, k: int, x: np.ndarray, **fields) -> IterationRecord:
+    """Trace row at x; F(x) and ||grad f(x)|| come from one evaluate."""
     f, g = h.evaluate(x)
-    return f, h.composite_value(x, smooth=f), float(np.linalg.norm(g))
+    return IterationRecord(k=k, x=x.copy(), composite_value=h.composite_value(x, smooth=f),
+                           grad_norm=float(np.linalg.norm(g)), **fields)
 
 
-def _start_record(h: ObjectiveHandle, x0: np.ndarray, accelerated: bool) -> IterationRecord:
-    f, comp, gn = _point_values(h, x0)
-    rec = IterationRecord(k=0, x=x0.copy(), f_value=f, composite_value=comp, grad_norm=gn)
-    if accelerated:
-        rec.a, rec.a_sum, rec.tau = 0.0, 0.0, 1.0
-        rec.v = x0.copy()
-        rec.psi_min = 0.0
-    else:
-        rec.sweep = 0
-    return rec
+def _target_met(h: ObjectiveHandle, rec: IterationRecord, cfg: SolverConfig) -> bool:
+    """True when a target gap is set, the optimum is known and rec is within it."""
+    return (cfg.target_gap is not None and h.optimum is not None
+            and rec.composite_value - float(h.optimum[1]) <= cfg.target_gap)
 
 
 def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace:
     """Alternating minimization: cyclic exact block minimization.
 
-    Each iteration minimizes F over one block (blocks visited in index
-    order), so records at k, k+1, ..., k+n cover one full sweep with all the
-    intermediate half-step points.
+    Iteration k minimizes F over block (k - 1) % n_blocks, so records at k,
+    k+1, ..., k+n cover one full sweep with all the intermediate half-step
+    points.
     """
     if h.block_argmin is None:
         raise NoBlockSolver("alternating minimization needs block_argmin")
     x = np.asarray(x0, dtype=float).copy()
     t_start = time.perf_counter()
-    records = [_start_record(h, x, accelerated=False)]
-    f_star = None if h.optimum is None else float(h.optimum[1])
+    records = [_record(h, 0, x, sweep=0)]
     status = "max_iters"
-    k = 0
-    stop = False
-    while k < cfg.max_iters and not stop:
-        for i in range(h.n_blocks):
-            if k >= cfg.max_iters:
-                break
-            x = h.exact_block_min(x, i)
-            k += 1
-            f, comp, gn = _point_values(h, x)
-            records.append(IterationRecord(
-                k=k, x=x.copy(), f_value=f, composite_value=comp, grad_norm=gn,
-                sweep=(k + h.n_blocks - 1) // h.n_blocks, block=i,
-                wall_time=time.perf_counter() - t_start))
-            if h.is_smooth() and gn <= cfg.grad_tolerance:
-                status, stop = "grad_tolerance", True
-                break
-            if (f_star is not None and cfg.target_gap is not None
-                    and records[-1].composite_value - f_star <= cfg.target_gap):
-                status, stop = "target_gap", True
-                break
+    for k in range(1, cfg.max_iters + 1):
+        i = (k - 1) % h.n_blocks
+        x = h.exact_block_min(x, i)
+        rec = _record(h, k, x, sweep=(k + h.n_blocks - 1) // h.n_blocks, block=i,
+                      wall_time=time.perf_counter() - t_start)
+        records.append(rec)
+        if h.is_smooth() and rec.grad_norm <= cfg.grad_tolerance:
+            status = "grad_tolerance"
+            break
+        if _target_met(h, rec, cfg):
+            status = "target_gap"
+            break
     return SolverTrace("am", records, status, cfg, h.n_blocks)
 
 
@@ -357,30 +315,26 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     v = x.copy()
     model = QuadraticLowerModel(center=x.copy())
     t_start = time.perf_counter()
-    records = [_start_record(h, x, accelerated=True)]
-    f_star = None if h.optimum is None else float(h.optimum[1])
+    records = [_record(h, 0, x, a=0.0, a_sum=0.0, tau=1.0, v=x.copy(), psi_min=0.0)]
     status = "max_iters"
-    for k in range(cfg.max_iters):
-        if (f_star is not None and cfg.target_gap is not None
-                and records[-1].f_value - f_star <= cfg.target_gap):
+    for k in range(1, cfg.max_iters + 1):
+        if _target_met(h, records[-1], cfg):
             status = "target_gap"
             break
-        beta, y, f_y = exact_line_search(h, x, v, cfg.line_search_tol,
-                                         f_x=records[-1].f_value)
+        beta, y, f_y = exact_line_search(h, x, v, f_x=records[-1].composite_value)
         grad_y = h.full_gradient(y)
-        grad_norm = float(np.linalg.norm(grad_y))
-        if grad_norm <= cfg.grad_tolerance:
+        if float(np.linalg.norm(grad_y)) <= cfg.grad_tolerance:
             status = "grad_tolerance"
             break
         i = greedy_block(h, grad_y)
         x_next = h.exact_block_min(y, i)
-        f_next, comp_next, gn_next = _point_values(h, x_next)
+        rec = _record(h, k, x_next, block=i, beta=beta, y=y, f_y=f_y, grad_y=grad_y)
         try:
             if cfg.l_known is not None:
                 a = choose_a_known_L(model.a_sum, model.tau, mu, cfg.l_known, h.n_blocks)
             else:
-                a = choose_a_adaptive(f_y, f_next, grad_y, y, model.a_sum, model.tau,
-                                      mu, v)
+                a = choose_a_adaptive(f_y, rec.composite_value, grad_y, y, model.a_sum,
+                                      model.tau, mu, v)
         except NoPositiveRoot:
             status = "converged"
             break
@@ -398,11 +352,9 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             status = "diverged"
             break
         x = x_next
-        records.append(IterationRecord(
-            k=k + 1, x=x.copy(), f_value=f_next, composite_value=comp_next,
-            grad_norm=gn_next, block=i, beta=beta, a=a, a_sum=model.a_sum, tau=model.tau,
-            y=y, v=v.copy(), f_y=f_y, grad_y=grad_y, psi_min=model.min_value,
-            wall_time=time.perf_counter() - t_start))
+        rec.a, rec.a_sum, rec.tau, rec.psi_min = a, model.a_sum, model.tau, model.min_value
+        rec.v, rec.wall_time = v.copy(), time.perf_counter() - t_start
+        records.append(rec)
     return SolverTrace("aam", records, status, cfg, h.n_blocks)
 
 
@@ -419,16 +371,13 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     z = np.asarray(x0, dtype=float).copy()
     v = z.copy()
     t_start = time.perf_counter()
-    records = [_start_record(h, z, accelerated=False)]
-    records[0].sweep = None
-    f_star = None if h.optimum is None else float(h.optimum[1])
+    records = [_record(h, 0, z)]
     status = "max_iters"
     for k in range(cfg.max_iters):
         if records[-1].grad_norm <= cfg.grad_tolerance:
             status = "grad_tolerance"
             break
-        if (f_star is not None and cfg.target_gap is not None
-                and records[-1].f_value - f_star <= cfg.target_gap):
+        if _target_met(h, records[-1], cfg):
             status = "target_gap"
             break
         z_new = v - h.full_gradient(v) / l_const
@@ -437,8 +386,6 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             break
         v = z + (k / (k + 3.0)) * (z_new - z)
         z = z_new
-        f_z, comp_z, gn_z = _point_values(h, z)
-        records.append(IterationRecord(
-            k=k + 1, x=z.copy(), f_value=f_z, composite_value=comp_z, grad_norm=gn_z,
-            v=v.copy(), wall_time=time.perf_counter() - t_start))
+        records.append(_record(h, k + 1, z, v=v.copy(),
+                               wall_time=time.perf_counter() - t_start))
     return SolverTrace("fgm", records, status, cfg, h.n_blocks)

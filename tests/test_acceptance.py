@@ -173,12 +173,13 @@ def test_criterion_10_figure_ordering():
     for seed, cond in ((0, 1000.0), (1, 1000.0), (2, 10000.0)):
         p = make_quadratic(seed=seed, dim=32, cond_number=cond)
         h = p.handle()
-        g_am = run_am(h, p.default_start, SolverConfig(max_iters=200)).final.f_value - p.f_star
+        g_am = (run_am(h, p.default_start, SolverConfig(max_iters=200)).final.composite_value
+                - p.f_star)
         t_a0 = run_aam(h, p.default_start, SolverConfig(max_iters=200, mu_assumed=0.0))
         t_amu = run_aam(h, p.default_start,
                         SolverConfig(max_iters=200, mu_assumed=p.mu_global))
-        g_a0 = t_a0.final.f_value - p.f_star
-        g_amu = t_amu.final.f_value - p.f_star
+        g_a0 = t_a0.final.composite_value - p.f_star
+        g_amu = t_amu.final.composite_value - p.f_star
         if not (g_amu <= 10.0 * g_a0 and g_a0 <= 10.0 * g_am):
             report(10, False, f"seed {seed} gaps {g_amu:.2e}, {g_a0:.2e}, {g_am:.2e}")
         factor, _ = estimate_empirical_rate(t_amu, p.f_star)

@@ -13,7 +13,7 @@ def synthetic_trace(gaps, f_star=0.0, method="aam", a_sums=None):
     records = []
     for k, gap in enumerate(gaps):
         records.append(IterationRecord(
-            k=k, x=None, f_value=f_star + gap, composite_value=f_star + gap,
+            k=k, x=None, composite_value=f_star + gap,
             grad_norm=0.0, a=None if a_sums is None or k == 0 else a_sums[k] - a_sums[k - 1],
             a_sum=None if a_sums is None else a_sums[k], tau=1.0,
             block=0 if method == "am" and k > 0 else None))
@@ -32,7 +32,7 @@ class TestAmLinear:
         p = QuadraticSplitProblem.from_matrix(1.3 * np.eye(6), np.arange(1.0, 7.0))
         assert p.mu_global == pytest.approx(p.l_global)
         trace = run_am(p.handle(), p.default_start, SolverConfig(max_iters=4))
-        gap_after = trace.sweep_records()[1].f_value - p.f_star
+        gap_after = trace.sweep_records()[1].composite_value - p.f_star
         assert gap_after <= 1e-10
         rep = check_am_linear(trace, p.l_blocks, p.mu_blocks, p.f_star)
         assert rep.passed
@@ -131,7 +131,7 @@ class TestAamAdaptive:
         p = quad16
         trace = run_aam(p.handle(), p.default_start, SolverConfig(max_iters=30))
         rep = check_aam_adaptive(trace, 0.0, p.f_star)
-        gap0 = trace.records[0].f_value - p.f_star
+        gap0 = trace.records[0].composite_value - p.f_star
         assert all(r.bound_value == pytest.approx(gap0) for r in rep.rows)
         assert rep.passed
 
@@ -150,7 +150,7 @@ class TestAmSublinear:
         rep = check_am_sublinear(trace, p.l_blocks, radius, p.f_star)
         assert rep.passed, rep.worst_slack
         # O(1/N) regime: gap * N stays bounded by the sublinear constant
-        gaps = [r.f_value - p.f_star for r in trace.sweep_records()]
+        gaps = [r.composite_value - p.f_star for r in trace.sweep_records()]
         bound_const = 16.0 * min(p.l_blocks) * radius ** 2
         assert all(g * (n - 1) <= bound_const for n, g in enumerate(gaps) if n >= 2)
 

@@ -92,6 +92,10 @@ class TestRun:
             assert main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2, instance
             assert "error: bad" in capsys.readouterr().err
+        # an instance key the kind does not take is rejected, not ignored
+        cfg_path, _ = base_config(tmp_path, instance={"kind": "quadratic", "dimm": 8})
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown quadratic instance key(s): ['dimm']" in capsys.readouterr().err
         cfg_path, _ = base_config(tmp_path, instance="quadratic")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         # a solver entry that is not an object, or an unconvertible option
@@ -179,7 +183,8 @@ class TestVerify:
     def test_vector_certificates_marked_skipped(self, tmp_path, capsys):
         cfg = {
             "instance": {"kind": "quadratic", "seed": 3, "dim": 16, "cond_number": 100.0},
-            "solvers": [{"name": "aam0", "method": "aam", "max_iters": 30}],
+            "solvers": [{"name": "am", "method": "am", "max_iters": 30},
+                        {"name": "aam0", "method": "aam", "max_iters": 30}],
             "certificates": ["aam_recurrence", "sufficient_decrease", "aam_main"],
         }
         cfg_path = tmp_path / "cfg.json"
@@ -195,6 +200,26 @@ class TestVerify:
         assert {"aam_recurrence", "sufficient_decrease"} <= skipped
         ran = {r["certificate"] for r in report["results"] if "passed" in r}
         assert "aam_main" in ran
+
+    def test_vector_certificate_skipped_only_for_its_method(self, tmp_path, capsys):
+        cfg = {
+            "instance": {"kind": "quadratic", "seed": 3, "dim": 16, "cond_number": 100.0},
+            "solvers": [{"name": "am", "method": "am", "max_iters": 30},
+                        {"name": "aam0", "method": "aam", "max_iters": 30}],
+            "certificates": ["aam_recurrence", "am_linear_pl"],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv"),
+                     "--config", str(cfg_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["skipped"] == 1
+        skipped = [(r["certificate"], r["solver"]) for r in report["results"]
+                   if "skipped" in r]
+        assert skipped == [("aam_recurrence", "aam0")]
 
     def test_malformed_trace(self, run_outputs, tmp_path, capsys):
         cfg_path, trace = run_outputs

@@ -96,7 +96,7 @@ def test_traces_identical_with_and_without_hook(problem):
         assert with_hook.status == plain.status, label
         assert len(with_hook.records) == len(plain.records), label
         for r1, r2 in zip(with_hook.records, plain.records):
-            for attr in ("f_value", "composite_value", "grad_norm", "beta", "a"):
+            for attr in ("composite_value", "grad_norm", "beta", "a"):
                 assert getattr(r1, attr) == getattr(r2, attr), (label, r1.k, attr)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmin import (BlockPartition, ObjectiveHandle, SolverConfig,
                       check_aam_Ak, check_aam_recurrence, choose_a_adaptive,
@@ -41,7 +43,7 @@ class TestRunAm:
         h = quad16.handle()
         trace = run_am(h, quad16.x_star, SolverConfig(max_iters=10))
         for rec in trace.records:
-            assert rec.f_value - quad16.f_star <= 1e-10
+            assert rec.composite_value - quad16.f_star <= 1e-10
 
     def test_monotone_composite_value(self, composite12):
         h = composite12.handle()
@@ -56,7 +58,7 @@ class TestRunAm:
         factor = 1.0
         for li, mi in zip(quad8.l_blocks, quad8.mu_blocks):
             factor *= 1.0 - mi / li
-        gaps = [r.f_value - quad8.f_star for r in trace.sweep_records()]
+        gaps = [r.composite_value - quad8.f_star for r in trace.sweep_records()]
         for prev, cur in zip(gaps, gaps[1:]):
             assert cur <= factor * prev + 1e-8 * (1 + abs(prev))
 
@@ -212,6 +214,40 @@ class TestCoefficientRules:
                               y, 0.0, 1.0, 0.0, y)
 
 
+# coefficients of the cleared coefficient equations, log-uniform over 1e-30..1e30
+LOG_UNIFORM = st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)
+
+
+def residual_ratio(lead, lin, const, a):
+    """|lead a^2 - lin a - const| relative to the sum of its term magnitudes."""
+    return abs((lead * a - lin) * a - const) / (lead * a * a + lin * a + const)
+
+
+class TestCoefficientRoot:
+    """With lead > 0 and lin, const >= 0 the root formula alone solves the
+    cleared equation to rounding: no refinement step is needed."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(LOG_UNIFORM, LOG_UNIFORM, LOG_UNIFORM)
+    def test_adaptive_root_residual(self, lead, lin, const):
+        # mu = 0, tau = 1: lead = ||grad_y||^2, lin = 2 delta, const = 2 delta A
+        grad_y = np.array([np.sqrt(lead)])
+        delta, a_sum = 0.5 * lin, const / lin
+        a = choose_a_adaptive(delta, 0.0, grad_y, np.zeros(1), a_sum, 1.0, 0.0,
+                              np.zeros(1))
+        coeffs = float(grad_y @ grad_y), 2.0 * delta, 2.0 * delta * a_sum
+        assert residual_ratio(*coeffs, a) <= 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(LOG_UNIFORM, st.floats(0.0, 30.0).map(lambda e: 10.0 ** e), LOG_UNIFORM,
+           st.integers(1, 16))
+    def test_known_l_root_residual(self, l_const, tau, const, n_blocks):
+        # mu = 0: lead = L n, lin = tau (>= 1 by the rule's contract), const = A tau
+        a_sum = const / tau
+        a = choose_a_known_L(a_sum, tau, 0.0, l_const, n_blocks)
+        assert residual_ratio(l_const * n_blocks, tau, a_sum * tau, a) <= 1e-12
+
+
 class TestRunAam:
     @pytest.mark.parametrize("mu_mode,rule", [
         ("zero", "adaptive"), ("zero", "known"),
@@ -230,15 +266,15 @@ class TestRunAam:
             assert rec.a_sum > prev.a_sum  # A_k strictly increasing
             assert rec.tau == pytest.approx(1.0 + mu * rec.a_sum, abs=1e-12)
             # ordering f(x^{k+1}) <= f(y^k) <= f(x^k)
-            assert rec.f_y <= prev.f_value + 1e-10 * (1 + abs(prev.f_value))
-            assert rec.f_value <= rec.f_y + 1e-10 * (1 + abs(rec.f_y))
+            assert rec.f_y <= prev.composite_value + 1e-10 * (1 + abs(prev.composite_value))
+            assert rec.composite_value <= rec.f_y + 1e-10 * (1 + abs(rec.f_y))
             # line-search optimality <grad f(y), v_prev - y> >= 0
             vy = (prev.v - rec.y)
             lhs = float(rec.grad_y @ vy)
             scale = np.linalg.norm(rec.grad_y) * np.linalg.norm(vy)
             assert lhs >= -1e-8 * (1 + scale)
             # gap bound f(x^k) - f* <= R^2 / (2 A_k)
-            assert rec.f_value - p.f_star <= r_sq / (2 * rec.a_sum) + 1e-8
+            assert rec.composite_value - p.f_star <= r_sq / (2 * rec.a_sum) + 1e-8
 
     def test_estimating_sequence_recurrence(self, quad16):
         p = quad16
@@ -302,7 +338,7 @@ class TestRunAam:
                                momentum_rule="proof")
         t_lit = run_aam(p.handle(), p.default_start, cfg_lit)
         t_prf = run_aam(p.handle(), p.default_start, cfg_prf)
-        assert all(np.isfinite(r.f_value) for r in t_lit.records)
+        assert all(np.isfinite(r.composite_value) for r in t_lit.records)
         assert all(np.all(np.isfinite(r.v)) for r in t_lit.records[1:])
         drift = max(float(np.abs(a.v - b.v).max())
                     for a, b in zip(t_lit.records[1:], t_prf.records[1:]))
@@ -335,7 +371,7 @@ class TestRunFgm:
     def test_quadratic_decay_slope(self):
         p = make_quadratic(seed=42, dim=32, cond_number=100.0)
         trace = run_fgm(p.handle(), p.default_start, SolverConfig(max_iters=200))
-        gaps = np.array([r.f_value - p.f_star for r in trace.records])
+        gaps = np.array([r.composite_value - p.f_star for r in trace.records])
         ks = np.arange(10, 201)
         slope = np.polyfit(np.log(ks), np.log(gaps[10:201]), 1)[0]
         assert slope <= -1.8
@@ -350,7 +386,7 @@ class TestStopping:
         cfg = SolverConfig(max_iters=500, target_gap=1e-6)
         trace = run_aam(quad16.handle(), quad16.default_start, cfg)
         assert trace.status == "target_gap"
-        assert trace.final.f_value - quad16.f_star <= 1e-6
+        assert trace.final.composite_value - quad16.f_star <= 1e-6
 
     def test_am_target_gap(self, quad16):
         cfg = SolverConfig(max_iters=500, target_gap=1e-6)
@@ -367,7 +403,7 @@ class TestStopping:
         # NaN fails every range check
         nan = float("nan")
         for bad in (dict(grad_tolerance=nan), dict(target_gap=nan),
-                    dict(line_search_tol=nan), dict(mu_assumed=nan),
+                    dict(mu_assumed=nan),
                     dict(l_known=nan), dict(l_known=0.0), dict(l_known=-1.0),
                     dict(mu_assumed=2.0, l_known=1.0)):
             with pytest.raises(ValueError):
@@ -378,7 +414,7 @@ class TestNonlinearAam:
     def test_converges_and_monotone(self, nonlinear20):
         h = nonlinear20.handle()
         trace = run_aam(h, nonlinear20.default_start, SolverConfig(max_iters=60))
-        fs = [r.f_value for r in trace.records]
+        fs = [r.composite_value for r in trace.records]
         assert fs[-1] <= 1e-12 * (1 + fs[0])
         for prev, cur in zip(fs, fs[1:]):
             assert cur <= prev + 1e-10 * (1 + abs(prev))
