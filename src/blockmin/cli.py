@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import certificates as certs
 from .errors import (BadDimension, BadShape, BlockminError, ConfigError, MissingL,
-                     TraceParseError)
+                     SolverError, TraceParseError)
 from .problems import (make_composite, make_nonlinear_pl, make_quadratic,
                        make_rank_deficient)
 from .solvers import (IterationRecord, SolverConfig, SolverTrace, run_aam,
@@ -76,6 +77,24 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _integer(spec: dict, key: str, default: int) -> int:
+    """An integral instance argument; a bool, a string or 8.9 is rejected,
+    never truncated."""
+    value = spec.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(spec: dict, key: str, default: float) -> float:
+    """A real instance argument; NaN and infinities are rejected."""
+    value = float(spec.get(key, default))
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 class InstanceInfo:
     """Resolved problem plus the constants certificates need; None means unknown."""
 
@@ -97,24 +116,23 @@ class InstanceInfo:
         # a bad argument is an input error; a failing reference solve
         # (SolverError) stays a solver failure
         try:
-            seed = int(spec.get("seed", 0))
+            seed = _integer(spec, "seed", 0)
             if kind == "quadratic":
-                prob = make_quadratic(seed, int(spec.get("dim", 32)),
-                                      float(spec.get("cond_number", 100.0)))
+                prob = make_quadratic(seed, _integer(spec, "dim", 32),
+                                      _finite(spec, "cond_number", 100.0))
             elif kind == "rank_deficient":
-                prob = make_rank_deficient(
-                    seed, int(spec.get("dim", 32)),
-                    int(spec.get("rank", int(spec.get("dim", 32)) * 3 // 4)))
+                dim = _integer(spec, "dim", 32)
+                prob = make_rank_deficient(seed, dim, _integer(spec, "rank", dim * 3 // 4))
             elif kind == "composite":
-                prob = make_composite(seed, int(spec.get("dim", 32)),
-                                      float(spec.get("gamma", 0.5)),
+                prob = make_composite(seed, _integer(spec, "dim", 32),
+                                      _finite(spec, "gamma", 0.5),
                                       kinds=tuple(spec.get("kinds", ("l1", "zero"))),
                                       box_bounds=tuple(spec.get("box_bounds", (-0.5, 0.5))),
-                                      cond_number=float(spec.get("cond_number", 50.0)))
+                                      cond_number=_finite(spec, "cond_number", 50.0))
             else:
-                prob = make_nonlinear_pl(seed, int(spec.get("n", 20)),
-                                         int(spec.get("m", 10)),
-                                         eps=float(spec.get("eps", 0.25)))
+                prob = make_nonlinear_pl(seed, _integer(spec, "n", 20),
+                                         _integer(spec, "m", 10),
+                                         eps=_finite(spec, "eps", 0.25))
         except (BadDimension, BadShape, ValueError, TypeError) as exc:
             raise ConfigError(f"bad {kind} instance: {exc}") from exc
         self.problem = prob
@@ -244,6 +262,8 @@ def read_trace_csv(path) -> dict[str, list[dict]]:
                     }
                 except ValueError as exc:
                     raise TraceParseError(f"non-numeric field in row {row!r}") from exc
+                if not all(math.isfinite(v) for v in parsed.values() if v is not None):
+                    raise TraceParseError(f"non-finite field in row {row!r}")
                 per_solver.setdefault(row["solver"], []).append(parsed)
     except OSError as exc:
         raise TraceParseError(f"cannot read trace {path}: {exc}") from exc
@@ -264,6 +284,14 @@ def _trace_from_rows(rows: list[dict], method: str, info: InstanceInfo) -> Solve
 # commands
 # ---------------------------------------------------------------------------
 
+def _json_text(obj, what: str) -> str:
+    """obj as JSON text; a NaN or infinity in it is a failure, never written."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, default=float, allow_nan=False)
+    except ValueError as exc:
+        raise SolverError(f"{what} has a non-finite value: {exc}") from exc
+
+
 def cmd_run(config_path, out_dir) -> int:
     cfg = load_config(config_path)
     info = InstanceInfo(cfg["instance"])
@@ -282,7 +310,6 @@ def cmd_run(config_path, out_dir) -> int:
         scfg = _solver_config(entry, info)
         trace = _run_one(method, info, scfg)
         runs.append((name, method, scfg, trace))
-    write_trace_csv(out / "trace.csv", runs, info, bool(cfg.get("record_wall", False)))
     summary = {
         "instance": cfg["instance"],
         "runs": [{
@@ -294,9 +321,9 @@ def cmd_run(config_path, out_dir) -> int:
             "wall_ms": trace.final.wall_time * 1e3,
         } for name, method, _, trace in runs],
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = _json_text(summary, "summary")
+    write_trace_csv(out / "trace.csv", runs, info, bool(cfg.get("record_wall", False)))
+    (out / "summary.json").write_text(text + "\n", encoding="utf-8")
     print(f"wrote {out / 'trace.csv'} and {out / 'summary.json'}")
     return 0
 
@@ -358,7 +385,7 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
                 violations += 1
     report = {"trace": str(trace_path), "violations": violations,
               "skipped": skipped, "results": results}
-    print(json.dumps(report, indent=2, sort_keys=True, default=float))
+    print(_json_text(report, "verify report"))
     if violations or (strict and skipped):
         return 1
     return 0

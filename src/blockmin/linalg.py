@@ -80,8 +80,9 @@ def solve_spd(f: SpdFactorization, rhs) -> np.ndarray:
     b = as_vector(rhs)
     if b.shape[0] != f.dim:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix dim {f.dim}")
-    y = scipy.linalg.solve_triangular(f.factor, b, lower=True)
-    return scipy.linalg.solve_triangular(f.factor.T, y, lower=False)
+    # as_vector checked b, and the factor comes from a matrix as_matrix checked
+    y = scipy.linalg.solve_triangular(f.factor, b, lower=True, check_finite=False)
+    return scipy.linalg.solve_triangular(f.factor.T, y, lower=False, check_finite=False)
 
 
 def spectral_extremes(m) -> tuple[float, float]:

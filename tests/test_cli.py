@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from blockmin.cli import main
+from blockmin.cli import _json_text, main
+from blockmin.errors import SolverError
 
 
 def base_config(tmp_path, **overrides):
@@ -87,7 +88,15 @@ class TestRun:
                          {"kind": "composite", "dim": 8, "kinds": ["l1"]},
                          {"kind": "composite", "dim": 8, "cond_number": nan},
                          {"kind": "composite", "dim": 8, "gamma": -1},
-                         {"kind": "composite", "dim": 8, "gamma": nan}):
+                         {"kind": "composite", "dim": 8, "gamma": nan},
+                         {"kind": "composite", "dim": 8, "kinds": ["box", "zero"],
+                          "box_bounds": [0.5, -0.5]},
+                         {"kind": "composite", "dim": 8, "kinds": ["box", "zero"],
+                          "box_bounds": [nan, 0.5]},
+                         # integer arguments are checked, not truncated
+                         {"kind": "quadratic", "dim": 8.9},
+                         {"kind": "quadratic", "dim": 8, "seed": True},
+                         {"kind": "rank_deficient", "dim": 16, "rank": 12.5}):
             cfg_path, _ = base_config(tmp_path, instance=instance)
             assert main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2, instance
@@ -226,6 +235,14 @@ class TestVerify:
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
         assert main(["verify", "--trace", str(bad), "--config", str(cfg_path)]) == 2
+        # a NaN gap is an input error, never a pass with a NaN in the report
+        lines = trace.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[2] = "nan"
+        bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(bad), "--config", str(cfg_path)]) == 2
+        assert "non-finite field" in capsys.readouterr().err
         # a well-formed trace with a certificate kind verify does not know
         unknown_path, _ = base_config(tmp_path, certificates=["aam_main", "made_up"])
         capsys.readouterr()
@@ -236,6 +253,12 @@ class TestVerify:
         missing = tmp_path / "no_such_trace.csv"
         assert main(["verify", "--trace", str(missing), "--config", str(unknown_path)]) == 2
         assert "unknown certificate kind 'made_up'" in capsys.readouterr().err
+
+
+def test_json_outputs_refuse_non_finite_values():
+    assert _json_text({"gap": 1.5}, "summary") == '{\n  "gap": 1.5\n}'
+    with pytest.raises(SolverError, match="summary has a non-finite value"):
+        _json_text({"gap": float("nan")}, "summary")
 
 
 class TestStandardSuite:
