@@ -71,15 +71,20 @@ def load_config(path) -> dict:
         raise ConfigError("config needs a non-empty 'solvers' list")
     if not all(isinstance(s, dict) for s in solvers):
         raise ConfigError("every solver entry must be a JSON object")
+    if not all(isinstance(s.get(key, ""), str) for s in solvers for key in ("name", "method")):
+        raise ConfigError("solver name and method must be strings")
     names = [s.get("name", s.get("method")) for s in solvers]
     if len(set(names)) != len(names):
         raise ConfigError("solver names must be unique")
+    kinds = cfg.get("certificates", [])
+    if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
+        raise ConfigError("'certificates' must be a list of strings")
     return cfg
 
 
 def _integer(spec: dict, key: str, default: int) -> int:
-    """An integral instance argument; a bool, a string or 8.9 is rejected,
-    never truncated."""
+    """An integral config value; a bool, a string, 8.9 or an infinity is
+    rejected, never truncated."""
     value = spec.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not float(value).is_integer()):
@@ -175,7 +180,7 @@ def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
         raise ConfigError(f"unknown solver option(s): {sorted(unknown)}")
     try:
         return SolverConfig(
-            max_iters=int(entry.get("max_iters", 100)),
+            max_iters=_integer(entry, "max_iters", 100),
             target_gap=None if entry.get("target_gap") is None
             else float(entry["target_gap"]),
             grad_tolerance=float(entry.get("grad_tolerance", 1e-13)),
@@ -397,7 +402,10 @@ def cmd_figure(config_path, out_path) -> int:
     if inst.get("kind") not in ("quadratic",):
         raise ConfigError("figure needs a quadratic instance")
     info = InstanceInfo(inst)
-    iters = int(cfg.get("figure_iters", 200))
+    try:
+        iters = _integer(cfg, "figure_iters", 200)
+    except ValueError as exc:
+        raise ConfigError(f"bad figure options: {exc}") from exc
     base = {"max_iters": iters}
     methods = [
         ("am", "am", dict(base)),

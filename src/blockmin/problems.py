@@ -7,12 +7,13 @@ Two families:
   term, or a zero one, is minimized in closed form through a cached SPD
   factorization; an l1 or box block by an active-set solve: one Cholesky solve
   of the reduced Gram system on a sign or bound pattern, accepted once the
-  block's KKT conditions hold, with exact cyclic coordinate descent proposing
-  patterns and, last, finishing the solve. The Hessian of
-  the smooth part is 2 W^T W, so the declared constants carry that factor of
-  two. ``make_composite`` cross-validates the optimum by two independent
-  reference methods. Its subclass QuadraticSplitProblem is the case with no
-  terms (g = 0), split into two equal blocks, with the optimum in closed form.
+  block's KKT conditions hold, with FISTA iterates proposing the patterns.
+  The Hessian of the smooth part is 2 W^T W, so the declared constants carry
+  that factor of two. ``make_composite`` cross-validates the optimum by two
+  independent solves of the full problem: FISTA run to a tiny gradient-mapping
+  norm, and the active-set solve. Its subclass QuadraticSplitProblem is the
+  case with no terms (g = 0), split into two equal blocks, with the optimum in
+  closed form.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction; blocks are
   minimized by a globalised Newton loop on the block Hessian.
@@ -20,6 +21,7 @@ Two families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -57,172 +59,141 @@ def _composite_value(W, b, terms, partition, x) -> float:
     return total
 
 
-def _prox_all(terms, partition, z, step_const) -> np.ndarray:
-    out = np.asarray(z, dtype=float).copy()
-    for i, idx in enumerate(partition.blocks):
-        t = terms[i]
-        if not t.is_zero:
-            out[idx] = t.prox(out[idx], step_const)
-    return out
+def _term_arrays(terms, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-coordinate l1 weight and box bounds of ``terms`` (None = no terms):
+    weight 0 and bounds -inf, inf where a coordinate has no such term."""
+    weight = np.zeros(partition.total_dim)
+    lo = np.full(partition.total_dim, -np.inf)
+    hi = np.full(partition.total_dim, np.inf)
+    for term, idx in zip(terms or (), partition.blocks):
+        if isinstance(term, L1Term):
+            weight[idx] = term.weight
+        elif isinstance(term, BoxTerm):
+            lo[idx], hi[idx] = term.lo, term.hi
+        elif not term.is_zero:
+            raise SolverError("no exact block solver for this term type")
+    return weight, lo, hi
 
 
-def _grad_mapping_norm(W, b, terms, partition, x, l_smooth) -> float:
-    g = 2.0 * (W.T @ (W @ x - b))
-    t = _prox_all(terms, partition, x - g / l_smooth, l_smooth)
-    return float(np.linalg.norm(l_smooth * (x - t)))
+# The l1 / box problem: min_z z^T gram z - 2 lin^T z + sum_j weight_j |z_j| over
+# lo <= z <= hi, with per-coordinate weight, lo and hi. lam is the largest
+# eigenvalue of gram, so 2 lam is the Lipschitz constant of the smooth part, and
+# r(y) = lin - gram y is minus half its gradient.
+
+def _prox_step(y, r, weight, lo, hi, lam) -> np.ndarray:
+    """One prox-gradient step from y, where r = r(y), with step size 1 / (2 lam)."""
+    return np.clip(soft_threshold(y + r / lam, 0.5 * weight / lam), lo, hi)
 
 
-def _fista_reference(W, b, terms, partition, l_smooth, dim,
-                     tol: float = 1e-12, max_iters: int = 400_000) -> np.ndarray:
-    """Accelerated prox-gradient run to a tiny gradient-mapping norm. First of
-    the two independent optimum solvers.
+def _fista(residual, z, weight, lo, hi, lam):
+    """Accelerated prox-gradient iterates from z (Beck & Teboulle, SIAM J.
+    Imaging Sci. 2(1), 2009), without end; ``residual(y)`` returns r(y).
 
     Restarts use the gradient criterion <y - x_new, x_new - x> > 0; a
     function-value criterion would stall at the rounding floor of F long
-    before the mapping norm reaches the tolerance."""
-    x = np.zeros(dim)
-    y = x.copy()
+    before the mapping norm reaches the reference tolerance."""
+    x = z
+    y = z
     t = 1.0
-    for k in range(max_iters):
-        g = 2.0 * (W.T @ (W @ y - b))
-        x_new = _prox_all(terms, partition, y - g / l_smooth, l_smooth)
+    while True:
+        x_new = _prox_step(y, residual(y), weight, lo, hi, lam)
         if float((y - x_new) @ (x_new - x)) > 0.0:
             t = 1.0
-            y = x.copy()
-            g = 2.0 * (W.T @ (W @ y - b))
-            x_new = _prox_all(terms, partition, y - g / l_smooth, l_smooth)
+            y = x
+            x_new = _prox_step(y, residual(y), weight, lo, hi, lam)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-        if k % 25 == 0 and _grad_mapping_norm(W, b, terms, partition, x, l_smooth) <= tol:
+        yield x
+
+
+def _fista_reference(W, b, weight, lo, hi, lam,
+                     tol: float = 1e-12, max_iters: int = 400_000) -> np.ndarray:
+    """FISTA from zero to a gradient-mapping norm of tol, with lam the largest
+    eigenvalue of W^T W. First of the two independent optimum solvers.
+
+    r(y) is formed as W^T (b - W y), not W^T b - W^T W y: on
+    make_composite(1, 256, 0.4, ("l1", "box"), cond_number=1e4) the Gram form
+    floors at a mapping norm of ~4e-12 from rounding, while this form reaches
+    1e-12 in ~7,500 steps. Where even this form floors above tol, the last
+    iterate of the budget is accepted at 10 tol."""
+    def residual(y):
+        return W.T @ (b - W @ y)
+
+    def mapping_norm(x):
+        return 2.0 * lam * float(np.linalg.norm(
+            x - _prox_step(x, residual(x), weight, lo, hi, lam)))
+
+    steps = _fista(residual, np.zeros(W.shape[1]), weight, lo, hi, lam)
+    for k, x in enumerate(itertools.islice(steps, max_iters)):
+        if k % 25 == 0 and mapping_norm(x) <= tol:
             return x
-    if _grad_mapping_norm(W, b, terms, partition, x, l_smooth) <= 10 * tol:
+    if mapping_norm(x) <= 10 * tol:
         return x
     raise SolverError("prox-gradient reference failed to reach the mapping tolerance")
 
 
-def _coordinate_descent(gram, lin, x_init, weight, lo, hi,
-                        max_sweeps: int = 100_000) -> np.ndarray:
-    """Exact cyclic coordinate descent for
-    min_z z^T gram z - 2 lin^T z + sum_j weight[j] |z_j| over lo <= z <= hi,
-    with the per-coordinate weight, lo and hi given as Python lists."""
-    x = x_init.copy()
-    diag = np.diag(gram)
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(x.size):
-            r = lin[j] - (gram[j] @ x - diag[j] * x[j])
-            if weight[j] > 0.0:
-                new = math.copysign(max(abs(r) - 0.5 * weight[j], 0.0), r) / diag[j]
-            else:
-                new = r / diag[j]
-            new = min(hi[j], max(lo[j], new))
-            delta = max(delta, abs(new - x[j]))
-            x[j] = new
-        if delta < 1e-15 * (1.0 + float(np.abs(x).max())):
-            break
-    return x
-
-
-# Active-set block solve for l1 and box blocks. A pattern's reduced solution is
-# accepted when the KKT conditions hold to _ACTIVE_SET_RTOL times the block size
-# times the magnitude of the terms of r = lin - G z, the order of the residual a
-# backward-stable Cholesky solve leaves (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., sec. 10.1). When the warm start and one
-# prox-gradient step give no such pattern, up to _ACTIVE_SET_ROUNDS rounds of
-# _ACTIVE_SET_SWEEPS coordinate-descent sweeps each propose a new one;
-# coordinate descent to convergence is the last resort.
+# Active-set solve. A pattern's reduced solution is accepted when the KKT
+# conditions hold to _ACTIVE_SET_RTOL times the block size times the magnitude
+# of the terms of r = lin - G z, the order of the residual a backward-stable
+# Cholesky solve leaves (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., sec. 10.1). FISTA proposes the patterns; _ACTIVE_SET_MAX_STEPS
+# bounds its steps, so a returned point has always passed the check.
 _ACTIVE_SET_RTOL = 8.0 * np.finfo(float).eps
-_ACTIVE_SET_ROUNDS = 20
-_ACTIVE_SET_SWEEPS = 2
+_ACTIVE_SET_MAX_STEPS = 10_000
 
 
 def _pattern_solve(gram, lin, z, weight, lo, hi) -> np.ndarray | None:
-    """Minimizer of z^T gram z - 2 lin^T z + weight ||z||_1 over lo <= z <= hi
-    with the pattern of z held fixed, or None if it is not the minimizer over
-    all z. The problem is l1 (weight > 0, infinite bounds) or box (weight 0).
+    """Minimizer of the l1 / box problem with the pattern of z held fixed, or
+    None if it is not the minimizer over all z.
 
-    The pattern is the sign of each coordinate for l1 (0 = fixed at zero) and
-    free, at lo or at hi for box. With r = lin - gram z, the KKT conditions are
-    r_j = weight sign_j / 2 on free coordinates, which must keep their sign or
-    stay in [lo, hi], and on fixed ones |r_j| <= weight / 2 at zero, r_j <= 0 at
-    lo and r_j >= 0 at hi.
+    A coordinate is fixed at lo, at hi or, if it has an l1 weight, at zero;
+    the others are free, with sign s_j. With r = lin - gram z, the KKT
+    conditions are r_j = weight_j s_j / 2 on free coordinates, which must stay
+    in [lo, hi] and keep their sign, and on fixed ones |r_j| <= weight_j / 2 at
+    zero, with r_j unbounded below at lo and above at hi.
     """
-    if weight > 0.0:
-        sign = np.sign(z)
-        free = sign != 0.0
-        out = np.zeros(z.size)
-        target = 0.5 * weight * sign
-    else:
-        out = np.clip(z, lo, hi)
-        free = (out > lo) & (out < hi)
-        target = np.zeros(z.size)
+    out = np.clip(z, lo, hi)
+    sign = np.sign(weight * out)
+    at_lo, at_hi = out == lo, out == hi
+    free = ~(at_lo | at_hi) & ((sign != 0.0) | (weight == 0.0))
+    half = 0.5 * weight
+    target = half * sign
     f = np.flatnonzero(free)
     if f.size:
         out[f] = 0.0
         out[f] = solve_spd(cholesky(gram[np.ix_(f, f)]),
                            lin[f] - target[f] - gram[f] @ out)
     r = lin - gram @ out
-    tol = _ACTIVE_SET_RTOL * z.size * (np.abs(lin) + np.abs(gram) @ np.abs(out)
-                                        + 0.5 * weight)
-    fixed = ~free
-    if weight > 0.0:
-        ok = (np.all(sign[f] * out[f] >= 0.0)
-              and np.all(np.abs(r[fixed]) <= 0.5 * weight + tol[fixed]))
-    else:
-        ok = (np.all((out[f] >= lo) & (out[f] <= hi))
-              and np.all(((out[fixed] == lo) & (r[fixed] <= tol[fixed]))
-                         | ((out[fixed] == hi) & (r[fixed] >= -tol[fixed]))))
-    if ok and np.all(np.abs(r[f] - target[f]) <= tol[f]):
+    tol = _ACTIVE_SET_RTOL * z.size * (np.abs(lin) + np.abs(gram) @ np.abs(out) + half)
+    zero = sign == 0.0
+    r_lo = np.where(at_lo, -np.inf, np.where(zero, -half, target)) - tol
+    r_hi = np.where(at_hi, np.inf, np.where(zero, half, target)) + tol
+    if np.all((r_lo <= r) & (r <= r_hi) & (lo <= out) & (out <= hi) & (sign * out >= 0.0)):
         return out
     return None
 
 
-def _active_set_solve(gram, lin, z, weight, lo, hi, lam_max) -> np.ndarray:
-    """Exact minimizer of the block problem of ``_pattern_solve``, with
-    lam_max the largest eigenvalue of gram.
+def _active_set_solve(gram, lin, z, weight, lo, hi, lam) -> np.ndarray:
+    """Exact minimizer of the l1 / box problem, warm-started at z.
 
     Primal-dual active set in the sense of Hintermueller, Ito & Kunisch (SIAM
-    J. Optim. 13(3), 2002), globalised as in the active-set coordinate descent
-    of Friedman, Hastie & Tibshirani (J. Stat. Softw. 33(1), 2010): try the
-    pattern of the warm start z, then of one prox-gradient step from it, then
-    of every _ACTIVE_SET_SWEEPS coordinate-descent sweeps; coordinate descent
-    to convergence settles whatever is left."""
-    out = _pattern_solve(gram, lin, z, weight, lo, hi)
-    if out is not None:
-        return out
-    z = np.clip(soft_threshold(z + (lin - gram @ z) / lam_max, 0.5 * weight / lam_max),
-                lo, hi)
-    n = z.size
-    per_coordinate = ([weight] * n, [lo] * n, [hi] * n)
-    for _ in range(_ACTIVE_SET_ROUNDS + 1):
-        out = _pattern_solve(gram, lin, z, weight, lo, hi)
+    J. Optim. 13(3), 2002): try the pattern of z, then that of each FISTA
+    iterate whose pattern differs from the last one tried. The pattern of x
+    is the side of lo, of hi and, for an l1 coordinate, of zero each x_j is."""
+    tried = None
+    steps = _fista(lambda y: lin - gram @ y, z, weight, lo, hi, lam)
+    candidates = itertools.chain([z], steps)
+    for x in itertools.islice(candidates, _ACTIVE_SET_MAX_STEPS + 1):
+        pattern = np.sign(np.stack((x - lo, hi - x, weight * x)))
+        if np.array_equal(pattern, tried):
+            continue
+        out = _pattern_solve(gram, lin, x, weight, lo, hi)
         if out is not None:
             return out
-        z = _coordinate_descent(gram, lin, z, *per_coordinate,
-                                max_sweeps=_ACTIVE_SET_SWEEPS)
-    return _coordinate_descent(gram, lin, z, *per_coordinate)
-
-
-def _coordinate_descent_reference(W, b, terms, partition, l_smooth, dim,
-                                  tol: float = 1e-12,
-                                  max_sweeps: int = 200_000) -> np.ndarray:
-    """Exact cyclic coordinate minimization over the full vector, started from
-    zero. Second, independent optimum solver."""
-    weight = np.zeros(dim)
-    lo = np.full(dim, -np.inf)
-    hi = np.full(dim, np.inf)
-    for i, idx in enumerate(partition.blocks):
-        t = terms[i]
-        if isinstance(t, L1Term):
-            weight[idx] = t.weight
-        elif isinstance(t, BoxTerm):
-            lo[idx], hi[idx] = t.lo, t.hi
-    x = _coordinate_descent(W.T @ W, W.T @ b, np.zeros(dim), weight.tolist(),
-                            lo.tolist(), hi.tolist(), max_sweeps)
-    if _grad_mapping_norm(W, b, terms, partition, x, l_smooth) > 100 * tol:
-        raise SolverError("coordinate-descent reference failed to converge")
-    return x
+        tried = pattern
+    raise SolverError("active-set block solve found no pattern that meets the KKT "
+                      f"conditions in {_ACTIVE_SET_MAX_STEPS} FISTA steps")
 
 
 @dataclass
@@ -247,8 +218,10 @@ class CompositeQuadraticProblem:
     l_blocks: tuple[float, ...] = field(init=False)
     _cols: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _facts: tuple[SpdFactorization, ...] = field(init=False, repr=False)
+    _bounds: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._bounds = _term_arrays(self.terms, self.partition)
         self._cols = tuple(self.W[:, idx] for idx in self.partition.blocks)
         self._facts = tuple(cholesky(c.T @ c) for c in self._cols)
         self.l_blocks = tuple(2.0 * spectral_extremes(f.source)[1] for f in self._facts)
@@ -294,12 +267,7 @@ class CompositeQuadraticProblem:
         if term is None or term.is_zero:
             out[idx] = solve_spd(self._facts[i], lin)
             return out
-        if isinstance(term, L1Term):
-            weight, lo, hi = term.weight, -np.inf, np.inf
-        elif isinstance(term, BoxTerm):
-            weight, lo, hi = 0.0, term.lo, term.hi
-        else:
-            raise SolverError("no exact block solver for this term type")
+        weight, lo, hi = (a[idx] for a in self._bounds)
         # the factorization keeps the block Gram matrix as its source
         out[idx] = _active_set_solve(self._facts[i].source, lin, x[idx], weight, lo, hi,
                                      0.5 * self.l_blocks[i])
@@ -403,7 +371,7 @@ def make_composite(seed: int, dim: int, gamma: float,
                    cond_number: float = 50.0) -> CompositeQuadraticProblem:
     """Composite instance; by default l1 (weight gamma) on block 1, nothing on
     block 2. The reference optimum is computed by accelerated prox-gradient and
-    cross-validated by coordinate descent before it is trusted."""
+    cross-validated by the active-set solve before it is trusted."""
     if not gamma >= 0.0:  # written so that NaN fails too
         raise ValueError("gamma must be >= 0")
     if not cond_number >= 1.0:
@@ -430,21 +398,20 @@ def make_composite(seed: int, dim: int, gamma: float,
         raise ValueError(f"unknown term kind {kind!r}")
 
     terms = tuple(build_term(k) for k in kinds)
-    lam = np.linalg.eigvalsh(W.T @ W)
+    gram = W.T @ W
+    lam = np.linalg.eigvalsh(gram)
     l_global = 2.0 * lam[-1]
 
-    x_a = _fista_reference(W, b, terms, partition, l_global, dim)
-    x_b = _coordinate_descent_reference(W, b, terms, partition, l_global, dim)
+    bounds = _term_arrays(terms, partition)
+    x_a = _fista_reference(W, b, *bounds, lam[-1])
+    x_b = _active_set_solve(gram, W.T @ b, np.zeros(dim), *bounds, lam[-1])
     f_a = _composite_value(W, b, terms, partition, x_a)
     f_b = _composite_value(W, b, terms, partition, x_b)
     if abs(f_a - f_b) > 1e-10 * (1.0 + abs(f_a)):
         raise SolverError("reference optima disagree beyond tolerance")
     x_star, f_star = (x_a, f_a) if f_a <= f_b else (x_b, f_b)
 
-    start = x_star + rng.standard_normal(dim)
-    for i, idx in enumerate(partition.blocks):
-        if isinstance(terms[i], BoxTerm):
-            start[idx] = np.clip(start[idx], terms[i].lo, terms[i].hi)
+    start = np.clip(x_star + rng.standard_normal(dim), bounds[1], bounds[2])
     return CompositeQuadraticProblem(
         W=W, b=b, partition=partition, terms=terms, x_star=x_star, f_star=f_star,
         l_global=l_global, mu_global=2.0 * lam[0], default_start=start)

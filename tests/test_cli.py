@@ -114,6 +114,25 @@ class TestRun:
             cfg_path, _ = base_config(tmp_path, solvers=solvers)
             assert main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2, solvers
+        # max_iters is an integer, checked, never truncated or overflowed
+        for max_iters in (float("inf"), 2.7, "5", True):
+            solvers = [{"name": "am", "method": "am", "max_iters": max_iters}]
+            cfg_path, _ = base_config(tmp_path, solvers=solvers)
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2, max_iters
+            assert "max_iters must be an integer" in capsys.readouterr().err
+        # a solver name or method that is not a string is an input error for
+        # every command
+        for entry in ({"name": ["am"], "method": "am"}, {"name": "am", "method": ["am"]},
+                      {"method": 1}):
+            cfg_path, _ = base_config(tmp_path, solvers=[dict(entry, max_iters=5)])
+            capsys.readouterr()
+            for argv in (["run", "--out", str(tmp_path / "o")],
+                         ["verify", "--trace", str(tmp_path / "no_trace.csv")],
+                         ["figure", "--out", str(tmp_path / "f.csv")]):
+                assert main(argv + ["--config", str(cfg_path)]) == 2, (entry, argv[0])
+                assert "solver name and method must be strings" in capsys.readouterr().err
         # an out-of-range or unconvertible option is an input error for run
         # and for verify alike, NaN included
         out = tmp_path / "good"
@@ -253,6 +272,11 @@ class TestVerify:
         missing = tmp_path / "no_such_trace.csv"
         assert main(["verify", "--trace", str(missing), "--config", str(unknown_path)]) == 2
         assert "unknown certificate kind 'made_up'" in capsys.readouterr().err
+        # a certificate kind that is not a string, or a list that is not one
+        for kinds in ([[1]], [{"kind": "aam_main"}], "aam_main", 5):
+            bad_path, _ = base_config(tmp_path, certificates=kinds)
+            assert main(["verify", "--trace", str(trace), "--config", str(bad_path)]) == 2
+            assert "'certificates' must be a list of strings" in capsys.readouterr().err
 
 
 def test_json_outputs_refuse_non_finite_values():
@@ -324,6 +348,16 @@ class TestFigure:
         main(["figure", "--config", str(cfg_path), "--out", str(f1)])
         main(["figure", "--config", str(cfg_path), "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_bad_figure_iters(self, tmp_path, capsys):
+        # an integer, checked like max_iters, never truncated
+        for iters in ("abc", 2.7, float("inf"), None, -1):
+            cfg_path, _ = base_config(tmp_path, figure_iters=iters)
+            capsys.readouterr()
+            assert main(["figure", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "f.csv")]) == 2, iters
+            assert "error: bad" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_requires_quadratic(self, tmp_path):
         cfg = {

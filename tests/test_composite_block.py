@@ -1,31 +1,40 @@
 """The active-set block solver of l1 and box blocks: KKT conditions at the
 result, agreement with exact coordinate descent, descent, the untouched other
-block, and the coordinate-descent fallback."""
+block, the FISTA fallback when the warm start's pattern fails, and a solver
+failure, never an unchecked point, at the step cap."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmin import SolverConfig, make_composite, run_am
+from blockmin import SolverConfig, cli, make_composite, run_am
 from blockmin import problems
+from blockmin.errors import SolverError
 from blockmin.proxmaps import BoxTerm, L1Term
 
-# (seed, dim, kinds, box_bounds): every instance has an l1 or a box block
-INSTANCES = [(11, 12, ("l1", "zero"), (-0.5, 0.5)),
-             (13, 12, ("box", "box"), (-0.3, 0.3)),
-             (3, 32, ("l1", "box"), (-0.5, 0.5)),
-             (4, 64, ("box", "l1"), (-0.2, 0.6)),
-             (5, 64, ("l1", "l1"), (-0.5, 0.5))]
-DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+# (seed, dim, gamma, kinds, box_bounds): every instance has an l1 or a box
+# block; the last four are degenerate: a box with lo == hi, a bound at zero,
+# an l1 weight of 0 and a heavy l1 weight
+INSTANCES = [(11, 12, 0.4, ("l1", "zero"), (-0.5, 0.5)),
+             (13, 12, 0.4, ("box", "box"), (-0.3, 0.3)),
+             (3, 32, 0.4, ("l1", "box"), (-0.5, 0.5)),
+             (4, 64, 0.4, ("box", "l1"), (-0.2, 0.6)),
+             (5, 64, 0.4, ("l1", "l1"), (-0.5, 0.5)),
+             (6, 12, 0.4, ("box", "l1"), (0.0, 0.0)),
+             (7, 32, 0.4, ("zero", "box"), (0.0, 1.0)),
+             (8, 12, 0.0, ("l1", "box"), (-0.5, 0.5)),
+             (9, 32, 5.0, ("l1", "l1"), (-0.5, 0.5))]
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
 
 @functools.lru_cache(maxsize=None)
 def problem(n):
-    seed, dim, kinds, box_bounds = INSTANCES[n]
-    return make_composite(seed, dim, 0.4, kinds=kinds, box_bounds=box_bounds)
+    seed, dim, gamma, kinds, box_bounds = INSTANCES[n]
+    return make_composite(seed, dim, gamma, kinds=kinds, box_bounds=box_bounds)
 
 
 def point(p, point_seed, scale):
@@ -51,6 +60,13 @@ def composite_value(p, x):
                                    for t, idx in zip(p.terms, p.partition.blocks))
 
 
+def bounds(term):
+    """(weight, lo, hi) of an l1 or box term."""
+    if isinstance(term, L1Term):
+        return term.weight, -np.inf, np.inf
+    return 0.0, term.lo, term.hi
+
+
 def kkt_violation(term, gram, lin, z):
     """Largest violation of the block KKT conditions at z, with r = lin - gram z:
     r_j = w sign(z_j) / 2 where z_j != 0 and |r_j| <= w / 2 where z_j = 0 for
@@ -63,19 +79,28 @@ def kkt_violation(term, gram, lin, z):
                    (np.abs(r[~on]) - half).max(initial=0.0))
     at_lo, at_hi = z == term.lo, z == term.hi
     inside = ~(at_lo | at_hi)
-    return max(np.abs(r[inside]).max(initial=0.0), r[at_lo].max(initial=0.0),
-               (-r[at_hi]).max(initial=0.0),
+    # with lo == hi a coordinate is at both bounds and r is free
+    return max(np.abs(r[inside]).max(initial=0.0),
+               r[at_lo & ~at_hi].max(initial=0.0), (-r[at_hi & ~at_lo]).max(initial=0.0),
                (term.lo - z).max(), (z - term.hi).max())
 
 
-def reference(term, gram, lin, z0):
-    """The same block problem by exact cyclic coordinate descent."""
-    n = z0.size
-    if isinstance(term, L1Term):
-        args = ([term.weight] * n, [-np.inf] * n, [np.inf] * n)
-    else:
-        args = ([0.0] * n, [term.lo] * n, [term.hi] * n)
-    return problems._coordinate_descent(gram, lin, z0, *args)
+def coordinate_descent(term, gram, lin, z0):
+    """The same block problem by exact cyclic coordinate descent, to a change
+    of 1e-15 relative."""
+    weight, lo, hi = bounds(term)
+    z = z0.copy()
+    for _ in range(100_000):
+        delta = 0.0
+        for j in range(z.size):
+            r = lin[j] - (gram[j] @ z - gram[j, j] * z[j])
+            new = np.sign(r) * max(abs(r) - 0.5 * weight, 0.0) / gram[j, j]
+            new = min(hi, max(lo, new))
+            delta = max(delta, abs(new - z[j]))
+            z[j] = new
+        if delta < 1e-15 * (1.0 + float(np.abs(z).max())):
+            return z
+    raise AssertionError("coordinate descent did not converge")
 
 
 @DETERMINISTIC
@@ -93,7 +118,7 @@ def test_block_argmin_meets_kkt_and_matches_coordinate_descent(n, i, point_seed,
     z = out[idx]
     scale_r = 1.0 + float(np.abs(lin).max()) + float((np.abs(gram) @ np.abs(z)).max())
     assert kkt_violation(term, gram, lin, z) <= 1e-13 * scale_r
-    z_cd = reference(term, gram, lin, x[idx])
+    z_cd = coordinate_descent(term, gram, lin, x[idx])
     assert np.abs(z - z_cd).max() <= 1e-12 * (1.0 + np.abs(z).max())
     other = p.partition.blocks[1 - i]
     assert np.array_equal(out[other], x[other])
@@ -105,31 +130,55 @@ def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     p = problem(2)
     x = point(p, 7, 1.0)
     expected = [p.block_argmin(x, i) for i in (0, 1)]
-    full_runs = []
-    coordinate_descent = problems._coordinate_descent
+    pattern_solve = problems._pattern_solve
+    calls = []
 
-    def counted(*args, max_sweeps=100_000):
-        full_runs.append(max_sweeps == 100_000)
-        return coordinate_descent(*args, max_sweeps=max_sweeps)
+    def warm_start_fails(*args):
+        # reject the first pattern of each solve, the warm start's, so the
+        # patterns of the FISTA iterates settle the block
+        calls.append(args)
+        return None if len(calls) == 1 else pattern_solve(*args)
 
-    monkeypatch.setattr(problems, "_ACTIVE_SET_ROUNDS", 0)
-    monkeypatch.setattr(problems, "_pattern_solve", lambda *args: None)
-    monkeypatch.setattr(problems, "_coordinate_descent", counted)
+    monkeypatch.setattr(problems, "_pattern_solve", warm_start_fails)
     for i in (0, 1):
+        calls.clear()
         out = p.block_argmin(x, i)
+        assert len(calls) >= 2
         assert np.abs(out - expected[i]).max() <= 1e-12 * (1.0 + np.abs(out).max())
-    assert sum(full_runs) == 2
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_am_run_never_needs_the_full_fallback(n, monkeypatch):
     p = problem(n)
-    coordinate_descent = problems._coordinate_descent
+    fista = problems._fista
+    steps = []
 
-    def sweeps_only(*args, max_sweeps=None):
-        assert max_sweeps == problems._ACTIVE_SET_SWEEPS
-        return coordinate_descent(*args, max_sweeps=max_sweeps)
+    def counted(*args):
+        steps.append(0)
+        for x in fista(*args):
+            steps[-1] += 1
+            yield x
 
-    monkeypatch.setattr(problems, "_coordinate_descent", sweeps_only)
+    monkeypatch.setattr(problems, "_fista", counted)
     trace = run_am(p.handle(), p.default_start, SolverConfig(max_iters=200, target_gap=1e-10))
     assert trace.status == "target_gap"
+    # every block settles after a short FISTA run, far from the step cap
+    assert steps and max(steps) <= problems._ACTIVE_SET_MAX_STEPS // 100
+
+
+def test_step_cap_is_a_solver_failure(tmp_path, monkeypatch, capsys):
+    p = problem(2)
+    x = point(p, 7, 1.0)
+    monkeypatch.setattr(problems, "_ACTIVE_SET_MAX_STEPS", 0)
+    monkeypatch.setattr(problems, "_pattern_solve", lambda *args: None)
+    for i in (0, 1):
+        with pytest.raises(SolverError, match="no pattern that meets the KKT conditions"):
+            p.block_argmin(x, i)
+    # the CLI gets the built instance, so the failure comes from AM's block step
+    monkeypatch.setattr(cli, "make_composite", lambda *args, **kwargs: p)
+    cfg = {"instance": {"kind": "composite"},
+           "solvers": [{"name": "am", "method": "am", "max_iters": 10}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "no pattern that meets the KKT conditions" in capsys.readouterr().err
