@@ -222,19 +222,33 @@ def check_sufficient_decrease(h: ObjectiveHandle, trace: SolverTrace, l_blocks,
 
 def check_aam_recurrence(trace: SolverTrace, mu: float,
                          tol: float = 1e-7) -> CertificateReport:
-    """A_k f(x^k) <= psi_k(v^k) with psi_k rebuilt from its definition."""
+    """A_k f(x^k) <= psi_k(v^k) with psi_k from its definition,
+    psi_k(v) = ||v - x^0||^2 / 2 + sum_{j<=k} a_j (f(y_j) + <g_j, v - y_j> + mu/2 ||v - y_j||^2),
+    g_j = grad f(y_j), in time linear in k.
+
+    The sum is kept as running sums about the a-weighted mean ybar of the y_j:
+    sum a_j <g_j, v - y_j> = <sum a_j g_j, v - ybar> + sum a_j <g_j, ybar - y_j>
+    and sum a_j ||v - y_j||^2 = A ||v - ybar||^2 + sum a_j ||y_j - ybar||^2,
+    with the last two sums updated as ybar moves (West, Commun. ACM 22(9),
+    1979). Sums about the origin cancel: a_j reaches 1e6 while psi_k stays
+    O(1), and they lose up to 5e-7 of psi_k on the acceptance traces."""
     _need(trace, "aam", "aam_recurrence")
     recs = trace.records
     x0 = recs[0].x
+    a_sum = af_sum = spread = lin_offset = 0.0
+    ybar = np.zeros_like(x0)
+    ag_sum = np.zeros_like(x0)
     rows = []
-    for k in range(1, len(recs)):
-        v = recs[k].v
-        psi = 0.5 * float((v - x0) @ (v - x0))
-        for j in range(1, k + 1):
-            dev = v - recs[j].y
-            psi += recs[j].a * (recs[j].f_y + float(recs[j].grad_y @ dev)
-                                + 0.5 * mu * float(dev @ dev))
-        rows.append(_row(recs[k].k, psi, recs[k].a_sum * recs[k].composite_value, tol))
+    for r in recs[1:]:
+        a, y, g = r.a, r.y, r.grad_y
+        ybar_new = ybar + (a / (a_sum + a)) * (y - ybar)
+        spread += a * (a_sum / (a_sum + a)) * float((y - ybar) @ (y - ybar))
+        lin_offset += float(ag_sum @ (ybar_new - ybar)) + a * float(g @ (ybar_new - y))
+        a_sum, af_sum, ag_sum, ybar = a_sum + a, af_sum + a * r.f_y, ag_sum + a * g, ybar_new
+        dv = r.v - ybar
+        psi = (0.5 * float((r.v - x0) @ (r.v - x0)) + af_sum + float(ag_sum @ dv) + lin_offset
+               + 0.5 * mu * (a_sum * float(dv @ dv) + spread))
+        rows.append(_row(r.k, psi, r.a_sum * r.composite_value, tol))
     return CertificateReport("aam_recurrence", tuple(rows), tol)
 
 

@@ -5,8 +5,9 @@ is a convex, possibly non-smooth per-block term (constraints enter as
 indicator terms). The handle exposes exactly what solvers and certificates
 consume: value, per-block gradients, optional exact per-block minimization,
 per-block composite terms with prox operators, declared smoothness/strong
-convexity constants, an optional optimum oracle, and an optional
-value-and-gradient hook that evaluates f and grad f at a point in one pass.
+convexity constants, an optional optimum oracle, and optional hooks that
+evaluate f and grad f at a point in one pass and at an affine combination of
+two evaluated points.
 """
 
 from __future__ import annotations
@@ -70,6 +71,38 @@ class BlockPartition:
         return cls.contiguous([dim // 2, dim // 2])
 
 
+@dataclass(frozen=True, eq=False)
+class Point:
+    """A point x of a handle's objective with f = f(x), g = grad f(x) and an
+    opaque per-problem cache (the residual W x - b for least squares; None
+    when the handle keeps none).
+
+    ObjectiveHandle.evaluate and ObjectiveHandle.affine make points. With a
+    value_and_gradient hook, f, g and the cache come from one hook call when
+    the point is made. Without it, f and g are computed on first read, by
+    smooth_value and the per-block block_gradient, each at most once, so a
+    point that is only compared by value never pays for its gradient.
+    """
+
+    x: np.ndarray
+    handle: ObjectiveHandle = field(repr=False)
+    cache: object = field(default=None, repr=False)
+    _f: float | None = field(default=None, repr=False)
+    _g: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def f(self) -> float:
+        if self._f is None:
+            object.__setattr__(self, "_f", float(self.handle.smooth_value(self.x)))
+        return self._f
+
+    @property
+    def g(self) -> np.ndarray:
+        if self._g is None:
+            object.__setattr__(self, "_g", self.handle._block_gradients(self.x))
+        return self._g
+
+
 @dataclass(frozen=True)
 class ObjectiveHandle:
     """Immutable handle for a block-structured objective.
@@ -81,9 +114,11 @@ class ObjectiveHandle:
         The smooth part f.
     block_gradient : callable (x, i) -> ndarray of length n_i
         Gradient of f over the coordinates of block i.
-    block_argmin : callable (x, i) -> ndarray, optional
+    block_argmin : callable (p, i) -> ndarray, optional
         Full-length point minimizing F over block i with the other blocks
-        fixed at x. Only the block-i coordinates of the result are used.
+        fixed at p.x, for a Point p; p.f and p.g are known there, so a solver
+        may start from them. Only the block-i coordinates of the result are
+        used.
     terms : tuple of per-block composite terms, optional
         Each term provides value(x_i), prox(z, step) (or None), and the flags
         is_zero / unconstrained; see blockmin.proxmaps. None means g == 0.
@@ -93,28 +128,36 @@ class ObjectiveHandle:
         Per-block constants. None means unknown.
     optimum : (x_star, f_star_composite) pair, optional
         Oracle used by certificates to measure exact gaps.
-    line_minimizer : callable (x, d) -> float, optional
-        Unclipped minimizer of t -> f(x + t d); exact line searches use it
-        instead of a numeric search when present (closed form for quadratics).
-    value_and_gradient : callable x -> (float, ndarray of length dim), optional
+    line_minimizer : callable (p, q) -> float, optional
+        Unclipped minimizer of t -> f(p.x + t (q.x - p.x)) for Points p and q;
+        exact line searches use it instead of a numeric search when present
+        (closed form for quadratics, from p.g and the two caches).
+    value_and_gradient : callable x -> (f, g) or (f, g, cache), optional
         f(x) and the full gradient of f in one pass, sharing the work the two
         have in common (a residual, say). It must return the same floats as
-        smooth_value and the per-block block_gradient. When present,
-        evaluate and full_gradient go through it.
+        smooth_value and the per-block block_gradient. A third item is kept
+        as the Point's cache. When present, evaluate and full_gradient go
+        through it.
+    affine_value_and_gradient : callable (p, q, t) -> (f, g, cache), optional
+        The same triple at p.x + t (q.x - p.x), computed from the Points p
+        and q and their caches with no fresh evaluation (for a quadratic f,
+        the residual and the gradient are affine in t). affine uses it when
+        both points carry a cache.
     """
 
     partition: BlockPartition
     smooth_value: Callable[[np.ndarray], float]
     block_gradient: Callable[[np.ndarray, int], np.ndarray]
-    block_argmin: Callable[[np.ndarray, int], np.ndarray] | None = None
+    block_argmin: Callable[[Point, int], np.ndarray] | None = None
     terms: tuple | None = None
     l_global: float | None = None
     mu_global: float | None = None
     l_blocks: tuple[float, ...] | None = None
     mu_blocks: tuple[float, ...] | None = None
     optimum: tuple[np.ndarray, float] | None = field(default=None, repr=False)
-    line_minimizer: Callable[[np.ndarray, np.ndarray], float] | None = None
-    value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
+    line_minimizer: Callable[[Point, Point], float] | None = None
+    value_and_gradient: Callable[[np.ndarray], tuple] | None = None
+    affine_value_and_gradient: Callable[[Point, Point, float], tuple] | None = None
 
     def __post_init__(self):
         if self.terms is not None and len(self.terms) != self.partition.n_blocks:
@@ -158,12 +201,7 @@ class ObjectiveHandle:
 
     # -- operations --------------------------------------------------------
 
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of f, from value_and_gradient when the handle has it and
-        assembled from the per-block gradients otherwise."""
-        x = self._check_dim(x)
-        if self.value_and_gradient is not None:
-            return self.evaluate(x)[1]
+    def _block_gradients(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(self.dim)
         for i, idx in enumerate(self.partition.blocks):
             gi = np.asarray(self.block_gradient(x, i), dtype=float)
@@ -173,19 +211,34 @@ class ObjectiveHandle:
             out[idx] = gi
         return out
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f(x), grad f(x)): one value_and_gradient call when the handle has
-        the hook, smooth_value plus full_gradient otherwise."""
-        x = self._check_dim(x)
-        if self.value_and_gradient is None:
-            return float(self.smooth_value(x)), self.full_gradient(x)
-        f, g = self.value_and_gradient(x)
+    def _point(self, x: np.ndarray, f, g, cache=None) -> Point:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.dim,):
             raise DimensionMismatch(
-                f"value_and_gradient returned a gradient of shape {g.shape}, "
-                f"expected ({self.dim},)")
-        return float(f), g
+                f"a hook returned a gradient of shape {g.shape}, expected ({self.dim},)")
+        return Point(x, self, cache, float(f), g)
+
+    def evaluate(self, x: np.ndarray) -> Point:
+        """The Point at x: one value_and_gradient call when the handle has the
+        hook; f and g on first read otherwise."""
+        x = self._check_dim(x)
+        if self.value_and_gradient is None:
+            return Point(x, self)
+        return self._point(x, *self.value_and_gradient(x))
+
+    def affine(self, p: Point, q: Point, t: float) -> Point:
+        """The Point at p.x + t (q.x - p.x): from affine_value_and_gradient
+        when the handle has it and both points carry a cache, evaluated
+        afresh otherwise."""
+        x = p.x + t * (q.x - p.x)
+        if self.affine_value_and_gradient is None or p.cache is None or q.cache is None:
+            return self.evaluate(x)
+        return self._point(x, *self.affine_value_and_gradient(p, q, t))
+
+    def full_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of f, from value_and_gradient when the handle has it and
+        assembled from the per-block gradients otherwise."""
+        return self.evaluate(x).g
 
     def composite_value(self, x: np.ndarray, smooth: float | None = None) -> float:
         """F(x) = f(x) + sum_i g_i(x_i); pass smooth = f(x) when it is known."""
@@ -198,19 +251,18 @@ class ObjectiveHandle:
                     total += float(t.value(x[idx]))
         return total
 
-    def exact_block_min(self, x: np.ndarray, i: int) -> np.ndarray:
-        """Minimize F over block i with the other blocks fixed.
+    def exact_block_min(self, p: Point, i: int) -> np.ndarray:
+        """Minimize F over block i with the other blocks fixed at p.x.
 
-        The result is spliced onto x so only block-i coordinates change.
+        The result is spliced onto p.x so only block-i coordinates change.
         """
-        x = self._check_dim(x)
         if self.block_argmin is None:
             raise NoBlockSolver(f"objective provides no block minimizer (block {i})")
-        z = np.asarray(self.block_argmin(x, i), dtype=float)
+        z = np.asarray(self.block_argmin(p, i), dtype=float)
         if z.shape != (self.dim,):
             raise DimensionMismatch(
                 f"block_argmin({i}) returned shape {z.shape}, expected ({self.dim},)")
-        out = x.copy()
+        out = p.x.copy()
         idx = self.partition.blocks[i]
         out[idx] = z[idx]
         return out

@@ -9,11 +9,13 @@ Two families:
   of the reduced Gram system on a sign or bound pattern, accepted once the
   block's KKT conditions hold, with FISTA iterates proposing the patterns.
   The Hessian of the smooth part is 2 W^T W, so the declared constants carry
-  that factor of two. ``make_composite`` cross-validates the optimum by two
-  independent solves of the full problem: FISTA run to a tiny gradient-mapping
-  norm, and the active-set solve. Its subclass QuadraticSplitProblem is the
-  case with no terms (g = 0), split into two equal blocks, with the optimum in
-  closed form.
+  that factor of two. Points carry their residual W x - b, so f and grad f
+  at an affine combination of two points, the exact line minimizer and the
+  block step need no product with W. ``make_composite`` cross-validates the
+  optimum by two independent solves of the full problem: FISTA run to a
+  gradient-mapping norm at its rounding floor, and the active-set solve. Its
+  subclass QuadraticSplitProblem is the case with no terms (g = 0), split
+  into two equal blocks, with the optimum in closed form.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction; blocks are
   minimized by a globalised Newton loop on the block Hessian.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import BadDimension, BadShape, NotSpd, SolverError
 from .linalg import SpdFactorization, cholesky, solve_spd, spectral_extremes
-from .objective import BlockPartition, ObjectiveHandle
+from .objective import BlockPartition, ObjectiveHandle, Point
 from .proxmaps import BoxTerm, L1Term, ZeroTerm, soft_threshold
 
 
@@ -107,16 +109,25 @@ def _fista(residual, z, weight, lo, hi, lam):
         yield x
 
 
-def _fista_reference(W, b, weight, lo, hi, lam,
-                     tol: float = 1e-12, max_iters: int = 400_000) -> np.ndarray:
-    """FISTA from zero to a gradient-mapping norm of tol, with lam the largest
-    eigenvalue of W^T W. First of the two independent optimum solvers.
+# The rounding error of W^T (b - W y) has size eps ||W|| (||b|| + ||W|| ||y||).
+# On make_composite(1, 512, 0.4, ("l1", "box"), cond_number=1e4) the reference's
+# mapping norm floors at 0.15 to 0.35 of that size (2e-12 to 5e-12), so it
+# never reaches an absolute 1e-12; it stops at _REFERENCE_FLOOR times that size.
+_REFERENCE_FLOOR = 4.0 * np.finfo(float).eps
+
+
+def _fista_reference(W, b, weight, lo, hi, lam, max_iters: int = 400_000) -> np.ndarray:
+    """FISTA from zero to a gradient-mapping norm at the rounding floor or
+    1e-12, whichever is larger, with lam the largest eigenvalue of W^T W.
+    First of the two independent optimum solvers.
 
     r(y) is formed as W^T (b - W y), not W^T b - W^T W y: on
     make_composite(1, 256, 0.4, ("l1", "box"), cond_number=1e4) the Gram form
     floors at a mapping norm of ~4e-12 from rounding, while this form reaches
-    1e-12 in ~7,500 steps. Where even this form floors above tol, the last
-    iterate of the budget is accepted at 10 tol."""
+    1e-12 in ~7,500 steps. Where the mapping norm never reaches the target,
+    the last iterate of the budget is accepted at 10 times the target."""
+    norm_w, norm_b = math.sqrt(lam), float(np.linalg.norm(b))
+
     def residual(y):
         return W.T @ (b - W @ y)
 
@@ -124,11 +135,15 @@ def _fista_reference(W, b, weight, lo, hi, lam,
         return 2.0 * lam * float(np.linalg.norm(
             x - _prox_step(x, residual(x), weight, lo, hi, lam)))
 
+    def target(x):
+        return max(1e-12, _REFERENCE_FLOOR * norm_w
+                   * (norm_b + norm_w * float(np.linalg.norm(x))))
+
     steps = _fista(residual, np.zeros(W.shape[1]), weight, lo, hi, lam)
     for k, x in enumerate(itertools.islice(steps, max_iters)):
-        if k % 25 == 0 and mapping_norm(x) <= tol:
+        if k % 25 == 0 and mapping_norm(x) <= target(x):
             return x
-    if mapping_norm(x) <= 10 * tol:
+    if mapping_norm(x) <= 10 * target(x):
         return x
     raise SolverError("prox-gradient reference failed to reach the mapping tolerance")
 
@@ -236,40 +251,50 @@ class CompositeQuadraticProblem:
         r = self.W @ x - self.b
         return float(r @ r)
 
-    def full_grad(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.W.T @ (self.W @ x - self.b))
-
     def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
         return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
 
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """One residual for f and every block gradient; the same floats as
-        smooth_value and block_gradient."""
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """f, grad f and the residual r = W x - b, which the handle keeps as the
+        point's cache; f and grad f are the same floats as smooth_value and
+        block_gradient."""
         r = self.W @ x - self.b
         g = np.empty(x.size)
         for c, idx in zip(self._cols, self.partition.blocks):
             g[idx] = 2.0 * (c.T @ r)
-        return float(r @ r), g
+        return float(r @ r), g, r
 
-    def line_minimizer(self, x: np.ndarray, d: np.ndarray) -> float:
-        wd = self.W @ d
+    def affine_value_and_gradient(self, p: Point, q: Point, t: float
+                                  ) -> tuple[float, np.ndarray, np.ndarray]:
+        """f, grad f and the residual at p.x + t (q.x - p.x) with no product:
+        f is quadratic, so the residual and the gradient are affine in t."""
+        r = p.cache + t * (q.cache - p.cache)
+        return float(r @ r), p.g + t * (q.g - p.g), r
+
+    def line_minimizer(self, p: Point, q: Point) -> float:
+        """-(g_p . d) / (2 ||W d||^2) for d = q.x - p.x, with W d = r_q - r_p
+        when both points carry their residual."""
+        d = q.x - p.x
+        wd = self.W @ d if p.cache is None or q.cache is None else q.cache - p.cache
         curv = 2.0 * float(wd @ wd)
         if curv == 0.0:
             return 0.0
-        return -float(self.full_grad(x) @ d) / curv
+        return -float(p.g @ d) / curv
 
-    def block_argmin(self, x: np.ndarray, i: int) -> np.ndarray:
+    def block_argmin(self, p: Point, i: int) -> np.ndarray:
         idx = self.partition.blocks[i]
-        # normal equations of the block least squares with the rest fixed
-        lin = self._cols[i].T @ (self.b - self.W @ x + self._cols[i] @ x[idx])
+        # the factorization keeps the block Gram matrix G_ii as its source
+        gram = self._facts[i].source
+        # normal equations of the block least squares with the rest fixed:
+        # G_ii z = W_i^T (b - W x + W_i x_i) = G_ii x_i - g_i / 2
+        lin = gram @ p.x[idx] - 0.5 * p.g[idx]
         term = None if self.terms is None else self.terms[i]
-        out = x.copy()
+        out = p.x.copy()
         if term is None or term.is_zero:
             out[idx] = solve_spd(self._facts[i], lin)
             return out
         weight, lo, hi = (a[idx] for a in self._bounds)
-        # the factorization keeps the block Gram matrix as its source
-        out[idx] = _active_set_solve(self._facts[i].source, lin, x[idx], weight, lo, hi,
+        out[idx] = _active_set_solve(gram, lin, p.x[idx], weight, lo, hi,
                                      0.5 * self.l_blocks[i])
         return out
 
@@ -286,7 +311,8 @@ class CompositeQuadraticProblem:
             mu_blocks=self.mu_blocks,
             optimum=(self.x_star, self.f_star),
             line_minimizer=self.line_minimizer,
-            value_and_gradient=self.value_and_gradient)
+            value_and_gradient=self.value_and_gradient,
+            affine_value_and_gradient=self.affine_value_and_gradient)
 
 
 # The smooth case subclasses the composite, not the other way round:
@@ -484,14 +510,14 @@ class NonlinearEqPlProblem:
         hess[np.arange(idx.size), np.arange(idx.size)] += 2.0 * curv[idx]
         return hess
 
-    def block_argmin(self, x: np.ndarray, i: int) -> np.ndarray:
-        """Newton's method on block i (Nocedal & Wright, Numerical Optimization,
-        2nd ed., sec. 3.4): shift the block Hessian until Cholesky succeeds,
-        halve the step until f falls (within rounding), and stop once the block
-        gradient is at its rounding floor or a step no longer moves the iterate."""
+    def block_argmin(self, start: Point, i: int) -> np.ndarray:
+        """Newton's method on block i from the Point start (Nocedal & Wright,
+        Numerical Optimization, 2nd ed., sec. 3.4): shift the block Hessian
+        until Cholesky succeeds, halve the step until f falls (within
+        rounding), and stop once the block gradient is at its rounding floor or
+        a step no longer moves the iterate."""
         idx = self.partition.blocks[i]
-        p = x.copy()
-        f, g = self.value_and_gradient(p)
+        p, f, g = start.x.copy(), start.f, start.g
         for _ in range(_NEWTON_MAX_STEPS):
             if float(np.linalg.norm(g[idx])) <= _NEWTON_GRAD_FLOOR * (1.0 + f):
                 break

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingL, NoBlockSolver, NonSmoothUnsupported, NoPositiveRoot
-from .objective import ObjectiveHandle
+from .objective import ObjectiveHandle, Point
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -163,31 +163,27 @@ class QuadraticLowerModel:
         return new_center
 
 
-def exact_line_search(h: ObjectiveHandle, x: np.ndarray, v: np.ndarray,
-                      tol: float = 1e-10, *,
-                      f_x: float) -> tuple[float, np.ndarray, float]:
-    """Minimize f(x + beta (v - x)) over beta in [0, 1]; returns (beta, y, f(y)).
+def exact_line_search(h: ObjectiveHandle, p: Point, q: Point,
+                      tol: float = 1e-10) -> tuple[float, Point]:
+    """Minimize f(p.x + beta (q.x - p.x)) over beta in [0, 1]; returns (beta, y).
 
-    f_x is f(x), already known to the caller. Uses the handle's closed-form
-    directional minimizer when available, golden-section search otherwise;
-    the endpoints are always candidates, so f at the result never exceeds
-    min(f(x), f(v)).
+    Uses the handle's closed-form directional minimizer when available,
+    golden-section search otherwise. The candidates are p and the points
+    h.affine makes at beta and 1, so f at the result never exceeds f(p.x), nor
+    f(q.x) beyond rounding, and y carries its gradient.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = v - x
+    d = q.x - p.x
     if not np.any(d):
-        return 0.0, x.copy(), f_x
+        return 0.0, p
     if h.line_minimizer is not None:
-        beta = float(h.line_minimizer(x, d))
+        beta = float(h.line_minimizer(p, q))
         beta = min(1.0, max(0.0, beta))
     else:
-        beta = golden_section(lambda t: float(h.smooth_value(x + t * d)), 0.0, 1.0, tol)
+        beta = golden_section(lambda t: float(h.smooth_value(p.x + t * d)), 0.0, 1.0, tol)
     candidates = [0.0, beta, 1.0]
-    values = [f_x] + [float(h.smooth_value(x + t * d)) for t in candidates[1:]]
-    best = int(np.argmin(values))
-    beta = candidates[best]
-    return beta, x + beta * d, values[best]
+    points = [p] + [h.affine(p, q, t) for t in candidates[1:]]
+    best = int(np.argmin([pt.f for pt in points]))
+    return candidates[best], points[best]
 
 
 def greedy_block(h: ObjectiveHandle, grad_y: np.ndarray) -> int:
@@ -256,11 +252,10 @@ def choose_a_adaptive(f_y: float, f_next: float, grad_y: np.ndarray,
                          2.0 * delta * a_sum * tau)
 
 
-def _record(h: ObjectiveHandle, k: int, x: np.ndarray, **fields) -> IterationRecord:
-    """Trace row at x; F(x) and ||grad f(x)|| come from one evaluate."""
-    f, g = h.evaluate(x)
-    return IterationRecord(k=k, x=x.copy(), composite_value=h.composite_value(x, smooth=f),
-                           grad_norm=float(np.linalg.norm(g)), **fields)
+def _record(h: ObjectiveHandle, k: int, p: Point, **fields) -> IterationRecord:
+    """Trace row at the Point p: F(p.x) and ||grad f(p.x)|| from its f and g."""
+    return IterationRecord(k=k, x=p.x.copy(), composite_value=h.composite_value(p.x, smooth=p.f),
+                           grad_norm=float(np.linalg.norm(p.g)), **fields)
 
 
 def _target_met(h: ObjectiveHandle, rec: IterationRecord, cfg: SolverConfig) -> bool:
@@ -278,14 +273,14 @@ def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace
     """
     if h.block_argmin is None:
         raise NoBlockSolver("alternating minimization needs block_argmin")
-    x = np.asarray(x0, dtype=float).copy()
+    p = h.evaluate(np.array(x0, dtype=float))
     t_start = time.perf_counter()
-    records = [_record(h, 0, x, sweep=0)]
+    records = [_record(h, 0, p, sweep=0)]
     status = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         i = (k - 1) % h.n_blocks
-        x = h.exact_block_min(x, i)
-        rec = _record(h, k, x, sweep=(k + h.n_blocks - 1) // h.n_blocks, block=i,
+        p = h.evaluate(h.exact_block_min(p, i))
+        rec = _record(h, k, p, sweep=(k + h.n_blocks - 1) // h.n_blocks, block=i,
                       wall_time=time.perf_counter() - t_start)
         records.append(rec)
         if h.is_smooth() and rec.grad_norm <= cfg.grad_tolerance:
@@ -311,49 +306,48 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     if not h.is_smooth():
         raise NonSmoothUnsupported("accelerated solver supports g == 0 only")
     mu = cfg.mu_assumed
-    x = np.asarray(x0, dtype=float).copy()
-    v = x.copy()
-    model = QuadraticLowerModel(center=x.copy())
+    x0 = np.array(x0, dtype=float)
+    x = v = h.evaluate(x0)
+    model = QuadraticLowerModel(center=x0.copy())
     t_start = time.perf_counter()
-    records = [_record(h, 0, x, a=0.0, a_sum=0.0, tau=1.0, v=x.copy(), psi_min=0.0)]
+    records = [_record(h, 0, x, a=0.0, a_sum=0.0, tau=1.0, v=x0.copy(), psi_min=0.0)]
     status = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         if _target_met(h, records[-1], cfg):
             status = "target_gap"
             break
-        beta, y, f_y = exact_line_search(h, x, v, f_x=records[-1].composite_value)
-        grad_y = h.full_gradient(y)
-        if float(np.linalg.norm(grad_y)) <= cfg.grad_tolerance:
+        beta, y = exact_line_search(h, x, v)
+        if float(np.linalg.norm(y.g)) <= cfg.grad_tolerance:
             status = "grad_tolerance"
             break
-        i = greedy_block(h, grad_y)
-        x_next = h.exact_block_min(y, i)
-        rec = _record(h, k, x_next, block=i, beta=beta, y=y, f_y=f_y, grad_y=grad_y)
+        i = greedy_block(h, y.g)
+        x_next = h.evaluate(h.exact_block_min(y, i))
+        rec = _record(h, k, x_next, block=i, beta=beta, y=y.x, f_y=y.f, grad_y=y.g)
         try:
             if cfg.l_known is not None:
                 a = choose_a_known_L(model.a_sum, model.tau, mu, cfg.l_known, h.n_blocks)
             else:
-                a = choose_a_adaptive(f_y, rec.composite_value, grad_y, y, model.a_sum,
-                                      model.tau, mu, v)
+                a = choose_a_adaptive(y.f, rec.composite_value, y.g, y.x, model.a_sum,
+                                      model.tau, mu, v.x)
         except NoPositiveRoot:
             status = "converged"
             break
         if not math.isfinite(a) or a > _STATE_LIMIT:
             status = "diverged"
             break
-        center = model.update(a, y, grad_y, f_y, mu)
+        center = model.update(a, y.x, y.g, y.f, mu)
         if cfg.momentum_rule == "proof":
-            v = center.copy()
+            v_next = center.copy()
         else:
-            v = v - a * grad_y
-        if not np.all(np.isfinite(v)) or float(np.abs(v).max()) > _STATE_LIMIT:
+            v_next = v.x - a * y.g
+        if not np.all(np.isfinite(v_next)) or float(np.abs(v_next).max()) > _STATE_LIMIT:
             # the plain momentum update can run away when mu > 0; the
             # lower-model minimizer update (the default) cannot
             status = "diverged"
             break
-        x = x_next
+        x, v = x_next, h.evaluate(v_next)
         rec.a, rec.a_sum, rec.tau, rec.psi_min = a, model.a_sum, model.tau, model.min_value
-        rec.v, rec.wall_time = v.copy(), time.perf_counter() - t_start
+        rec.v, rec.wall_time = v_next.copy(), time.perf_counter() - t_start
         records.append(rec)
     return SolverTrace("aam", records, status, cfg, h.n_blocks)
 
@@ -368,8 +362,7 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
         raise MissingL("fast gradient method needs a known L")
     if not h.is_smooth():
         raise NonSmoothUnsupported("fast gradient method supports g == 0 only")
-    z = np.asarray(x0, dtype=float).copy()
-    v = z.copy()
+    z = v = h.evaluate(np.array(x0, dtype=float))
     t_start = time.perf_counter()
     records = [_record(h, 0, z)]
     status = "max_iters"
@@ -380,12 +373,13 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
         if _target_met(h, records[-1], cfg):
             status = "target_gap"
             break
-        z_new = v - h.full_gradient(v) / l_const
+        z_new = v.x - v.g / l_const
         if not np.all(np.isfinite(z_new)) or float(np.abs(z_new).max()) > _STATE_LIMIT:
             status = "diverged"  # possible when the supplied L is too small
             break
-        v = z + (k / (k + 3.0)) * (z_new - z)
-        z = z_new
-        records.append(_record(h, k + 1, z, v=v.copy(),
+        z_next = h.evaluate(z_new)
+        v = h.affine(z, z_next, k / (k + 3.0))
+        z = z_next
+        records.append(_record(h, k + 1, z, v=v.x.copy(),
                                wall_time=time.perf_counter() - t_start))
     return SolverTrace("fgm", records, status, cfg, h.n_blocks)

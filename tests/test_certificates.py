@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from blockmin import (QuadraticSplitProblem, SolverConfig, check_aam_Ak,
-                      check_aam_adaptive, check_aam_main, check_am_linear,
-                      check_am_sublinear, check_nearly_pl,
-                      estimate_empirical_rate, make_composite, run_aam, run_am)
+                      check_aam_adaptive, check_aam_main, check_aam_recurrence,
+                      check_am_linear, check_am_sublinear, check_nearly_pl,
+                      estimate_empirical_rate, make_composite, make_quadratic,
+                      run_aam, run_am)
 from blockmin.errors import MissingConstants, TooShort
 from blockmin.solvers import IterationRecord, SolverTrace
 
@@ -140,6 +141,37 @@ class TestAamAdaptive:
                         SolverConfig(max_iters=60))
         rep = check_aam_adaptive(trace, nonlinear20.pl_constant, 0.0)
         assert rep.passed, rep.worst_slack
+
+
+def direct_psi(trace, mu):
+    """psi_k(v^k) summed from its definition for every k, in O(k^2 dim)."""
+    recs = trace.records
+    x0 = recs[0].x
+    out = []
+    for k in range(1, len(recs)):
+        v = recs[k].v
+        psi = 0.5 * float((v - x0) @ (v - x0))
+        for j in range(1, k + 1):
+            dev = v - recs[j].y
+            psi += recs[j].a * (recs[j].f_y + float(recs[j].grad_y @ dev)
+                                + 0.5 * mu * float(dev @ dev))
+        out.append(psi)
+    return np.array(out)
+
+
+class TestAamRecurrence:
+    def test_running_sums_match_the_direct_form(self):
+        # the acceptance runs: two quadratics, mu = 0 and mu > 0, both rules
+        for dim in (8, 16):
+            p = make_quadratic(seed=dim, dim=dim, cond_number=100.0)
+            for mu in (0.0, p.mu_global):
+                for l_known in (None, p.l_global):
+                    cfg = SolverConfig(max_iters=60, mu_assumed=mu, l_known=l_known)
+                    trace = run_aam(p.handle(), p.default_start, cfg)
+                    psi = np.array([r.bound_value for r in check_aam_recurrence(trace, mu).rows])
+                    direct = direct_psi(trace, mu)
+                    assert psi.size == direct.size == 60
+                    assert np.all(np.abs(psi - direct) <= 1e-12 * np.abs(direct))
 
 
 class TestAmSublinear:

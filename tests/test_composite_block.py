@@ -112,7 +112,7 @@ def test_block_argmin_meets_kkt_and_matches_coordinate_descent(n, i, point_seed,
     if term.is_zero:
         return
     x = point(p, point_seed, scale)
-    out = p.block_argmin(x, i)
+    out = p.block_argmin(p.handle().evaluate(x), i)
     idx = p.partition.blocks[i]
     gram, lin = block_problem(p, x, i)
     z = out[idx]
@@ -129,7 +129,7 @@ def test_block_argmin_meets_kkt_and_matches_coordinate_descent(n, i, point_seed,
 def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     p = problem(2)
     x = point(p, 7, 1.0)
-    expected = [p.block_argmin(x, i) for i in (0, 1)]
+    expected = [p.block_argmin(p.handle().evaluate(x), i) for i in (0, 1)]
     pattern_solve = problems._pattern_solve
     calls = []
 
@@ -142,7 +142,7 @@ def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     monkeypatch.setattr(problems, "_pattern_solve", warm_start_fails)
     for i in (0, 1):
         calls.clear()
-        out = p.block_argmin(x, i)
+        out = p.block_argmin(p.handle().evaluate(x), i)
         assert len(calls) >= 2
         assert np.abs(out - expected[i]).max() <= 1e-12 * (1.0 + np.abs(out).max())
 
@@ -173,7 +173,7 @@ def test_step_cap_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(problems, "_pattern_solve", lambda *args: None)
     for i in (0, 1):
         with pytest.raises(SolverError, match="no pattern that meets the KKT conditions"):
-            p.block_argmin(x, i)
+            p.block_argmin(p.handle().evaluate(x), i)
     # the CLI gets the built instance, so the failure comes from AM's block step
     monkeypatch.setattr(cli, "make_composite", lambda *args, **kwargs: p)
     cfg = {"instance": {"kind": "composite"},

@@ -32,19 +32,20 @@ def four_block_quadratic(seed=0, dim=16, cond=80.0, merged=False):
     def block_grad(x, i):
         return 2.0 * (w[:, part.blocks[i]].T @ (w @ x - b))
 
-    def block_argmin(x, i):
+    def block_argmin(p, i):
         idx = part.blocks[i]
         cols = w[:, idx]
-        rest = x.copy()
+        rest = p.x.copy()
         rest[idx] = 0.0
-        out = x.copy()
+        out = p.x.copy()
         out[idx] = np.linalg.solve(cols.T @ cols, cols.T @ (b - w @ rest))
         return out
 
-    def line_min(x, d):
+    def line_min(p, q):
+        d = q.x - p.x
         wd = w @ d
         curv = 2.0 * float(wd @ wd)
-        return 0.0 if curv == 0.0 else -float(2.0 * (w.T @ (w @ x - b)) @ d) / curv
+        return 0.0 if curv == 0.0 else -float(2.0 * (w.T @ (w @ p.x - b)) @ d) / curv
 
     handle = ObjectiveHandle(
         partition=part, smooth_value=smooth, block_gradient=block_grad,

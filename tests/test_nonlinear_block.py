@@ -64,7 +64,7 @@ def test_block_argmin_is_exact_descends_and_keeps_other_block(seed, shape, point
                                                               scale, i):
     p = problem(seed, shape)
     x = point(p, point_seed, scale)
-    z = p.block_argmin(x, i)
+    z = p.block_argmin(p.handle().evaluate(x), i)
     f_x = p.smooth_value(x)
     f_z, g_z = p.value_and_gradient(z)
     idx = p.partition.blocks[i]
@@ -83,7 +83,7 @@ def test_block_value_matches_trust_region_reference(seed, shape, point_seed, sca
     # can have several local minima, and the two methods may pick different ones
     p = problem(seed, shape)
     x = point(p, point_seed, scale)
-    f_newton = p.smooth_value(p.block_argmin(x, i))
+    f_newton = p.smooth_value(p.block_argmin(p.handle().evaluate(x), i))
     f_ref = p.smooth_value(trust_exact_block_min(p, x, i))
     assert abs(f_newton - f_ref) <= 1e-13 * (1.0 + f_ref)
 
@@ -95,7 +95,7 @@ def test_indefinite_block_hessian_is_shifted():
     x = point(p, 3, 3.0)
     idx = p.partition.blocks[0]
     assert np.linalg.eigvalsh(block_hessian(p, x, idx))[0] < 0.0
-    z = p.block_argmin(x, 0)
+    z = p.block_argmin(p.handle().evaluate(x), 0)
     f_z, g_z = p.value_and_gradient(z)
     assert np.linalg.norm(g_z[idx]) <= 1e-12 * (1.0 + f_z)
     assert f_z < p.smooth_value(x)

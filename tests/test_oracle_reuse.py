@@ -1,15 +1,20 @@
 """Each point is evaluated once: the value-and-gradient hook gives the same
-floats as the per-block oracles, the solvers give the same traces with and
-without it, and the calls per iteration stay at what the methods need."""
+floats as the per-block oracles, the affine hook gives f and grad f at a
+combination of two points to rounding, the solvers give the same traces with
+and without the hooks, and the calls per iteration stay at what the methods
+need."""
 
 import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockmin import (BlockPartition, ObjectiveHandle, SolverConfig,
-                      exact_line_search, make_quadratic, run_aam, run_am, run_fgm)
+from blockmin import (BlockPartition, CompositeQuadraticProblem, ObjectiveHandle,
+                      SolverConfig, exact_line_search, make_composite, make_quadratic,
+                      make_rank_deficient, run_aam, run_am, run_fgm)
 from blockmin.errors import DimensionMismatch
 
 # an upper bound on the smoothness constant of the nonlinear fixture, which
@@ -23,7 +28,7 @@ def problem(request):
 
 
 def without_hook(h):
-    return dataclasses.replace(h, value_and_gradient=None)
+    return dataclasses.replace(h, value_and_gradient=None, affine_value_and_gradient=None)
 
 
 class TestValueAndGradientHook:
@@ -34,20 +39,20 @@ class TestValueAndGradientHook:
         plain = without_hook(h)
         for _ in range(5):
             x = p.default_start + rng.standard_normal(h.dim)
-            f, g = h.value_and_gradient(x)
+            f, g = h.value_and_gradient(x)[:2]
             assert f == h.smooth_value(x)
             assert np.array_equal(g, plain.full_gradient(x))
-            f_eval, g_eval = h.evaluate(x)
-            assert f_eval == f and np.array_equal(g_eval, g)
+            point = h.evaluate(x)
+            assert point.f == f and np.array_equal(point.g, g)
             assert np.array_equal(h.full_gradient(x), g)
 
     def test_evaluate_without_hook(self):
         part = BlockPartition.contiguous([1, 2])
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: float(x @ x),
                             block_gradient=lambda x, i: 2 * x[part.blocks[i]])
-        f, g = h.evaluate(np.array([1.0, -2.0, 3.0]))
-        assert f == 14.0
-        np.testing.assert_array_equal(g, [2.0, -4.0, 6.0])
+        point = h.evaluate(np.array([1.0, -2.0, 3.0]))
+        assert point.f == 14.0
+        np.testing.assert_array_equal(point.g, [2.0, -4.0, 6.0])
 
     def test_hook_gradient_shape_checked(self, quad16):
         h = dataclasses.replace(quad16.handle(),
@@ -65,12 +70,56 @@ class TestValueAndGradientHook:
         assert h.composite_value(x, smooth=f + 1.0) == h.composite_value(x) + 1.0
 
     def test_line_search_returns_value_at_result(self, quad16, rng):
+        # exact without the hooks; to rounding when y is an affine point
         h = quad16.handle()
-        for _ in range(10):
-            x = quad16.x_star + rng.standard_normal(16)
-            v = quad16.x_star + rng.standard_normal(16)
-            _, y, f_y = exact_line_search(h, x, v, f_x=h.smooth_value(x))
-            assert f_y == h.smooth_value(y)
+        for hh in (without_hook(h), h):
+            for _ in range(10):
+                x = quad16.x_star + rng.standard_normal(16)
+                v = quad16.x_star + rng.standard_normal(16)
+                _, y = exact_line_search(hh, hh.evaluate(x), hh.evaluate(v))
+                f = h.smooth_value(y.x)
+                if hh is h:
+                    assert abs(y.f - f) <= 1e-13 * (1.0 + f)
+                else:
+                    assert y.f == f
+
+
+def _four_block_quadratic():
+    q = make_quadratic(0, 16, 100.0)
+    return CompositeQuadraticProblem(
+        W=q.W, b=q.b, partition=BlockPartition.contiguous([4] * 4), terms=None,
+        x_star=q.x_star, f_star=q.f_star, l_global=q.l_global, mu_global=q.mu_global,
+        default_start=q.default_start)
+
+
+# least-squares problems whose handles combine points: quadratic, rank
+# deficient, composite (the smooth part is the same) and four blocks
+AFFINE_PROBLEMS = [make_quadratic(3, 16, 200.0), make_rank_deficient(5, 16, 12),
+                   make_composite(11, 12, 0.4, ("l1", "box")), _four_block_quadratic()]
+EPS = np.finfo(float).eps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(0, len(AFFINE_PROBLEMS) - 1), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), t=st.floats(0.0, 1.0))
+def test_affine_point_matches_a_fresh_evaluation(n, seed, scale, t):
+    # |r| <= s = |W| (|p.x| + |q.x|) + |b| termwise on the whole segment; each
+    # residual is a sum of at most dim + 1 terms that size, so f and g of the
+    # affine point stay within 8 dim eps of the terms of r.r and 2 W^T r
+    prob = AFFINE_PROBLEMS[n]
+    h = prob.handle()
+    rng = np.random.default_rng(seed)
+    p = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
+    q = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
+    combined = h.affine(p, q, t)
+    fresh = h.evaluate(p.x + t * (q.x - p.x))
+    assert np.array_equal(combined.x, fresh.x)
+    absw = np.abs(prob.W)
+    s = absw @ (np.abs(p.x) + np.abs(q.x)) + np.abs(prob.b)
+    tol = 8.0 * h.dim * EPS
+    assert abs(combined.f - fresh.f) <= tol * float(s @ s)
+    assert np.all(np.abs(combined.g - fresh.g) <= tol * 2.0 * (absw.T @ s))
+    assert np.all(np.abs(combined.cache - fresh.cache) <= tol * s)
 
 
 def _solver_runs(p):
@@ -89,9 +138,13 @@ def _solver_runs(p):
 
 
 def test_traces_identical_with_and_without_hook(problem):
-    _, p = problem
+    # the runs that combine no points: every solver on the nonlinear system,
+    # which has no affine hook, and AM everywhere
+    name, p = problem
     h = p.handle()
     for label, run in _solver_runs(p):
+        if label != "am" and name != "nonlinear20":
+            continue
         with_hook, plain = run(h), run(without_hook(h))
         assert with_hook.status == plain.status, label
         assert len(with_hook.records) == len(plain.records), label
@@ -100,8 +153,28 @@ def test_traces_identical_with_and_without_hook(problem):
                 assert getattr(r1, attr) == getattr(r2, attr), (label, r1.k, attr)
 
 
+@pytest.mark.parametrize("name", ["quad16", "rankdef16"])
+def test_combined_points_track_the_hook_free_run(name, request):
+    # AAM and FGM on least squares combine points through the affine hook;
+    # over 12 iterations they make the choices of the hook-free run, and F
+    # agrees to rounding
+    p = request.getfixturevalue(name)
+    h = p.handle()
+    for label, run in _solver_runs(p)[1:]:
+        combined, plain = run(h), run(without_hook(h))
+        assert combined.status == plain.status, label
+        assert len(combined.records) == len(plain.records), label
+        for r1, r2 in zip(combined.records, plain.records):
+            assert r1.block == r2.block, (label, r1.k)
+            if r2.beta is not None:
+                assert (r1.beta in (0.0, 1.0)) == (r2.beta in (0.0, 1.0)), (label, r1.k)
+                assert abs(r1.beta - r2.beta) <= 1e-10, (label, r1.k)
+            f = r2.composite_value
+            assert abs(r1.composite_value - f) <= 1e-12 * (1.0 + abs(f)), (label, r1.k)
+
+
 _ORACLES = ("smooth_value", "block_gradient", "block_argmin", "line_minimizer",
-            "value_and_gradient")
+            "value_and_gradient", "affine_value_and_gradient")
 
 
 def counted(h):
@@ -140,7 +213,8 @@ class TestOracleCounts:
             quad32.handle(), lambda h, c: run_am(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n))
         assert calls == {"value_and_gradient": 1, "block_argmin": 1, "smooth_value": 0,
-                         "block_gradient": 0, "line_minimizer": 0}
+                         "block_gradient": 0, "line_minimizer": 0,
+                         "affine_value_and_gradient": 0}
 
     @pytest.mark.parametrize("known_l", [False, True])
     def test_aam(self, quad32, known_l):
@@ -148,15 +222,20 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_aam(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n, l_known=l_known))
-        assert calls == {"value_and_gradient": 2, "smooth_value": 2, "line_minimizer": 1,
-                         "block_argmin": 1, "block_gradient": 0}
+        # the record's x_next and the momentum point v are evaluated; y and
+        # the line search's other candidate are affine points
+        assert calls == {"value_and_gradient": 2, "smooth_value": 0, "line_minimizer": 1,
+                         "block_argmin": 1, "block_gradient": 0,
+                         "affine_value_and_gradient": 2}
 
     def test_fgm(self, quad32):
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_fgm(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n, l_known=quad32.l_global))
-        assert calls == {"value_and_gradient": 2, "smooth_value": 0, "block_gradient": 0,
-                         "block_argmin": 0, "line_minimizer": 0}
+        # z is evaluated; the momentum point is an affine point
+        assert calls == {"value_and_gradient": 1, "smooth_value": 0, "block_gradient": 0,
+                         "block_argmin": 0, "line_minimizer": 0,
+                         "affine_value_and_gradient": 1}
 
     def test_aam_without_hook(self, quad32):
         calls = calls_per_iteration(

@@ -36,7 +36,7 @@ class TestMakeQuadratic:
             assert quad16.f_star <= quad16.smooth_value(x) + 1e-12
 
     def test_first_order_conditions(self, quad16):
-        assert np.linalg.norm(quad16.full_grad(quad16.x_star)) <= 1e-10
+        assert np.linalg.norm(quad16.handle().full_gradient(quad16.x_star)) <= 1e-10
 
     def test_deterministic(self):
         p1 = make_quadratic(seed=9, dim=8, cond_number=10.0)
@@ -62,7 +62,7 @@ class TestRankDeficient:
         assert rankdef16.lambda_min_plus > 0.0
 
     def test_minimum_norm_solution(self, rankdef16):
-        grad = rankdef16.full_grad(rankdef16.x_star)
+        grad = rankdef16.handle().full_gradient(rankdef16.x_star)
         assert np.linalg.norm(grad) <= 1e-9
 
     def test_bad_rank(self):
@@ -102,6 +102,26 @@ class TestMakeComposite:
         f_b = _composite_value(p.W, p.b, p.terms, p.partition, x_b)
         assert abs(f_a - f_b) <= 1e-10 * (1 + abs(f_a))
 
+    def test_reference_stops_at_the_rounding_floor(self, monkeypatch):
+        # at condition number 1e5 the reference's mapping norm floors above
+        # 1e-12 (2.5e-12 at best over 60,000 steps); stopping at the rounding
+        # floor takes ~10,000 steps
+        from blockmin import problems
+        fista, steps = problems._fista, []
+
+        def counted(*args):
+            steps.append(0)
+            for x in fista(*args):
+                steps[-1] += 1
+                if steps[-1] > 20_000:
+                    raise AssertionError("a FISTA run went past 20,000 steps")
+                yield x
+
+        monkeypatch.setattr(problems, "_fista", counted)
+        p = make_composite(1, 256, 0.4, ("l1", "box"), cond_number=1e5)
+        res = prox_map(p.handle(), p.x_star, 0, p.l_global)
+        assert np.linalg.norm(res.g_map) <= 1e-8
+
     def test_optimum_mapping_norm(self, composite12):
         res = prox_map(composite12.handle(), composite12.x_star, 0, composite12.l_global)
         assert np.linalg.norm(res.g_map) <= 1e-10 * composite12.l_global
@@ -115,7 +135,7 @@ class TestMakeComposite:
         p = composite12
         h = p.handle()
         x = rng.standard_normal(12)
-        z = h.exact_block_min(x, 1)
+        z = h.exact_block_min(h.evaluate(x), 1)
         cols = p.W[:, 6:]
         rhs = cols.T @ (p.b - p.W[:, :6] @ x[:6])
         np.testing.assert_allclose(z[6:], np.linalg.solve(cols.T @ cols, rhs),
@@ -163,7 +183,7 @@ class TestNonlinearPl:
         h = p.handle()
         x = p.x_solution + 0.5 * rng.standard_normal(20)
         for i in range(2):
-            z = h.exact_block_min(x, i)
+            z = h.exact_block_min(h.evaluate(x), i)
             gn = np.linalg.norm(h.block_gradient(z, i))
             assert gn <= 1e-9 * (1 + abs(h.smooth_value(z)))
             idx = h.partition.blocks[1 - i]

@@ -120,7 +120,7 @@ class TestProxMap:
 class TestStationarity:
     def test_after_block_min(self, quad16):
         h = quad16.handle()
-        x = h.exact_block_min(quad16.default_start, 1)
+        x = h.exact_block_min(h.evaluate(quad16.default_start), 1)
         g = np.linalg.norm(h.full_gradient(x))
         assert stationarity_check(h, x, 1, 1.0) <= 1e-7 * (1 + g)
 

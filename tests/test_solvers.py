@@ -72,19 +72,19 @@ class TestRunAm:
 
 class TestExactLineSearch:
     def test_equal_points(self, quad16):
-        beta, y, _ = exact_line_search(quad16.handle(), quad16.x_star, quad16.x_star,
-                                       f_x=quad16.smooth_value(quad16.x_star))
+        h = quad16.handle()
+        beta, y = exact_line_search(h, h.evaluate(quad16.x_star), h.evaluate(quad16.x_star))
         assert beta == 0.0
-        np.testing.assert_allclose(y, quad16.x_star)
+        np.testing.assert_allclose(y.x, quad16.x_star)
 
     def test_symmetric_1d(self):
         part = BlockPartition.contiguous([1])
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: float(x[0] ** 2),
                             block_gradient=lambda x, i: 2 * x)
-        beta, y, _ = exact_line_search(h, np.array([1.0]), np.array([-1.0]), tol=1e-12,
-                                       f_x=1.0)
+        beta, y = exact_line_search(h, h.evaluate(np.array([1.0])),
+                                    h.evaluate(np.array([-1.0])), tol=1e-12)
         assert beta == pytest.approx(0.5, abs=1e-10)
-        assert y[0] == pytest.approx(0.0, abs=1e-10)
+        assert y.x[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_golden_matches_closed_form(self, quad16, rng):
         p = quad16
@@ -97,11 +97,11 @@ class TestExactLineSearch:
             v = p.x_star + rng.standard_normal(16)
             d = v - x
             wd = p.W @ d
-            beta_star = float(-p.full_grad(x) @ d / (2 * wd @ wd))
+            beta_star = float(-closed.full_gradient(x) @ d / (2 * wd @ wd))
             beta_star = min(1.0, max(0.0, beta_star))
-            b_closed, _, _ = exact_line_search(closed, x, v, f_x=p.smooth_value(x))
-            b_gold, _, _ = exact_line_search(numeric, x, v, tol=1e-12,
-                                             f_x=p.smooth_value(x))
+            b_closed, _ = exact_line_search(closed, closed.evaluate(x), closed.evaluate(v))
+            b_gold, _ = exact_line_search(numeric, numeric.evaluate(x), numeric.evaluate(v),
+                                          tol=1e-12)
             assert b_closed == pytest.approx(beta_star, abs=1e-8)
             assert b_gold == pytest.approx(beta_star, abs=1e-8)
 
@@ -110,8 +110,8 @@ class TestExactLineSearch:
         for _ in range(20):
             x = quad16.x_star + rng.standard_normal(16)
             v = quad16.x_star + rng.standard_normal(16)
-            _, y, _ = exact_line_search(h, x, v, f_x=h.smooth_value(x))
-            assert h.smooth_value(y) <= min(h.smooth_value(x), h.smooth_value(v)) + 1e-10
+            _, y = exact_line_search(h, h.evaluate(x), h.evaluate(v))
+            assert h.smooth_value(y.x) <= min(h.smooth_value(x), h.smooth_value(v)) + 1e-10
 
     def test_golden_section_quadratic(self):
         t = golden_section(lambda s: (s - 0.3) ** 2, 0.0, 1.0, tol=1e-12)
@@ -123,10 +123,10 @@ class TestExactLineSearch:
         for _ in range(30):
             x = quad16.x_star + rng.standard_normal(16)
             v = quad16.x_star + rng.standard_normal(16)
-            _, y, _ = exact_line_search(h, x, v, f_x=h.smooth_value(x))
-            g = h.full_gradient(y)
-            scale = np.linalg.norm(g) * np.linalg.norm(v - y)
-            assert float(g @ (v - y)) >= -1e-8 * (1 + scale)
+            _, y = exact_line_search(h, h.evaluate(x), h.evaluate(v))
+            g = h.full_gradient(y.x)
+            scale = np.linalg.norm(g) * np.linalg.norm(v - y.x)
+            assert float(g @ (v - y.x)) >= -1e-8 * (1 + scale)
 
 
 class TestGreedyBlock:
@@ -180,7 +180,7 @@ class TestCoefficientRules:
         h = quad16.handle()
         rng = np.random.default_rng(0)
         y = quad16.x_star + rng.standard_normal(16)
-        x_next = h.exact_block_min(y, 0)
+        x_next = h.exact_block_min(h.evaluate(y), 0)
         v = quad16.x_star + rng.standard_normal(16)
         for mu in (0.0, quad16.mu_global):
             a_sum, tau = 0.7, 1.0 + mu * 0.7
@@ -200,7 +200,7 @@ class TestCoefficientRules:
         rng = np.random.default_rng(1)
         y = quad16.x_star + rng.standard_normal(16)
         i = greedy_block(h, h.full_gradient(y))
-        x_next = h.exact_block_min(y, i)
+        x_next = h.exact_block_min(h.evaluate(y), i)
         a_known = choose_a_known_L(0.0, 1.0, 0.0, quad16.l_global, 2)
         a_adapt = choose_a_adaptive(h.smooth_value(y), h.smooth_value(x_next),
                                     h.full_gradient(y), y, 0.0, 1.0, 0.0, y)
