@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificates as certs
-from .errors import (BadDimension, BadShape, BlockminError, ConfigError, MissingL,
+from .errors import (BadDimension, BadShape, BlockminError, ConfigError,
                      SolverError, TraceParseError)
 from .problems import (make_composite, make_nonlinear_pl, make_quadratic,
                        make_rank_deficient)
@@ -197,8 +197,6 @@ def _run_one(method: str, info: InstanceInfo, cfg: SolverConfig) -> SolverTrace:
     if method == "aam":
         return run_aam(info.handle, info.x0, cfg)
     if method == "fgm":
-        if cfg.l_known is None and info.l_global is None:
-            raise MissingL("fgm needs l_known or an instance with a known L")
         return run_fgm(info.handle, info.x0, cfg)
     raise ConfigError(f"unknown solver method {method!r}")
 

@@ -11,11 +11,11 @@ Two families:
   The Hessian of the smooth part is 2 W^T W, so the declared constants carry
   that factor of two. Points carry their residual W x - b, so f and grad f
   at an affine combination of two points, the exact line minimizer and the
-  block step need no product with W. ``make_composite`` cross-validates the
-  optimum by two independent solves of the full problem: FISTA run to a
-  gradient-mapping norm at its rounding floor, and the active-set solve. Its
-  subclass QuadraticSplitProblem is the case with no terms (g = 0), split
-  into two equal blocks, with the optimum in closed form.
+  block step need no product with W. The constructor derives every constant
+  and the optimum; with terms, the optimum is cross-validated by two
+  independent solves: FISTA run to a gradient-mapping norm at its rounding
+  floor, and the active-set solve. Its subclass QuadraticSplitProblem is the
+  case with no terms (g = 0), split into two equal blocks.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction; blocks are
   minimized by a globalised Newton loop on the block Hessian.
@@ -52,14 +52,6 @@ def _design_matrix(rng: np.random.Generator, dim: int, cond_number: float) -> np
 # ---------------------------------------------------------------------------
 # least squares: ||W x - b||^2 plus per-block terms
 # ---------------------------------------------------------------------------
-
-def _composite_value(W, b, terms, partition, x) -> float:
-    r = W @ x - b
-    total = float(r @ r)
-    for i, idx in enumerate(partition.blocks):
-        total += float(terms[i].value(x[idx]))
-    return total
-
 
 def _term_arrays(terms, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-coordinate l1 weight and box bounds of ``terms`` (None = no terms):
@@ -216,20 +208,24 @@ class CompositeQuadraticProblem:
     """F(x) = ||W x - b||^2 + sum_i g_i(x_i) over the blocks of ``partition``,
     each g_i an l1, box or zero term; ``terms=None`` means every g_i = 0.
 
-    The columns of W in each block, the Cholesky factors of their Gram
-    matrices and the block constants L_i are built once, from W and the
-    partition.
+    The rest is built once, from these four: the spectrum of W^T W
+    (``l_global``, ``mu_global``, ``lambda_min_plus``), the columns of W in
+    each block with the Cholesky factors of their Gram matrices and the L_i,
+    and, unless both are given, ``x_star`` and ``f_star``: in closed form
+    with no terms (``lstsq`` when W is rank deficient), otherwise by FISTA
+    cross-validated by the active-set solve.
     """
 
     W: np.ndarray
     b: np.ndarray
     partition: BlockPartition
     terms: tuple | None
-    x_star: np.ndarray
-    f_star: float
-    l_global: float
-    mu_global: float
-    default_start: np.ndarray
+    x_star: np.ndarray | None = None
+    f_star: float | None = None
+    default_start: np.ndarray | None = None
+    l_global: float = field(init=False)
+    mu_global: float = field(init=False)
+    lambda_min_plus: float = field(init=False)
     l_blocks: tuple[float, ...] = field(init=False)
     _cols: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _facts: tuple[SpdFactorization, ...] = field(init=False, repr=False)
@@ -237,9 +233,39 @@ class CompositeQuadraticProblem:
 
     def __post_init__(self):
         self._bounds = _term_arrays(self.terms, self.partition)
+        self._spectrum_and_optimum()
         self._cols = tuple(self.W[:, idx] for idx in self.partition.blocks)
         self._facts = tuple(cholesky(c.T @ c) for c in self._cols)
         self.l_blocks = tuple(2.0 * spectral_extremes(f.source)[1] for f in self._facts)
+
+    def _spectrum_and_optimum(self):
+        """The global constants and, unless both are given, x_star and f_star.
+        W^T W lives only here, so it is freed before the block factors exist."""
+        gram = self.W.T @ self.W
+        lam = np.linalg.eigvalsh(gram)
+        positive = lam[lam > 1e-10 * max(1.0, lam[-1])]
+        full_rank = positive.size == lam.size
+        self.l_global = 2.0 * lam[-1]
+        self.mu_global = 2.0 * lam[0] if full_rank else 0.0
+        self.lambda_min_plus = float(positive[0])
+        if self.x_star is not None and self.f_star is not None:
+            return
+        value = ObjectiveHandle(self.partition, self.smooth_value, self.block_gradient,
+                                terms=self.terms).composite_value
+        if self.terms is None:
+            if full_rank:
+                x = solve_spd(cholesky(gram), self.W.T @ self.b)
+            else:
+                x = np.linalg.lstsq(self.W, self.b, rcond=None)[0]
+            self.x_star, self.f_star = x, value(x)
+            return
+        x_a = _fista_reference(self.W, self.b, *self._bounds, lam[-1])
+        x_b = _active_set_solve(gram, self.W.T @ self.b, np.zeros(lam.size),
+                                *self._bounds, lam[-1])
+        f_a, f_b = value(x_a), value(x_b)
+        if abs(f_a - f_b) > 1e-10 * (1.0 + abs(f_a)):
+            raise SolverError("reference optima disagree beyond tolerance")
+        self.x_star, self.f_star = (x_a, f_a) if f_a <= f_b else (x_b, f_b)
 
     @property
     def mu_blocks(self) -> tuple[float, ...]:
@@ -323,10 +349,8 @@ class CompositeQuadraticProblem:
 # doubled.
 @dataclass
 class QuadraticSplitProblem(CompositeQuadraticProblem):
-    """The smooth case g = 0 (``terms=None``) over two equal blocks, with the
-    optimum in closed form and the smallest positive eigenvalue of W^T W."""
-
-    lambda_min_plus: float = field(kw_only=True)
+    """The smooth case g = 0 (``terms=None``) over two equal blocks, with a
+    sublevel-set radius from the smallest positive eigenvalue of W^T W."""
 
     @classmethod
     def from_matrix(cls, W, b, rng: np.random.Generator | None = None
@@ -338,23 +362,10 @@ class QuadraticSplitProblem(CompositeQuadraticProblem):
         dim = W.shape[1]
         if dim % 2 != 0 or dim < 2:
             raise BadDimension("dimension must be even and >= 2")
-        gram = W.T @ W
-        lam = np.linalg.eigvalsh(gram)
-        positive = lam[lam > 1e-10 * max(1.0, lam[-1])]
-        full_rank = positive.size == dim
-        if full_rank:
-            x_star = solve_spd(cholesky(gram), W.T @ b)
-        else:
-            x_star = np.linalg.lstsq(W, b, rcond=None)[0]
-        res = W @ x_star - b
-        if rng is None:
-            rng = np.random.default_rng(0)
-        start = x_star + rng.standard_normal(dim)
-        return cls(
-            W=W, b=b, partition=BlockPartition.halves(dim), terms=None,
-            x_star=x_star, f_star=float(res @ res), l_global=2.0 * lam[-1],
-            mu_global=2.0 * lam[0] if full_rank else 0.0, default_start=start,
-            lambda_min_plus=float(positive[0]))
+        prob = cls(W=W, b=b, partition=BlockPartition.halves(dim), terms=None)
+        rng = np.random.default_rng(0) if rng is None else rng
+        prob.default_start = prob.x_star + rng.standard_normal(dim)
+        return prob
 
     def sublevel_radius(self, x0: np.ndarray) -> float:
         """Distance-to-solution-set radius of the f(x0) sublevel set.
@@ -412,7 +423,6 @@ def make_composite(seed: int, dim: int, gamma: float,
     rng = np.random.default_rng(seed)
     W = _design_matrix(rng, dim, cond_number)
     b = rng.standard_normal(dim)
-    partition = BlockPartition.halves(dim)
 
     def build_term(kind: str):
         if kind == "zero":
@@ -424,23 +434,10 @@ def make_composite(seed: int, dim: int, gamma: float,
         raise ValueError(f"unknown term kind {kind!r}")
 
     terms = tuple(build_term(k) for k in kinds)
-    gram = W.T @ W
-    lam = np.linalg.eigvalsh(gram)
-    l_global = 2.0 * lam[-1]
-
-    bounds = _term_arrays(terms, partition)
-    x_a = _fista_reference(W, b, *bounds, lam[-1])
-    x_b = _active_set_solve(gram, W.T @ b, np.zeros(dim), *bounds, lam[-1])
-    f_a = _composite_value(W, b, terms, partition, x_a)
-    f_b = _composite_value(W, b, terms, partition, x_b)
-    if abs(f_a - f_b) > 1e-10 * (1.0 + abs(f_a)):
-        raise SolverError("reference optima disagree beyond tolerance")
-    x_star, f_star = (x_a, f_a) if f_a <= f_b else (x_b, f_b)
-
-    start = np.clip(x_star + rng.standard_normal(dim), bounds[1], bounds[2])
-    return CompositeQuadraticProblem(
-        W=W, b=b, partition=partition, terms=terms, x_star=x_star, f_star=f_star,
-        l_global=l_global, mu_global=2.0 * lam[0], default_start=start)
+    prob = CompositeQuadraticProblem(W=W, b=b, partition=BlockPartition.halves(dim),
+                                     terms=terms)
+    prob.default_start = np.clip(prob.x_star + rng.standard_normal(dim), *prob._bounds[1:])
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +466,13 @@ class NonlinearEqPlProblem:
     amat: np.ndarray
     c: np.ndarray
     eps: float
-    mu_j: float
     partition: BlockPartition
     x_solution: np.ndarray
     default_start: np.ndarray
+
+    @property
+    def mu_j(self) -> float:
+        return (1.0 - self.eps) ** 2
 
     @property
     def n_residuals(self) -> int:
@@ -575,6 +575,5 @@ def make_nonlinear_pl(seed: int, n: int, m: int,
     c = -(amat @ x_solution + eps * np.sin(x_solution[:m]))
     start = x_solution + 0.4 * rng.standard_normal(n)
     return NonlinearEqPlProblem(
-        amat=amat, c=c, eps=eps, mu_j=(1.0 - eps) ** 2,
-        partition=BlockPartition.halves(n), x_solution=x_solution,
+        amat=amat, c=c, eps=eps, partition=BlockPartition.halves(n), x_solution=x_solution,
         default_start=start)

@@ -97,7 +97,6 @@ class IterationRecord:
     x: np.ndarray
     composite_value: float
     grad_norm: float
-    sweep: int | None = None
     block: int | None = None
     beta: float | None = None
     a: float | None = None
@@ -275,13 +274,12 @@ def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace
         raise NoBlockSolver("alternating minimization needs block_argmin")
     p = h.evaluate(np.array(x0, dtype=float))
     t_start = time.perf_counter()
-    records = [_record(h, 0, p, sweep=0)]
+    records = [_record(h, 0, p)]
     status = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         i = (k - 1) % h.n_blocks
         p = h.evaluate(h.exact_block_min(p, i))
-        rec = _record(h, k, p, sweep=(k + h.n_blocks - 1) // h.n_blocks, block=i,
-                      wall_time=time.perf_counter() - t_start)
+        rec = _record(h, k, p, block=i, wall_time=time.perf_counter() - t_start)
         records.append(rec)
         if h.is_smooth() and rec.grad_norm <= cfg.grad_tolerance:
             status = "grad_tolerance"

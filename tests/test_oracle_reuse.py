@@ -88,7 +88,6 @@ def _four_block_quadratic():
     q = make_quadratic(0, 16, 100.0)
     return CompositeQuadraticProblem(
         W=q.W, b=q.b, partition=BlockPartition.contiguous([4] * 4), terms=None,
-        x_star=q.x_star, f_star=q.f_star, l_global=q.l_global, mu_global=q.mu_global,
         default_start=q.default_start)
 
 

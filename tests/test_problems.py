@@ -90,16 +90,16 @@ class TestMakeComposite:
         assert np.linalg.norm(res.g_map) <= 1e-8
 
     def test_reference_methods_agree(self, composite12):
-        from blockmin.problems import (_active_set_solve, _composite_value,
-                                       _fista_reference, _term_arrays)
+        from blockmin.problems import (_active_set_solve, _fista_reference,
+                                       _term_arrays)
         p = composite12
         gram, lin = p.W.T @ p.W, p.W.T @ p.b
         lam = np.linalg.eigvalsh(gram)[-1]
         bounds = _term_arrays(p.terms, p.partition)
         x_a = _fista_reference(p.W, p.b, *bounds, lam)
         x_b = _active_set_solve(gram, lin, np.zeros(12), *bounds, lam)
-        f_a = _composite_value(p.W, p.b, p.terms, p.partition, x_a)
-        f_b = _composite_value(p.W, p.b, p.terms, p.partition, x_b)
+        value = p.handle().composite_value
+        f_a, f_b = value(x_a), value(x_b)
         assert abs(f_a - f_b) <= 1e-10 * (1 + abs(f_a))
 
     def test_reference_stops_at_the_rounding_floor(self, monkeypatch):
