@@ -22,7 +22,7 @@ from .proxmaps import (BoxTerm, L1Term, ProxMapResult, ProxPlResult, ZeroTerm,
                        stationarity_check)
 from .solvers import (IterationRecord, SolverConfig, SolverTrace,
                       choose_a_adaptive, choose_a_known_L, exact_line_search,
-                      golden_section, greedy_block, run_aam, run_am, run_fgm)
+                      greedy_block, run_aam, run_am, run_fgm)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "prox_pl_certificate", "d_monotonicity_check",
     "SolverConfig", "SolverTrace", "IterationRecord",
     "run_am", "run_aam", "run_fgm", "exact_line_search", "greedy_block",
-    "choose_a_known_L", "choose_a_adaptive", "golden_section",
+    "choose_a_known_L", "choose_a_adaptive",
     "CertificateReport", "CertificateRow",
     "check_am_linear", "check_nearly_pl", "check_aam_main", "check_aam_Ak",
     "check_aam_adaptive", "check_am_sublinear", "check_sufficient_decrease",

@@ -61,10 +61,10 @@ class CertificateReport:
 
 
 def _row(k: int, bound: float, measured: float, tol: float,
-         lower_bound: bool = False) -> CertificateRow:
+         lower_bound: bool = False, rounding: float = 0.0) -> CertificateRow:
     slack = (measured - bound) if lower_bound else (bound - measured)
     return CertificateRow(k=k, bound_value=bound, measured_value=measured, slack=slack,
-                          passed=slack >= -tol * (1.0 + abs(bound)))
+                          passed=slack >= -(tol * (1.0 + abs(bound)) + rounding))
 
 
 def _need(trace: SolverTrace, method: str, what: str):
@@ -220,8 +220,9 @@ def check_sufficient_decrease(h: ObjectiveHandle, trace: SolverTrace, l_blocks,
     return CertificateReport("sufficient_decrease", tuple(rows), tol)
 
 
-def check_aam_recurrence(trace: SolverTrace, mu: float,
-                         tol: float = 1e-7) -> CertificateReport:
+def check_aam_recurrence(trace: SolverTrace, mu: float, tol: float = 1e-7,
+                         value_rounding: Callable[[np.ndarray], float] = lambda x: 0.0
+                         ) -> CertificateReport:
     """A_k f(x^k) <= psi_k(v^k) with psi_k from its definition,
     psi_k(v) = ||v - x^0||^2 / 2 + sum_{j<=k} a_j (f(y_j) + <g_j, v - y_j> + mu/2 ||v - y_j||^2),
     g_j = grad f(y_j), in time linear in k.
@@ -231,11 +232,15 @@ def check_aam_recurrence(trace: SolverTrace, mu: float,
     and sum a_j ||v - y_j||^2 = A ||v - ybar||^2 + sum a_j ||y_j - ybar||^2,
     with the last two sums updated as ybar moves (West, Commun. ACM 22(9),
     1979). Sums about the origin cancel: a_j reaches 1e6 while psi_k stays
-    O(1), and they lose up to 5e-7 of psi_k on the acceptance traces."""
+    O(1), and they lose up to 5e-7 of psi_k on the acceptance traces.
+
+    value_rounding(x) bounds the rounding error of f(x), 0 by default. A row
+    weighs f(x^k) by A_k and f(y_j) by a_j, up to 1e29 at the rounding floor
+    of f, so it also allows A_k value_rounding(x^k) + sum_j a_j value_rounding(y_j)."""
     _need(trace, "aam", "aam_recurrence")
     recs = trace.records
     x0 = recs[0].x
-    a_sum = af_sum = spread = lin_offset = 0.0
+    a_sum = af_sum = spread = lin_offset = af_rounding = 0.0
     ybar = np.zeros_like(x0)
     ag_sum = np.zeros_like(x0)
     rows = []
@@ -248,7 +253,9 @@ def check_aam_recurrence(trace: SolverTrace, mu: float,
         dv = r.v - ybar
         psi = (0.5 * float((r.v - x0) @ (r.v - x0)) + af_sum + float(ag_sum @ dv) + lin_offset
                + 0.5 * mu * (a_sum * float(dv @ dv) + spread))
-        rows.append(_row(r.k, psi, r.a_sum * r.composite_value, tol))
+        af_rounding += a * value_rounding(y)
+        rows.append(_row(r.k, psi, r.a_sum * r.composite_value, tol,
+                         rounding=af_rounding + r.a_sum * value_rounding(r.x)))
     return CertificateReport("aam_recurrence", tuple(rows), tol)
 
 

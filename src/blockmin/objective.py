@@ -74,8 +74,8 @@ class BlockPartition:
 @dataclass(frozen=True, eq=False)
 class Point:
     """A point x of a handle's objective with f = f(x), g = grad f(x) and an
-    opaque per-problem cache (the residual W x - b for least squares; None
-    when the handle keeps none).
+    opaque per-problem cache (the residual W x - b for least squares, the pair
+    (r, J) for the nonlinear system; None when the handle keeps none).
 
     ObjectiveHandle.evaluate and ObjectiveHandle.affine make points. With a
     value_and_gradient hook, f, g and the cache come from one hook call when
@@ -130,7 +130,7 @@ class ObjectiveHandle:
         Oracle used by certificates to measure exact gaps.
     line_minimizer : callable (p, q) -> float, optional
         Unclipped minimizer of t -> f(p.x + t (q.x - p.x)) for Points p and q;
-        exact line searches use it instead of a numeric search when present
+        exact line searches use it instead of a slope search when present
         (closed form for quadratics, from p.g and the two caches).
     value_and_gradient : callable x -> (f, g) or (f, g, cache), optional
         f(x) and the full gradient of f in one pass, sharing the work the two

@@ -18,7 +18,8 @@ Two families:
   case with no terms (g = 0), split into two equal blocks.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction; blocks are
-  minimized by a globalised Newton loop on the block Hessian.
+  minimized by a globalised Newton loop on the block Hessian, built from the
+  residual and Jacobian each point carries.
 """
 
 from __future__ import annotations
@@ -277,6 +278,18 @@ class CompositeQuadraticProblem:
         r = self.W @ x - self.b
         return float(r @ r)
 
+    def value_rounding(self, x: np.ndarray) -> float:
+        """Bound on the rounding error of smooth_value(x): residual j is within
+        delta_j = (dim + 1) eps (sum_k |W_jk x_k| + |b_j|) of exact (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1), so
+        f is within 2 sqrt(f) |delta| + |delta|^2 + rows eps f."""
+        rows, dim = self.W.shape
+        eps = np.finfo(float).eps
+        delta = (dim + 1) * eps * float(np.linalg.norm(np.abs(self.W) @ np.abs(x)
+                                                       + np.abs(self.b)))
+        f = self.smooth_value(x)
+        return rows * eps * f + 2.0 * math.sqrt(f) * delta + delta * delta
+
     def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
         return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
 
@@ -492,36 +505,33 @@ class NonlinearEqPlProblem:
         r = self.residual(x)
         return float(r @ r)
 
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """One residual and Jacobian for f and grad f = 2 J^T r."""
-        r = self.residual(x)
-        return float(r @ r), 2.0 * (self.jacobian(x).T @ r)
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray, tuple]:
+        """f and grad f = 2 J^T r, and (r, J) as the point's cache."""
+        r, jac = self.residual(x), self.jacobian(x)
+        return float(r @ r), 2.0 * (jac.T @ r), (r, jac)
 
     def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.value_and_gradient(x)[1][self.partition.blocks[i]]
-
-    def _block_hessian(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        m = self.n_residuals
-        jac = self.jacobian(x)[:, idx]
-        hess = 2.0 * (jac.T @ jac)
-        r = self.residual(x)
-        curv = np.zeros(x.size)
-        curv[:m] = -self.eps * np.sin(x[:m]) * r
-        hess[np.arange(idx.size), np.arange(idx.size)] += 2.0 * curv[idx]
-        return hess
 
     def block_argmin(self, start: Point, i: int) -> np.ndarray:
         """Newton's method on block i from the Point start (Nocedal & Wright,
         Numerical Optimization, 2nd ed., sec. 3.4): shift the block Hessian
         until Cholesky succeeds, halve the step until f falls (within
         rounding), and stop once the block gradient is at its rounding floor or
-        a step no longer moves the iterate."""
-        idx = self.partition.blocks[i]
+        a step no longer moves the iterate. Each iterate carries its (r, J)."""
+        idx, m = self.partition.blocks[i], self.n_residuals
+        diag = np.arange(idx.size)
         p, f, g = start.x.copy(), start.f, start.g
+        r, jac = start.cache or (self.residual(p), self.jacobian(p))
         for _ in range(_NEWTON_MAX_STEPS):
             if float(np.linalg.norm(g[idx])) <= _NEWTON_GRAD_FLOOR * (1.0 + f):
                 break
-            hess = self._block_hessian(p, idx)
+            # 2 J_i^T J_i plus the diagonal 2 r_j d^2 g_j / dx_j^2 = -2 eps sin(x_j) r_j
+            jac_i = jac[:, idx]
+            hess = 2.0 * (jac_i.T @ jac_i)
+            curv = np.zeros(p.size)
+            curv[:m] = -self.eps * np.sin(p[:m]) * r
+            hess[diag, diag] += 2.0 * curv[idx]
             shift = 0.0
             while True:
                 try:
@@ -535,11 +545,11 @@ class NonlinearEqPlProblem:
                 trial[idx] = p[idx] - step
                 if np.array_equal(trial[idx], p[idx]):
                     return p
-                f_trial, g_trial = self.value_and_gradient(trial)
+                f_trial, g_trial, cache = self.value_and_gradient(trial)
                 if f_trial <= f + _NEWTON_F_ROUNDING * (1.0 + f):
                     break
                 step = 0.5 * step
-            p, f, g = trial, f_trial, g_trial
+            p, f, g, (r, jac) = trial, f_trial, g_trial, cache
         return p
 
     def handle(self) -> ObjectiveHandle:

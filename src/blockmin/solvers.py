@@ -12,38 +12,23 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import MissingL, NoBlockSolver, NonSmoothUnsupported, NoPositiveRoot
 from .objective import ObjectiveHandle, Point
 
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # iterate/coefficient magnitude beyond which a run is declared divergent,
 # far outside any sane optimization state yet small enough that the state
 # updates cannot overflow before the check fires
 _STATE_LIMIT = 1e50
 
-
-def golden_section(fun: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-10) -> float:
-    """Golden-section search for the minimizer of a unimodal fun on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - INV_GOLDEN * (b - a)
-    d = a + INV_GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - INV_GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_GOLDEN * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+# The slope search stops at a bracket this narrow or after this many probes.
+# Next to a minimizer the slopes are rounding noise and shrink the bracket
+# slowly: 20 to 40 probes within 1e-15 of the solution of make_nonlinear_pl,
+# against 3 to 7 in AAM runs on it to a gap of 1e-10.
+_LINE_SEARCH_TOL = 1e-10
+_LINE_SEARCH_MAX_PROBES = 40
 
 
 @dataclass(frozen=True)
@@ -57,8 +42,7 @@ class SolverConfig:
     unknown" mode; l_known = None selects the adaptive coefficient rule.
     momentum_rule chooses between the lower-model minimizer update ("proof",
     default) and the plain v - a * grad update ("literal"); the two coincide
-    when mu_assumed = 0. AAM's exact line search always uses the default
-    tolerance of exact_line_search.
+    when mu_assumed = 0.
     """
 
     max_iters: int = 100
@@ -162,27 +146,50 @@ class QuadraticLowerModel:
         return new_center
 
 
-def exact_line_search(h: ObjectiveHandle, p: Point, q: Point,
-                      tol: float = 1e-10) -> tuple[float, Point]:
+def exact_line_search(h: ObjectiveHandle, p: Point, q: Point) -> tuple[float, Point]:
     """Minimize f(p.x + beta (q.x - p.x)) over beta in [0, 1]; returns (beta, y).
 
-    Uses the handle's closed-form directional minimizer when available,
-    golden-section search otherwise. The candidates are p and the points
-    h.affine makes at beta and 1, so f at the result never exceeds f(p.x), nor
-    f(q.x) beyond rounding, and y carries its gradient.
+    The handle's line minimizer proposes one point between p and q. Without
+    one, Illinois regula falsi (Dowell & Jarratt, BIT 11(2), 1971) proposes
+    them, seeking a zero of phi'(t) = grad f(p.x + t d) . d from the slopes p
+    and q carry, while its bracket [lo, hi] has phi'(lo) < 0 < phi'(hi) (else
+    a convex phi is least at an end). y is the lowest of p, the proposed
+    points (only the lowest so far is kept) and q itself, so f(y) exceeds
+    neither f(p.x) nor f(q.x).
     """
     d = q.x - p.x
     if not np.any(d):
         return 0.0, p
+    beta, y = 0.0, p
     if h.line_minimizer is not None:
-        beta = float(h.line_minimizer(p, q))
-        beta = min(1.0, max(0.0, beta))
-    else:
-        beta = golden_section(lambda t: float(h.smooth_value(p.x + t * d)), 0.0, 1.0, tol)
-    candidates = [0.0, beta, 1.0]
-    points = [p] + [h.affine(p, q, t) for t in candidates[1:]]
-    best = int(np.argmin([pt.f for pt in points]))
-    return candidates[best], points[best]
+        t = float(h.line_minimizer(p, q))
+        if 0.0 < t < 1.0 and (z := h.affine(p, q, t)).f < p.f:
+            beta, y = t, z
+        return (1.0, q) if q.f < y.f else (beta, y)
+    lo, hi = 0.0, 1.0
+    s_lo, s_hi = float(p.g @ d), float(q.g @ d)
+    kept = 0  # the end the last probe left in place: -1 lo, 1 hi
+    for _ in range(_LINE_SEARCH_MAX_PROBES):
+        if not (s_lo < 0.0 < s_hi and hi - lo > _LINE_SEARCH_TOL):
+            break
+        t = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        if not lo < t < hi:
+            break  # the secant step rounds onto an end, whose slope is zero to rounding
+        z = h.affine(p, q, t)
+        if z.f < y.f:
+            beta, y = t, z
+        s = float(z.g @ d)
+        if s < 0.0:
+            lo, s_lo = t, s
+            if kept == 1:
+                s_hi *= 0.5  # hi kept twice in a row: the Illinois step
+            kept = 1
+        else:
+            hi, s_hi = t, s
+            if kept == -1:
+                s_lo *= 0.5
+            kept = -1
+    return (1.0, q) if q.f < y.f else (beta, y)
 
 
 def greedy_block(h: ObjectiveHandle, grad_y: np.ndarray) -> int:

@@ -6,6 +6,7 @@ from blockmin import (QuadraticSplitProblem, SolverConfig, check_aam_Ak,
                       check_am_linear, check_am_sublinear, check_nearly_pl,
                       estimate_empirical_rate, make_composite, make_quadratic,
                       run_aam, run_am)
+from blockmin import solvers
 from blockmin.errors import MissingConstants, TooShort
 from blockmin.solvers import IterationRecord, SolverTrace
 
@@ -172,6 +173,33 @@ class TestAamRecurrence:
                     direct = direct_psi(trace, mu)
                     assert psi.size == direct.size == 60
                     assert np.all(np.abs(psi - direct) <= 1e-12 * np.abs(direct))
+
+    def test_rounding_floor_is_not_a_violation(self):
+        # with mu > 0 and known L, A_k reaches 3e29 by k = 950 while f(x^k)
+        # is rounding noise of ~1e-28, so A_k f(x^k) exceeds psi_k by ~10
+        # without any fault in AAM; the rounding bound of f covers that
+        p = make_quadratic(0, 256, 100.0)
+        cfg = SolverConfig(max_iters=1000, mu_assumed=p.mu_global, l_known=p.l_global)
+        trace = run_aam(p.handle(), p.default_start, cfg)
+        assert check_aam_recurrence(trace, p.mu_global).first_failure > 900
+        rep = check_aam_recurrence(trace, p.mu_global, value_rounding=p.value_rounding)
+        assert rep.passed, (rep.first_failure, rep.worst_slack)
+
+    @pytest.mark.parametrize("mutant", ["beta_zero", "adaptive_times_1.5"])
+    def test_rounding_bound_still_catches_wrong_methods(self, mutant, monkeypatch):
+        # AAM with y = x (no momentum) or an adaptive coefficient 1.5 times
+        # too large breaks the recurrence long before the rounding floor
+        p = make_quadratic(0, 32, 1000.0)
+        if mutant == "beta_zero":
+            monkeypatch.setattr(solvers, "exact_line_search", lambda h, x, v: (0.0, x))
+        else:
+            rule = solvers.choose_a_adaptive
+            monkeypatch.setattr(solvers, "choose_a_adaptive", lambda *a: 1.5 * rule(*a))
+        for mu in (0.0, p.mu_global):
+            trace = run_aam(p.handle(), p.default_start,
+                            SolverConfig(max_iters=200, mu_assumed=mu))
+            rep = check_aam_recurrence(trace, mu, value_rounding=p.value_rounding)
+            assert rep.first_failure is not None and rep.first_failure <= 2, mu
 
 
 class TestAmSublinear:

@@ -66,7 +66,7 @@ def test_block_argmin_is_exact_descends_and_keeps_other_block(seed, shape, point
     x = point(p, point_seed, scale)
     z = p.block_argmin(p.handle().evaluate(x), i)
     f_x = p.smooth_value(x)
-    f_z, g_z = p.value_and_gradient(z)
+    f_z, g_z, _ = p.value_and_gradient(z)
     idx = p.partition.blocks[i]
     assert np.linalg.norm(g_z[idx]) <= 1e-12 * (1.0 + f_z)
     assert f_z <= f_x + 1e-15 * (1.0 + f_x)
@@ -96,7 +96,7 @@ def test_indefinite_block_hessian_is_shifted():
     idx = p.partition.blocks[0]
     assert np.linalg.eigvalsh(block_hessian(p, x, idx))[0] < 0.0
     z = p.block_argmin(p.handle().evaluate(x), 0)
-    f_z, g_z = p.value_and_gradient(z)
+    f_z, g_z, _ = p.value_and_gradient(z)
     assert np.linalg.norm(g_z[idx]) <= 1e-12 * (1.0 + f_z)
     assert f_z < p.smooth_value(x)
 

@@ -16,6 +16,7 @@ from blockmin import (BlockPartition, CompositeQuadraticProblem, ObjectiveHandle
                       SolverConfig, exact_line_search, make_composite, make_quadratic,
                       make_rank_deficient, run_aam, run_am, run_fgm)
 from blockmin.errors import DimensionMismatch
+from blockmin.solvers import _LINE_SEARCH_MAX_PROBES
 
 # an upper bound on the smoothness constant of the nonlinear fixture, which
 # declares none; AAM with known L and FGM need one
@@ -221,11 +222,13 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_aam(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n, l_known=l_known))
-        # the record's x_next and the momentum point v are evaluated; y and
-        # the line search's other candidate are affine points
+        # the record's x_next and the momentum point v are evaluated; y is an
+        # affine point, and the line search's candidate at 1 is v itself. At
+        # k = 6 the known-L run's line minimizer lies below 0, so y is x and
+        # no affine point is made
         assert calls == {"value_and_gradient": 2, "smooth_value": 0, "line_minimizer": 1,
                          "block_argmin": 1, "block_gradient": 0,
-                         "affine_value_and_gradient": 2}
+                         "affine_value_and_gradient": 0.8 if known_l else 1}
 
     def test_fgm(self, quad32):
         calls = calls_per_iteration(
@@ -235,6 +238,18 @@ class TestOracleCounts:
         assert calls == {"value_and_gradient": 1, "smooth_value": 0, "block_gradient": 0,
                          "block_argmin": 0, "line_minimizer": 0,
                          "affine_value_and_gradient": 1}
+
+    def test_aam_nonlinear(self, nonlinear20):
+        # no line minimizer and no affine hook: x_next, v and each probe of
+        # the slope search are evaluated once, and nothing calls the value alone
+        p = nonlinear20
+        calls = calls_per_iteration(
+            p.handle(), lambda h, c: run_aam(h, p.default_start, c),
+            lambda n: SolverConfig(max_iters=n))
+        probes = calls.pop("value_and_gradient") - 2
+        assert calls == {"smooth_value": 0, "block_gradient": 0, "block_argmin": 1,
+                         "line_minimizer": 0, "affine_value_and_gradient": 0}
+        assert 0 < probes <= _LINE_SEARCH_MAX_PROBES
 
     def test_aam_without_hook(self, quad32):
         calls = calls_per_iteration(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,20 @@ class TestMakeQuadratic:
         # restriction eigenvalues sit inside the global spectrum
         for li in quad16.l_blocks:
             assert quad16.mu_global <= li <= quad16.l_global + 1e-12
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-6, 1.0])
+    def test_value_rounding_bounds_the_error_of_f(self, quad16, scale):
+        # against f in exact rational arithmetic, also at x_star, where the
+        # computed f is rounding noise
+        p = quad16
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x = p.x_star + scale * rng.standard_normal(16)
+            w = [[Fraction(float(c)) for c in row] for row in p.W]
+            r = [sum((wj * Fraction(float(xj)) for wj, xj in zip(row, x)), -Fraction(float(bi)))
+                 for row, bi in zip(w, p.b)]
+            exact = sum(ri * ri for ri in r)
+            assert abs(Fraction(p.smooth_value(x)) - exact) <= Fraction(p.value_rounding(x))
 
 
 class TestRankDeficient:

@@ -1,15 +1,22 @@
+import dataclasses
+import functools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmin import (BlockPartition, ObjectiveHandle, SolverConfig,
                       check_aam_Ak, check_aam_recurrence, choose_a_adaptive,
-                      choose_a_known_L, exact_line_search, golden_section,
+                      choose_a_known_L, exact_line_search,
                       greedy_block, run_aam, run_am, run_fgm)
 from blockmin.errors import (MissingL, NoBlockSolver, NonSmoothUnsupported,
                              NoPositiveRoot)
-from blockmin.problems import make_quadratic
+from blockmin.problems import make_nonlinear_pl, make_quadratic
+from blockmin.solvers import _LINE_SEARCH_MAX_PROBES
+
+EPS = np.finfo(float).eps
 
 
 def explicit_am_iterates(p, x0, sweeps):
@@ -82,16 +89,18 @@ class TestExactLineSearch:
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: float(x[0] ** 2),
                             block_gradient=lambda x, i: 2 * x)
         beta, y = exact_line_search(h, h.evaluate(np.array([1.0])),
-                                    h.evaluate(np.array([-1.0])), tol=1e-12)
+                                    h.evaluate(np.array([-1.0])))
         assert beta == pytest.approx(0.5, abs=1e-10)
         assert y.x[0] == pytest.approx(0.0, abs=1e-10)
 
-    def test_golden_matches_closed_form(self, quad16, rng):
+    def test_slope_search_matches_closed_form(self, quad16, rng):
+        # on a quadratic the slope is affine in t, so the search's first
+        # secant step is the closed-form minimizer
         p = quad16
         closed = p.handle()
         numeric = ObjectiveHandle(
             partition=closed.partition, smooth_value=closed.smooth_value,
-            block_gradient=closed.block_gradient)  # no line_minimizer: golden path
+            block_gradient=closed.block_gradient)  # no line_minimizer: slope search
         for _ in range(10):
             x = p.x_star + rng.standard_normal(16)
             v = p.x_star + rng.standard_normal(16)
@@ -100,10 +109,9 @@ class TestExactLineSearch:
             beta_star = float(-closed.full_gradient(x) @ d / (2 * wd @ wd))
             beta_star = min(1.0, max(0.0, beta_star))
             b_closed, _ = exact_line_search(closed, closed.evaluate(x), closed.evaluate(v))
-            b_gold, _ = exact_line_search(numeric, numeric.evaluate(x), numeric.evaluate(v),
-                                          tol=1e-12)
-            assert b_closed == pytest.approx(beta_star, abs=1e-8)
-            assert b_gold == pytest.approx(beta_star, abs=1e-8)
+            b_slope, _ = exact_line_search(numeric, numeric.evaluate(x), numeric.evaluate(v))
+            assert b_closed == pytest.approx(beta_star, abs=1e-10)
+            assert b_slope == pytest.approx(beta_star, abs=1e-10)
 
     def test_never_worse_than_endpoints(self, quad16, rng):
         h = quad16.handle()
@@ -112,10 +120,6 @@ class TestExactLineSearch:
             v = quad16.x_star + rng.standard_normal(16)
             _, y = exact_line_search(h, h.evaluate(x), h.evaluate(v))
             assert h.smooth_value(y.x) <= min(h.smooth_value(x), h.smooth_value(v)) + 1e-10
-
-    def test_golden_section_quadratic(self):
-        t = golden_section(lambda s: (s - 0.3) ** 2, 0.0, 1.0, tol=1e-12)
-        assert t == pytest.approx(0.3, abs=1e-10)
 
     def test_optimality_inner_product(self, quad16, rng):
         # <grad f(y), v - y> >= 0 up to 1e-8 scaled, in all three cases
@@ -127,6 +131,74 @@ class TestExactLineSearch:
             g = h.full_gradient(y.x)
             scale = np.linalg.norm(g) * np.linalg.norm(v - y.x)
             assert float(g @ (v - y.x)) >= -1e-8 * (1 + scale)
+
+
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(fun, tol=1e-10):
+    """Reference minimizer of a unimodal fun on [0, 1] by golden-section search."""
+    a, b = 0.0, 1.0
+    c, d = b - INV_GOLDEN * (b - a), a + INV_GOLDEN * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_GOLDEN * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_GOLDEN * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+@functools.lru_cache(maxsize=None)
+def nonlinear(seed, shape):
+    return make_nonlinear_pl(seed, *shape)
+
+
+def value_rounding(p, x):
+    """Bound on the rounding error of p.smooth_value(x), as
+    CompositeQuadraticProblem.value_rounding bounds it for least squares: each
+    residual is within (n + 2) eps of the sum of its terms' magnitudes s."""
+    m = p.n_residuals
+    s = np.abs(p.amat) @ np.abs(x) + np.abs(p.c)
+    s[:m] += abs(p.eps) * np.abs(np.sin(x[:m]))
+    delta = (x.size + 2) * EPS * float(np.linalg.norm(s))
+    f = p.smooth_value(x)
+    return m * EPS * f + 2.0 * math.sqrt(f) * delta + delta * delta
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 7), shape=st.sampled_from([(20, 14), (100, 70), (200, 140)]),
+       point_seed=st.integers(0, 2**32 - 1),
+       scales=st.tuples(*[st.sampled_from([1e-15, 0.1, 0.25, 0.5])] * 2))
+@example(seed=0, shape=(200, 140), point_seed=0, scales=(1e-15, 1e-15))
+def test_slope_search_on_nonlinear_segments(seed, shape, point_seed, scales):
+    # the search reaches the golden-section reference's value to rounding,
+    # never rises above either end and stops within its probe cap, also
+    # next to the solution (scale 1e-15), where the slopes are rounding noise
+    p = nonlinear(seed, shape)
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return p.value_and_gradient(x)
+
+    h = dataclasses.replace(p.handle(), value_and_gradient=counted)
+    rng = np.random.default_rng(point_seed)
+    x, v = (p.x_solution + s * rng.standard_normal(p.x_solution.size) for s in scales)
+    a, b = h.evaluate(x), h.evaluate(v)
+    calls[0] = 0
+    beta, y = exact_line_search(h, a, b)
+    assert calls[0] <= _LINE_SEARCH_MAX_PROBES
+    assert y.f <= min(a.f, b.f)
+    assert y.f == p.smooth_value(y.x)
+    assert np.array_equal(y.x, {0.0: x, 1.0: v}.get(beta, x + beta * (v - x)))
+    t_ref = golden_section(lambda t: p.smooth_value(x + t * (v - x)))
+    x_ref = x + t_ref * (v - x)
+    assert y.f <= p.smooth_value(x_ref) + value_rounding(p, x_ref) + value_rounding(p, y.x)
 
 
 class TestGreedyBlock:
