@@ -6,7 +6,7 @@ Subcommands:
   (solver, instance) pair, write ``trace.csv`` and ``summary.json``.
 * ``verify --trace trace.csv --config cfg.json [--strict]`` -- re-check the
   configured certificates against a trace file; exit 0 only if none is
-  violated (with --strict, skipped certificates also fail).
+  violated (with --strict, skipped or vacuous certificates also fail).
 * ``figure --config cfg.json --out figure.csv`` -- gap-vs-iteration data for
   the four-method quadratic comparison (AM, accelerated AM with mu=0 and
   mu=mu*, fast gradient).
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
+import io
 import json
 import math
 import sys
@@ -40,6 +42,12 @@ CSV_HEADER = ["k", "solver", "f_gap", "grad_norm", "block", "beta", "a", "A",
               "tau", "bound_aam_main", "bound_am_linear", "wall_ms"]
 
 GAP_FLOOR = -1e-12
+
+MIN_ROWS = 5  # a certificate result with fewer rows is vacuous
+
+# the instance constants verify reads, as InstanceInfo.constants() gives them
+CONSTANTS = ("n_blocks", "f_star", "radius", "l_global", "l_blocks", "mu_blocks",
+             "mu_true", "sublevel_radius")
 
 
 def _fmt(value) -> str:
@@ -101,7 +109,8 @@ def _finite(spec: dict, key: str, default: float) -> float:
 
 
 class InstanceInfo:
-    """Resolved problem plus the constants certificates need; None means unknown."""
+    """Resolved problem plus the constants certificates need; None means unknown.
+    Given ``constants``, as ``constants()`` returns them, it builds no problem."""
 
     # the keys each instance kind accepts besides "kind"
     KEYS = {
@@ -111,7 +120,11 @@ class InstanceInfo:
         "nonlinear_pl": {"seed", "n", "m", "eps"},
     }
 
-    def __init__(self, spec: dict):
+    def __init__(self, spec: dict, constants: dict | None = None):
+        if constants is not None:
+            self.problem = self.handle = self.x0 = None
+            vars(self).update(constants)
+            return
         kind = spec.get("kind")
         if not isinstance(kind, str) or kind not in self.KEYS:
             raise ConfigError(f"unknown instance kind {kind!r}")
@@ -154,6 +167,14 @@ class InstanceInfo:
         self.mu_true = mu_true if mu_true and mu_true > 0 else None
         self.sublevel_radius = (prob.sublevel_radius(self.x0)
                                 if hasattr(prob, "sublevel_radius") else None)
+
+    def constants(self) -> dict:
+        """The constants as JSON values; a float's repr round-trips exactly."""
+        def plain(v):
+            if isinstance(v, (tuple, list)):
+                return [float(x) for x in v]
+            return v if v is None or isinstance(v, int) else float(v)
+        return {key: plain(getattr(self, key)) for key in CONSTANTS}
 
     def resolve_mu(self, raw) -> float:
         if raw in ("optimal", "true"):
@@ -219,7 +240,7 @@ def _bound_columns(method: str, rec: IterationRecord, info: InstanceInfo,
     return bound_main, bound_linear
 
 
-def write_trace_csv(path, runs, info: InstanceInfo, record_wall: bool):
+def trace_csv_text(runs, info: InstanceInfo, record_wall: bool) -> str:
     rows = []
     for name, method, cfg, trace in runs:
         gap0 = trace.records[0].composite_value - info.f_star
@@ -233,11 +254,17 @@ def write_trace_csv(path, runs, info: InstanceInfo, record_wall: bool):
                 _fmt(bound_main), _fmt(bound_linear),
                 _fmt(rec.wall_time * 1e3 if record_wall else 0.0)])
     rows.sort(key=lambda r: (r[1], r[0]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([str(r[0])] + [str(c) for c in r[1:]])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow([str(r[0])] + [str(c) for c in r[1:]])
+    return buf.getvalue()
+
+
+def write_trace_csv(path, text: str):
+    """Write the trace text as the exact bytes ``trace_sha256`` digests."""
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def read_trace_csv(path) -> dict[str, list[dict]]:
@@ -324,11 +351,46 @@ def cmd_run(config_path, out_dir) -> int:
             "wall_ms": trace.final.wall_time * 1e3,
         } for name, method, _, trace in runs],
     }
-    text = _json_text(summary, "summary")
-    write_trace_csv(out / "trace.csv", runs, info, bool(cfg.get("record_wall", False)))
+    trace_text = trace_csv_text(runs, info, bool(cfg.get("record_wall", False)))
+    summary["constants"] = info.constants()
+    summary["trace_sha256"] = hashlib.sha256(trace_text.encode("utf-8")).hexdigest()
+    text = _json_text(summary, "summary")  # refused before either file is written
+    write_trace_csv(out / "trace.csv", trace_text)
     (out / "summary.json").write_text(text + "\n", encoding="utf-8")
     print(f"wrote {out / 'trace.csv'} and {out / 'summary.json'}")
     return 0
+
+
+def recorded_constants(trace_path, spec: dict) -> dict | None:
+    """The constants in the summary.json beside the trace; None (rebuild the
+    instance) unless ``run`` wrote it for this instance object and these exact
+    trace bytes, with every constant a finite float, null where the instance
+    may lack it, and each per-block list n_blocks long."""
+    trace = Path(trace_path)
+    try:
+        summary = json.loads((trace.parent / "summary.json").read_text(encoding="utf-8"))
+        same_run = (isinstance(summary, dict)
+                    and json.dumps(summary.get("instance"), sort_keys=True)
+                    == json.dumps(spec, sort_keys=True)
+                    and summary.get("trace_sha256")
+                    == hashlib.sha256(trace.read_bytes()).hexdigest())
+    except (OSError, ValueError, RecursionError):
+        return None
+    found = summary.get("constants") if same_run else None
+    if not isinstance(found, dict) or set(found) != set(CONSTANTS):
+        return None
+    n = found["n_blocks"]
+
+    def real(v, nullable=True):
+        return (v is None and nullable) or (type(v) is float and math.isfinite(v))
+
+    ok = (type(n) is int and n >= 1 and real(found["f_star"], False)
+          and real(found["radius"], False)
+          and all(real(found[key]) for key in ("l_global", "mu_true", "sublevel_radius"))
+          and all(found[key] is None or (type(found[key]) is list and len(found[key]) == n
+                                         and all(real(v, False) for v in found[key]))
+                  for key in ("l_blocks", "mu_blocks")))
+    return found if ok else None
 
 
 def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
@@ -337,11 +399,13 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
     for kind in requested:
         if kind not in certs.CERTIFICATES:
             raise ConfigError(f"unknown certificate kind {kind!r}")
-    info = InstanceInfo(cfg["instance"])
+    constants = recorded_constants(trace_path, cfg["instance"])
+    info = InstanceInfo(cfg["instance"], constants)
     per_solver = read_trace_csv(trace_path)
     results = []
     violations = 0
     skipped = 0
+    vacuous = 0
     for entry in cfg["solvers"]:
         method = entry.get("method", entry.get("name"))
         name = entry.get("name", method)
@@ -384,12 +448,16 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
                 "worst_slack": report.worst_slack,
                 "first_failure_k": report.first_failure,
                 "rows": len(report.rows), "warnings": report.n_warnings})
+            if len(report.rows) < MIN_ROWS:
+                results[-1]["vacuous"] = True
+                vacuous += 1
             if not report.passed:
                 violations += 1
     report = {"trace": str(trace_path), "violations": violations,
-              "skipped": skipped, "results": results}
+              "skipped": skipped, "results": results,
+              "constants_from": "rebuild" if constants is None else "summary"}
     print(_json_text(report, "verify report"))
-    if violations or (strict and skipped):
+    if violations or (strict and (skipped or vacuous)):
         return 1
     return 0
 
@@ -448,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trace", required=True)
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--strict", action="store_true",
-                       help="treat skipped certificates as failures")
+                       help="treat skipped or vacuous certificates as failures")
     p_fig = sub.add_parser("figure", help="write the four-method comparison data")
     p_fig.add_argument("--config", required=True)
     p_fig.add_argument("--out", required=True, help="output CSV file")

@@ -41,6 +41,10 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+# beyond 1/eps, W^T W is singular in double precision; near 1e308 it overflows
+MAX_COND = 1.0 / np.finfo(float).eps
+
+
 def _design_matrix(rng: np.random.Generator, dim: int, cond_number: float) -> np.ndarray:
     """Dense W with singular values spanning [1, sqrt(cond_number)] exactly."""
     u = _orthogonal(rng, dim)
@@ -394,8 +398,8 @@ def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitPro
     """Seeded dense quadratic with eigenvalue ratio of W^T W == cond_number."""
     if dim % 2 != 0 or dim < 2:
         raise BadDimension("dim must be even and >= 2")
-    if not cond_number >= 1.0:  # written so that NaN fails too
-        raise BadDimension("cond_number must be >= 1")
+    if not 1.0 <= cond_number <= MAX_COND:  # written so that NaN fails too
+        raise BadDimension("cond_number must be in [1, 1/eps]")
     rng = np.random.default_rng(seed)
     W = _design_matrix(rng, dim, cond_number)
     b = rng.standard_normal(dim)
@@ -424,8 +428,8 @@ def make_composite(seed: int, dim: int, gamma: float,
     cross-validated by the active-set solve before it is trusted."""
     if not gamma >= 0.0:  # written so that NaN fails too
         raise ValueError("gamma must be >= 0")
-    if not cond_number >= 1.0:
-        raise BadDimension("cond_number must be >= 1")
+    if not 1.0 <= cond_number <= MAX_COND:
+        raise BadDimension("cond_number must be in [1, 1/eps]")
     if dim % 2 != 0 or dim < 4:
         raise BadDimension("dim must be even and >= 4")
     if len(kinds) != 2:

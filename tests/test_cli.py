@@ -1,11 +1,15 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from blockmin import cli
 from blockmin.cli import _json_text, main
 from blockmin.errors import SolverError
+
+SHIPPED = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 def base_config(tmp_path, **overrides):
@@ -83,6 +87,9 @@ class TestRun:
         for instance in ({"kind": "quadratic", "dim": 7},
                          {"kind": "quadratic", "dim": "abc"},
                          {"kind": "quadratic", "dim": 8, "cond_number": nan},
+                         # W^T W would overflow: a warning, and a traceback under -W error
+                         {"kind": "quadratic", "dim": 8, "cond_number": 1e308},
+                         {"kind": "composite", "dim": 8, "cond_number": 1e308},
                          {"kind": "nonlinear_pl", "n": 7, "m": 3},
                          {"kind": "composite", "dim": 8, "kinds": ["l2", "zero"]},
                          {"kind": "composite", "dim": 8, "kinds": ["l1"]},
@@ -278,6 +285,127 @@ class TestVerify:
             assert main(["verify", "--trace", str(trace), "--config", str(bad_path)]) == 2
             assert "'certificates' must be a list of strings" in capsys.readouterr().err
 
+    def test_vacuous_certificates_fail_strict(self, tmp_path, capsys):
+        # two AM sweeps and three AAM iterations: every certificate checks
+        # fewer than 5 rows, passes, and is flagged
+        solvers = [{"name": "am", "method": "am", "max_iters": 4},
+                   {"name": "aam0", "method": "aam", "max_iters": 3}]
+        cfg_path, _ = base_config(tmp_path, solvers=solvers)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        code, report = verify_report(out / "trace.csv", cfg_path, capsys)
+        assert code == 0 and report["violations"] == 0 and report["skipped"] == 0
+        ran = [r for r in report["results"] if "rows" in r]
+        assert {r["certificate"] for r in ran} == {
+            "am_linear_pl", "aam_main", "aam_Ak_growth", "aam_adaptive"}
+        assert all(r["rows"] < 5 and r["passed"] and r["vacuous"] is True for r in ran)
+        assert verify_report(out / "trace.csv", cfg_path, capsys, "--strict")[0] == 1
+
+
+def verify_report(trace, cfg_path, capsys, *extra):
+    """(exit code, parsed report) of verify on trace."""
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace), "--config", str(cfg_path), *extra])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def same_checks(a: dict, b: dict) -> bool:
+    return all(json.dumps(a[key]) == json.dumps(b[key])
+               for key in ("results", "violations", "skipped"))
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Names of the instance constructors blockmin.cli calls, in call order."""
+    calls = []
+    for name in ("make_quadratic", "make_rank_deficient", "make_composite",
+                 "make_nonlinear_pl"):
+        def counted(*args, _make=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+class TestRecordedConstants:
+    """verify reads the constants run recorded in summary.json only for the
+    same instance object and the exact trace bytes; it rebuilds otherwise."""
+
+    def test_summary_and_rebuild_agree_on_every_shipped_config(self, tmp_path, capsys,
+                                                                builds):
+        for cfg_path in SHIPPED:
+            out = tmp_path / cfg_path.stem
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            instance = json.loads(cfg_path.read_text())["instance"]
+            # bit for bit the constants of a fresh build
+            assert summary["constants"] == cli.InstanceInfo(instance).constants()
+            builds.clear()
+            code, from_summary = verify_report(out / "trace.csv", cfg_path, capsys,
+                                               "--strict")
+            assert (code, from_summary["constants_from"], builds) == (0, "summary", [])
+            alone = tmp_path / f"{cfg_path.stem}_alone"
+            alone.mkdir()
+            shutil.copy(out / "trace.csv", alone / "trace.csv")
+            code, rebuilt = verify_report(alone / "trace.csv", cfg_path, capsys, "--strict")
+            assert (code, rebuilt["constants_from"], len(builds)) == (0, "rebuild", 1)
+            assert same_checks(from_summary, rebuilt), cfg_path.name
+
+    def test_each_mismatch_rebuilds_once(self, tmp_path, capsys, builds):
+        cfg_path, _ = base_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        _, reference = verify_report(out / "trace.csv", cfg_path, capsys)
+
+        def other_instance(d):
+            summary = json.loads((d / "summary.json").read_text())
+            summary["instance"]["seed"] += 1
+            (d / "summary.json").write_text(json.dumps(summary))
+
+        def one_trace_byte(d):
+            data = bytearray((d / "trace.csv").read_bytes())
+            assert data[-3:] == b"0\r\n"  # wall_ms of the last row, which no check reads
+            data[-3:-2] = b"1"
+            (d / "trace.csv").write_bytes(bytes(data))
+
+        def no_summary(d):
+            (d / "summary.json").unlink()
+
+        for edit in (other_instance, one_trace_byte, no_summary):
+            d = tmp_path / edit.__name__
+            shutil.copytree(out, d)
+            edit(d)
+            builds.clear()
+            code, report = verify_report(d / "trace.csv", cfg_path, capsys)
+            assert (code, report["constants_from"], len(builds)) == (0, "rebuild", 1), \
+                edit.__name__
+            assert same_checks(report, reference), edit.__name__
+
+    def test_error_precedence_holds_with_a_summary(self, tmp_path, capsys, builds,
+                                                   monkeypatch):
+        cfg_path, cfg = base_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reads = []
+        read_trace = cli.read_trace_csv
+        monkeypatch.setattr(cli, "read_trace_csv",
+                            lambda path: reads.append(path) or read_trace(path))
+        builds.clear()
+        capsys.readouterr()
+        # an unknown certificate kind exits 2 before the trace is read
+        unknown_path, _ = base_config(tmp_path, certificates=["aam_main", "made_up"])
+        assert main(["verify", "--trace", str(out / "trace.csv"),
+                     "--config", str(unknown_path)]) == 2
+        assert "unknown certificate kind 'made_up'" in capsys.readouterr().err
+        assert (reads, builds) == ([], [])
+        # bad solver options exit 2 on the summary path as on a rebuild
+        solvers = [dict(cfg["solvers"][1], mu_assumed=2.0, l_known=1.0)]
+        bad_path, _ = base_config(tmp_path, solvers=solvers)
+        assert main(["verify", "--trace", str(out / "trace.csv"),
+                     "--config", str(bad_path)]) == 2
+        assert "error: bad solver options" in capsys.readouterr().err
+        assert builds == []
+
 
 def test_json_outputs_refuse_non_finite_values():
     assert _json_text({"gap": 1.5}, "summary") == '{\n  "gap": 1.5\n}'
@@ -287,9 +415,8 @@ def test_json_outputs_refuse_non_finite_values():
 
 class TestStandardSuite:
     def test_verify_after_run_passes_for_every_shipped_config(self, tmp_path, capsys):
-        suite = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
-        assert suite, "shipped config suite is missing"
-        for cfg_path in suite:
+        assert SHIPPED, "shipped config suite is missing"
+        for cfg_path in SHIPPED:
             out = tmp_path / cfg_path.stem
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
             capsys.readouterr()
@@ -301,6 +428,7 @@ class TestStandardSuite:
             for r in report["results"]:
                 if "rows" in r:
                     assert r["rows"] >= 5, f"{cfg_path.name}: {r}"
+                    assert "vacuous" not in r, f"{cfg_path.name}: {r}"
             # nothing the config asks for is skipped, so strict mode passes too
             assert main(["verify", "--trace", str(out / "trace.csv"),
                          "--config", str(cfg_path), "--strict"]) == 0, cfg_path.name
