@@ -1,8 +1,11 @@
 """Dense linear algebra kernel: SPD factorization, solves, symmetric eigen extremes.
 
-Thin contract layer over numpy/scipy LAPACK routines. Vectors are 1-d float
-ndarrays, matrices 2-d row-major float ndarrays; everything is validated for
-finiteness so solver-level certificates are never polluted by silent NaNs.
+Vectors are 1-d float ndarrays, matrices 2-d row-major float ndarrays. The
+public ``cholesky``, ``solve_spd`` and ``spectral_extremes`` validate shape,
+finiteness and symmetry, so certificates are never polluted by silent NaNs.
+Their LAPACK kernels ``factor_spd`` and ``solve_factored`` trust the caller,
+the problem code with matrices it builds itself, except that ``factor_spd``
+raises ``SolverError`` on a non-finite matrix, which would stall its loops.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
-from .errors import DimensionMismatch, NotSpd, NotSymmetric
+from .errors import DimensionMismatch, NotSpd, NotSymmetric, SolverError
 
 SYMMETRY_RTOL = 1e-12
 
@@ -59,6 +62,30 @@ class SpdFactorization:
         return self.source.shape[0]
 
 
+def factor_spd(a: np.ndarray) -> SpdFactorization:
+    """Factor a finite, exactly symmetric float matrix, unchecked: NotSpd on a
+    non-positive pivot, SolverError on a non-finite entry, which LAPACK may turn
+    into NaN factors without an error but which always reaches the diagonal."""
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        if np.isfinite(a).all():
+            raise NotSpd("matrix is not positive definite") from exc
+        raise SolverError("matrix has non-finite entries") from exc
+    if not np.isfinite(np.diagonal(factor)).all():
+        raise SolverError("matrix has non-finite entries")
+    return SpdFactorization(source=a, factor=factor)
+
+
+def solve_factored(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
+    """Solve f.source @ x = b for a float vector b of length f.dim, unchecked,
+    by the two LAPACK calls scipy's solve_triangular makes: the same floats."""
+    lt = f.factor.T
+    y, _ = dtrtrs(lt, b, lower=0, trans=1)
+    x, _ = dtrtrs(lt, y, lower=0, trans=0)
+    return x
+
+
 def cholesky(m) -> SpdFactorization:
     """Factor a symmetric positive definite matrix.
 
@@ -67,12 +94,7 @@ def cholesky(m) -> SpdFactorization:
     """
     a = require_symmetric(m)
     # symmetrize so LAPACK sees an exactly symmetric operand
-    a = 0.5 * (a + a.T)
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpd("matrix is not positive definite") from exc
-    return SpdFactorization(source=a, factor=factor)
+    return factor_spd(0.5 * (a + a.T))
 
 
 def solve_spd(f: SpdFactorization, rhs) -> np.ndarray:
@@ -80,9 +102,7 @@ def solve_spd(f: SpdFactorization, rhs) -> np.ndarray:
     b = as_vector(rhs)
     if b.shape[0] != f.dim:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix dim {f.dim}")
-    # as_vector checked b, and the factor comes from a matrix as_matrix checked
-    y = scipy.linalg.solve_triangular(f.factor, b, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(f.factor.T, y, lower=False, check_finite=False)
+    return solve_factored(f, b)
 
 
 def spectral_extremes(m) -> tuple[float, float]:

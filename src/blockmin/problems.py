@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDimension, BadShape, NotSpd, SolverError
-from .linalg import SpdFactorization, cholesky, solve_spd, spectral_extremes
+from .linalg import SpdFactorization, factor_spd, solve_factored
 from .objective import BlockPartition, ObjectiveHandle, Point
 from .proxmaps import BoxTerm, L1Term, ZeroTerm, soft_threshold
 
@@ -174,8 +174,8 @@ def _pattern_solve(gram, lin, z, weight, lo, hi) -> np.ndarray | None:
     f = np.flatnonzero(free)
     if f.size:
         out[f] = 0.0
-        out[f] = solve_spd(cholesky(gram[np.ix_(f, f)]),
-                           lin[f] - target[f] - gram[f] @ out)
+        out[f] = solve_factored(factor_spd(gram[np.ix_(f, f)]),
+                                lin[f] - target[f] - gram[f] @ out)
     r = lin - gram @ out
     tol = _ACTIVE_SET_RTOL * z.size * (np.abs(lin) + np.abs(gram) @ np.abs(out) + half)
     zero = sign == 0.0
@@ -240,8 +240,8 @@ class CompositeQuadraticProblem:
         self._bounds = _term_arrays(self.terms, self.partition)
         self._spectrum_and_optimum()
         self._cols = tuple(self.W[:, idx] for idx in self.partition.blocks)
-        self._facts = tuple(cholesky(c.T @ c) for c in self._cols)
-        self.l_blocks = tuple(2.0 * spectral_extremes(f.source)[1] for f in self._facts)
+        self._facts = tuple(factor_spd(c.T @ c) for c in self._cols)
+        self.l_blocks = tuple(2.0 * float(np.linalg.eigvalsh(f.source)[-1]) for f in self._facts)
 
     def _spectrum_and_optimum(self):
         """The global constants and, unless both are given, x_star and f_star.
@@ -259,7 +259,7 @@ class CompositeQuadraticProblem:
                                 terms=self.terms).composite_value
         if self.terms is None:
             if full_rank:
-                x = solve_spd(cholesky(gram), self.W.T @ self.b)
+                x = solve_factored(factor_spd(gram), self.W.T @ self.b)
             else:
                 x = np.linalg.lstsq(self.W, self.b, rcond=None)[0]
             self.x_star, self.f_star = x, value(x)
@@ -334,7 +334,7 @@ class CompositeQuadraticProblem:
         term = None if self.terms is None else self.terms[i]
         out = p.x.copy()
         if term is None or term.is_zero:
-            out[idx] = solve_spd(self._facts[i], lin)
+            out[idx] = solve_factored(self._facts[i], lin)
             return out
         weight, lo, hi = (a[idx] for a in self._bounds)
         out[idx] = _active_set_solve(gram, lin, p.x[idx], weight, lo, hi,
@@ -539,11 +539,14 @@ class NonlinearEqPlProblem:
             shift = 0.0
             while True:
                 try:
-                    fact = cholesky(hess + shift * np.eye(idx.size))
+                    fact = factor_spd(hess + shift * np.eye(idx.size) if shift else hess)
                     break
                 except NotSpd:
                     shift = max(2.0 * shift, 1e-3 * (1.0 + float(np.abs(hess).max())))
-            step = solve_spd(fact, g[idx])
+            step = solve_factored(fact, g[idx])
+            if not np.isfinite(step).all():
+                # halving never shrinks a NaN or inf step (from a non-finite gradient)
+                raise SolverError("Newton step is not finite")
             trial = p.copy()
             while True:
                 trial[idx] = p[idx] - step

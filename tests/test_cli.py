@@ -301,6 +301,20 @@ class TestVerify:
         assert all(r["rows"] < 5 and r["passed"] and r["vacuous"] is True for r in ran)
         assert verify_report(out / "trace.csv", cfg_path, capsys, "--strict")[0] == 1
 
+    def test_trace_too_short_for_a_certificate_is_vacuous(self, tmp_path, capsys):
+        # three AM iterations on two blocks: am_sublinear needs two complete sweeps
+        cfg_path, _ = base_config(
+            tmp_path, instance={"kind": "quadratic", "seed": 1, "dim": 8},
+            solvers=[{"name": "am", "method": "am", "max_iters": 3}],
+            certificates=["am_sublinear"])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        code, report = verify_report(out / "trace.csv", cfg_path, capsys)
+        assert code == 0 and report["violations"] == 0 and report["skipped"] == 0
+        (result,) = [r for r in report["results"] if r["certificate"] == "am_sublinear"]
+        assert result["rows"] == 0 and result["passed"] and result["vacuous"] is True
+        assert verify_report(out / "trace.csv", cfg_path, capsys, "--strict")[0] == 1
+
 
 def verify_report(trace, cfg_path, capsys, *extra):
     """(exit code, parsed report) of verify on trace."""

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmin import cholesky, solve_spd, spectral_extremes
-from blockmin.errors import DimensionMismatch, NotSpd, NotSymmetric
+from blockmin.errors import DimensionMismatch, NotSpd, NotSymmetric, SolverError
+from blockmin.linalg import factor_spd, solve_factored
 
 
 def gaussian_elimination(a, b):
@@ -100,6 +104,41 @@ class TestSolveSpd:
             b = rng.standard_normal(n)
             x = solve_spd(cholesky(m), b)
             assert np.linalg.norm(m @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
+
+
+class TestUncheckedKernels:
+    """factor_spd and solve_factored: the kernels behind cholesky and solve_spd,
+    for exactly symmetric matrices the package builds itself."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
+    def test_bit_identical_to_the_public_path_and_to_solve_triangular(self, seed, n):
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal((n, n))
+        m = r.T @ r + 0.1 * np.eye(n)
+        b = rng.standard_normal(n)
+        f = factor_spd(m)
+        x = solve_factored(f, b)
+        assert np.array_equal(f.factor, cholesky(m).factor)
+        assert np.array_equal(x, solve_spd(cholesky(m), b))
+        # the two scipy calls solve_spd made before it called LAPACK directly
+        y = scipy.linalg.solve_triangular(f.factor, b, lower=True, check_finite=False)
+        ref = scipy.linalg.solve_triangular(f.factor.T, y, lower=False, check_finite=False)
+        assert np.array_equal(x, ref)
+
+    def test_indefinite_is_not_spd(self):
+        with pytest.raises(NotSpd):
+            factor_spd(np.array([[1.0, 0.0], [0.0, -2.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (4, 0), (4, 4)])
+    def test_non_finite_entry_is_a_solver_error(self, rng, value, where):
+        # LAPACK returns NaN factors for some of these and fails a pivot on others
+        r = rng.standard_normal((5, 5))
+        m = r.T @ r + np.eye(5)
+        m[where] = m[where[::-1]] = value
+        with pytest.raises(SolverError):
+            factor_spd(m)
 
 
 class TestSpectralExtremes:

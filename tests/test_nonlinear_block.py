@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmin import SolverConfig, make_nonlinear_pl, run_am
+from blockmin.errors import SolverError
+from blockmin.problems import NonlinearEqPlProblem
 
 SHAPES = [(20, 14), (100, 70), (200, 140)]
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -99,6 +101,20 @@ def test_indefinite_block_hessian_is_shifted():
     f_z, g_z, _ = p.value_and_gradient(z)
     assert np.linalg.norm(g_z[idx]) <= 1e-12 * (1.0 + f_z)
     assert f_z < p.smooth_value(x)
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_non_finite_data_ends_the_newton_loop(i):
+    # a NaN in c reaches block 0's Hessian through the curvature term, and
+    # block 1 only through the gradient; either would keep the step halving
+    # (or the shift growing) forever
+    p = problem(0, (20, 14))
+    c = p.c.copy()
+    c[0] = np.nan
+    bad = NonlinearEqPlProblem(amat=p.amat, c=c, eps=p.eps, partition=p.partition,
+                               x_solution=p.x_solution, default_start=p.default_start)
+    with pytest.raises(SolverError):
+        bad.block_argmin(bad.handle().evaluate(bad.default_start), i)
 
 
 @pytest.mark.parametrize("seed", [2, 3, 6, 7, 9, 10, 11])

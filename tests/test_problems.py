@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockmin import (make_composite, make_nonlinear_pl, make_quadratic,
-                      make_rank_deficient, prox_map, spectral_extremes)
+from blockmin import (SolverConfig, make_composite, make_nonlinear_pl, make_quadratic,
+                      make_rank_deficient, prox_map, run_aam, run_am, spectral_extremes)
+from blockmin import linalg, problems
 from blockmin.errors import BadDimension, BadShape
 
 
@@ -208,3 +209,29 @@ class TestNonlinearPl:
     def test_bad_shape(self):
         with pytest.raises(BadShape):
             make_nonlinear_pl(seed=0, n=10, m=10)
+
+
+def test_factored_matrices_are_finite_and_exactly_symmetric(monkeypatch):
+    # factor_spd checks neither property, and reads one triangle only: every
+    # matrix the problems hand it must have both
+    seen = []
+
+    def recording(a):
+        seen.append(a.copy())
+        return linalg.factor_spd(a)
+
+    monkeypatch.setattr(problems, "factor_spd", recording)
+    cfg = SolverConfig(max_iters=40)
+    nl = make_nonlinear_pl(0, 20, 14)
+    run_am(nl.handle(), nl.default_start, cfg)
+    run_aam(nl.handle(), nl.default_start, cfg)
+    # far from the solution the block Hessian is indefinite and gets shifted
+    far = nl.x_solution + 3.0 * np.random.default_rng(3).standard_normal(20)
+    nl.block_argmin(nl.handle().evaluate(far), 0)
+    n_nonlinear = len(seen)
+    comp = make_composite(1, 16, 0.4, ("l1", "box"))
+    run_am(comp.handle(), comp.default_start, cfg)
+    make_quadratic(0, 16, 100.0)  # block factors and the closed-form optimum
+    assert 0 < n_nonlinear < len(seen)
+    for a in seen:
+        assert np.isfinite(a).all() and np.array_equal(a, a.T)
