@@ -3,9 +3,10 @@
 Vectors are 1-d float ndarrays, matrices 2-d row-major float ndarrays. The
 public ``cholesky``, ``solve_spd`` and ``spectral_extremes`` validate shape,
 finiteness and symmetry, so certificates are never polluted by silent NaNs.
-Their LAPACK kernels ``factor_spd`` and ``solve_factored`` trust the caller,
-the problem code with matrices it builds itself, except that ``factor_spd``
-raises ``SolverError`` on a non-finite matrix, which would stall its loops.
+Their LAPACK kernels ``factor_spd``, ``solve_factored`` and ``solve_cholesky``
+trust the caller, the problem code with matrices it builds itself, except that
+``factor_spd`` raises ``SolverError`` on a non-finite matrix, which would stall
+its loops.
 """
 
 from __future__ import annotations
@@ -78,9 +79,14 @@ def factor_spd(a: np.ndarray) -> SpdFactorization:
 
 
 def solve_factored(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve f.source @ x = b for a float vector b of length f.dim, unchecked,
+    """Solve f.source @ x = b for a float vector b of length f.dim, unchecked."""
+    return solve_cholesky(f.factor, b)
+
+
+def solve_cholesky(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve factor @ factor.T @ x = b for a lower-triangular factor, unchecked,
     by the two LAPACK calls scipy's solve_triangular makes: the same floats."""
-    lt = f.factor.T
+    lt = factor.T
     y, _ = dtrtrs(lt, b, lower=0, trans=1)
     x, _ = dtrtrs(lt, y, lower=0, trans=0)
     return x

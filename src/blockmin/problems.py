@@ -7,7 +7,10 @@ Two families:
   term, or a zero one, is minimized in closed form through a cached SPD
   factorization; an l1 or box block by an active-set solve: one Cholesky solve
   of the reduced Gram system on a sign or bound pattern, accepted once the
-  block's KKT conditions hold, with FISTA iterates proposing the patterns.
+  block's KKT conditions hold. A failed pattern proposes the next one by a
+  prox-gradient step on the coordinates that fail, and FISTA iterates propose
+  patterns once those proposals repeat. Each block keeps the factor of the
+  last reduced system it factored for the next pattern with the same free set.
   The Hessian of the smooth part is 2 W^T W, so the declared constants carry
   that factor of two. Points carry their residual W x - b, so f and grad f
   at an affine combination of two points, the exact line minimizer and the
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDimension, BadShape, NotSpd, SolverError
-from .linalg import SpdFactorization, factor_spd, solve_factored
+from .linalg import SpdFactorization, factor_spd, solve_cholesky, solve_factored
 from .objective import BlockPartition, ObjectiveHandle, Point
 from .proxmaps import BoxTerm, L1Term, ZeroTerm, soft_threshold
 
@@ -149,21 +152,46 @@ def _fista_reference(W, b, weight, lo, hi, lam, max_iters: int = 400_000) -> np.
 # conditions hold to _ACTIVE_SET_RTOL times the block size times the magnitude
 # of the terms of r = lin - G z, the order of the residual a backward-stable
 # Cholesky solve leaves (Higham, Accuracy and Stability of Numerical Algorithms,
-# 2nd ed., sec. 10.1). FISTA proposes the patterns; _ACTIVE_SET_MAX_STEPS
-# bounds its steps, so a returned point has always passed the check.
+# 2nd ed., sec. 10.1). _ACTIVE_SET_MAX_STEPS bounds the FISTA steps that
+# propose patterns, so a returned point has always passed the check.
 _ACTIVE_SET_RTOL = 8.0 * np.finfo(float).eps
 _ACTIVE_SET_MAX_STEPS = 10_000
 
 
-def _pattern_solve(gram, lin, z, weight, lo, hi) -> np.ndarray | None:
-    """Minimizer of the l1 / box problem with the pattern of z held fixed, or
-    None if it is not the minimizer over all z.
+@dataclass
+class _LastFactor:
+    """The free index set and the Cholesky factor of the last reduced system
+    factored on one Gram matrix. A pattern with the same free set has the same
+    reduced matrix, so reusing the factor gives the same floats."""
+
+    free: np.ndarray | None = None
+    factor: np.ndarray | None = None
+
+
+def _pattern(x, weight, lo, hi) -> bytes:
+    """The pattern of x: the side of lo, of hi and, for an l1 coordinate, of
+    zero each x_j is."""
+    return np.sign(np.stack((x - lo, hi - x, weight * x))).tobytes()
+
+
+def _pattern_solve(gram, abs_gram, lin, z, weight, lo, hi, lam, last: _LastFactor
+                   ) -> tuple[bool, np.ndarray]:
+    """(True, the minimizer of the l1 / box problem with the pattern of z held
+    fixed) if it is the minimizer over all z, else (False, a point whose
+    pattern is the next to try); abs_gram = |gram|, and ``last`` holds the
+    factor of the last reduced system factored on gram.
 
     A coordinate is fixed at lo, at hi or, if it has an l1 weight, at zero;
     the others are free, with sign s_j. With r = lin - gram z, the KKT
     conditions are r_j = weight_j s_j / 2 on free coordinates, which must stay
     in [lo, hi] and keep their sign, and on fixed ones |r_j| <= weight_j / 2 at
     zero, with r_j unbounded below at lo and above at hi.
+
+    In the next point, the coordinates that fail their condition take one
+    prox-gradient step from the reduced solution: it pins those that left
+    [lo, hi] and frees those whose multiplier r_j has the wrong sign; those
+    that crossed zero are pinned at zero. The others keep their value, so the
+    rounding in r cannot move a coordinate that meets its condition.
     """
     out = np.clip(z, lo, hi)
     sign = np.sign(weight * out)
@@ -174,36 +202,52 @@ def _pattern_solve(gram, lin, z, weight, lo, hi) -> np.ndarray | None:
     f = np.flatnonzero(free)
     if f.size:
         out[f] = 0.0
-        out[f] = solve_factored(factor_spd(gram[np.ix_(f, f)]),
-                                lin[f] - target[f] - gram[f] @ out)
+        every = f.size == z.size
+        rows = gram if every else gram[f]
+        if not np.array_equal(f, last.free):
+            last.free, last.factor = f, factor_spd(gram if every else rows[:, f]).factor
+        out[f] = solve_cholesky(last.factor, lin[f] - target[f] - rows @ out)
     r = lin - gram @ out
-    tol = _ACTIVE_SET_RTOL * z.size * (np.abs(lin) + np.abs(gram) @ np.abs(out) + half)
+    tol = _ACTIVE_SET_RTOL * z.size * (np.abs(lin) + abs_gram @ np.abs(out) + half)
     zero = sign == 0.0
     r_lo = np.where(at_lo, -np.inf, np.where(zero, -half, target)) - tol
     r_hi = np.where(at_hi, np.inf, np.where(zero, half, target)) + tol
-    if np.all((r_lo <= r) & (r <= r_hi) & (lo <= out) & (out <= hi) & (sign * out >= 0.0)):
-        return out
-    return None
+    passed = (r_lo <= r) & (r <= r_hi) & (lo <= out) & (out <= hi) & (sign * out >= 0.0)
+    if passed.all():
+        return True, out
+    step = _prox_step(out, r, weight, lo, hi, lam)
+    step[sign * out < 0.0] = 0.0
+    return False, np.where(passed, out, step)
 
 
-def _active_set_solve(gram, lin, z, weight, lo, hi, lam) -> np.ndarray:
-    """Exact minimizer of the l1 / box problem, warm-started at z.
+def _active_set_solve(gram, lin, z, weight, lo, hi, lam,
+                      last: _LastFactor | None = None) -> np.ndarray:
+    """Exact minimizer of the l1 / box problem, warm-started at z. ``last``
+    holds the factor of the last reduced system factored on this gram; without
+    it, the solve keeps its own.
 
     Primal-dual active set in the sense of Hintermueller, Ito & Kunisch (SIAM
-    J. Optim. 13(3), 2002): try the pattern of z, then that of each FISTA
-    iterate whose pattern differs from the last one tried. The pattern of x
-    is the side of lo, of hi and, for an l1 coordinate, of zero each x_j is."""
-    tried = None
+    J. Optim. 13(3), 2002): try the pattern of z; while a pattern fails, try
+    the one its own prox step proposes, until a proposal repeats a pattern
+    tried in this solve. Then the patterns come from FISTA iterates from z,
+    each once the last two iterates share it and if it was not tried yet,
+    again followed by the proposals of the patterns that fail."""
+    last = _LastFactor() if last is None else last
+    abs_gram = np.abs(gram)
+    tried = set()
     steps = _fista(lambda y: lin - gram @ y, z, weight, lo, hi, lam)
-    candidates = itertools.chain([z], steps)
-    for x in itertools.islice(candidates, _ACTIVE_SET_MAX_STEPS + 1):
-        pattern = np.sign(np.stack((x - lo, hi - x, weight * x)))
-        if np.array_equal(pattern, tried):
-            continue
-        out = _pattern_solve(gram, lin, x, weight, lo, hi)
-        if out is not None:
-            return out
-        tried = pattern
+    candidates = itertools.chain([z], itertools.islice(steps, _ACTIVE_SET_MAX_STEPS))
+    previous = None
+    for k, x in enumerate(candidates):
+        pattern = _pattern(x, weight, lo, hi)
+        settled = k == 0 or pattern == previous
+        previous = pattern
+        while settled and pattern not in tried:
+            tried.add(pattern)
+            ok, x = _pattern_solve(gram, abs_gram, lin, x, weight, lo, hi, lam, last)
+            if ok:
+                return x
+            pattern = _pattern(x, weight, lo, hi)
     raise SolverError("active-set block solve found no pattern that meets the KKT "
                       f"conditions in {_ACTIVE_SET_MAX_STEPS} FISTA steps")
 
@@ -235,9 +279,11 @@ class CompositeQuadraticProblem:
     _cols: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _facts: tuple[SpdFactorization, ...] = field(init=False, repr=False)
     _bounds: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _last: tuple[_LastFactor, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._bounds = _term_arrays(self.terms, self.partition)
+        self._last = tuple(_LastFactor() for _ in self.partition.blocks)
         self._spectrum_and_optimum()
         self._cols = tuple(self.W[:, idx] for idx in self.partition.blocks)
         self._facts = tuple(factor_spd(c.T @ c) for c in self._cols)
@@ -338,7 +384,7 @@ class CompositeQuadraticProblem:
             return out
         weight, lo, hi = (a[idx] for a in self._bounds)
         out[idx] = _active_set_solve(gram, lin, p.x[idx], weight, lo, hi,
-                                     0.5 * self.l_blocks[i])
+                                     0.5 * self.l_blocks[i], self._last[i])
         return out
 
     def handle(self) -> ObjectiveHandle:
@@ -520,13 +566,15 @@ class NonlinearEqPlProblem:
     def block_argmin(self, start: Point, i: int) -> np.ndarray:
         """Newton's method on block i from the Point start (Nocedal & Wright,
         Numerical Optimization, 2nd ed., sec. 3.4): shift the block Hessian
-        until Cholesky succeeds, halve the step until f falls (within
-        rounding), and stop once the block gradient is at its rounding floor or
-        a step no longer moves the iterate. Each iterate carries its (r, J)."""
+        until Cholesky succeeds, doubling the shift from half the one the last
+        step accepted, halve the step until f falls (within rounding), and stop
+        once the block gradient is at its rounding floor or a step no longer
+        moves the iterate. Each iterate carries its (r, J)."""
         idx, m = self.partition.blocks[i], self.n_residuals
         diag = np.arange(idx.size)
         p, f, g = start.x.copy(), start.f, start.g
         r, jac = start.cache or (self.residual(p), self.jacobian(p))
+        shift = smallest = 0.0
         for _ in range(_NEWTON_MAX_STEPS):
             if float(np.linalg.norm(g[idx])) <= _NEWTON_GRAD_FLOOR * (1.0 + f):
                 break
@@ -536,13 +584,17 @@ class NonlinearEqPlProblem:
             curv = np.zeros(p.size)
             curv[:m] = -self.eps * np.sin(p[:m]) * r
             hess[diag, diag] += 2.0 * curv[idx]
-            shift = 0.0
+            # the search starts from half the last accepted shift, or from 0
+            # below the smallest shift: from the accepted shift itself the
+            # iterates would never get the plain Newton step back
+            shift = 0.5 * shift if 0.5 * shift >= smallest else 0.0
             while True:
                 try:
                     fact = factor_spd(hess + shift * np.eye(idx.size) if shift else hess)
                     break
                 except NotSpd:
-                    shift = max(2.0 * shift, 1e-3 * (1.0 + float(np.abs(hess).max())))
+                    smallest = 1e-3 * (1.0 + float(np.abs(hess).max()))
+                    shift = max(2.0 * shift, smallest)
             step = solve_factored(fact, g[idx])
             if not np.isfinite(step).all():
                 # halving never shrinks a NaN or inf step (from a non-finite gradient)

@@ -1,9 +1,12 @@
 """The active-set block solver of l1 and box blocks: KKT conditions at the
 result, agreement with exact coordinate descent, descent, the untouched other
-block, the FISTA fallback when the warm start's pattern fails, and a solver
+block, the same floats as a fresh factorization of the accepted pattern, the
+planted minimizer of degenerate blocks, the pattern solves and factorizations
+it makes, the FISTA fallback when the warm start's pattern fails, and a solver
 failure, never an unchecked point, at the step cap."""
 
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from blockmin import SolverConfig, cli, make_composite, run_am
 from blockmin import problems
 from blockmin.errors import SolverError
+from blockmin.linalg import factor_spd, solve_factored
 from blockmin.proxmaps import BoxTerm, L1Term
 
 # (seed, dim, gamma, kinds, box_bounds): every instance has an l1 or a box
@@ -126,6 +130,116 @@ def test_block_argmin_meets_kkt_and_matches_coordinate_descent(n, i, point_seed,
     assert composite_value(p, out) <= f_x + 1e-13 * (1.0 + abs(f_x))
 
 
+def fresh_pattern_solve(gram, lin, z, weight, lo, hi):
+    """Minimizer of the l1 / box problem with the pattern of z held fixed, or
+    None if it fails the KKT check: the pattern solve with a fresh reduced
+    matrix and factorization on every call, kept as the reference."""
+    out = np.clip(z, lo, hi)
+    sign = np.sign(weight * out)
+    at_lo, at_hi = out == lo, out == hi
+    free = ~(at_lo | at_hi) & ((sign != 0.0) | (weight == 0.0))
+    half = 0.5 * weight
+    target = half * sign
+    f = np.flatnonzero(free)
+    if f.size:
+        out[f] = 0.0
+        out[f] = solve_factored(factor_spd(gram[np.ix_(f, f)]),
+                                lin[f] - target[f] - gram[f] @ out)
+    r = lin - gram @ out
+    tol = problems._ACTIVE_SET_RTOL * z.size * (np.abs(lin) + np.abs(gram) @ np.abs(out) + half)
+    zero = sign == 0.0
+    r_lo = np.where(at_lo, -np.inf, np.where(zero, -half, target)) - tol
+    r_hi = np.where(at_hi, np.inf, np.where(zero, half, target)) + tol
+    if np.all((r_lo <= r) & (r <= r_hi) & (lo <= out) & (out <= hi) & (sign * out >= 0.0)):
+        return out
+    return None
+
+
+def test_block_argmin_gives_the_floats_of_a_fresh_factorization():
+    # AM sweeps over all instances at once, so that the blocks and the
+    # instances alternate: each solve after the first on a block can reuse the
+    # factor its last solve left, which must never be another block's
+    xs = [point(problem(n), n, 1.0) for n in range(len(INSTANCES))]
+    reused = 0
+    for _, n, i in itertools.product(range(4), range(len(INSTANCES)), (0, 1)):
+        p = problem(n)
+        if p.terms[i].is_zero:
+            continue
+        idx = p.partition.blocks[i]
+        start = p.handle().evaluate(xs[n])
+        gram = p._facts[i].source
+        free = p._last[i].free
+        out = p.block_argmin(start, i)
+        reused += free is not None and p._last[i].free is free
+        weight, lo, hi = (a[idx] for a in p._bounds)
+        lin = gram @ start.x[idx] - 0.5 * start.g[idx]
+        expected = fresh_pattern_solve(gram, lin, out[idx], weight, lo, hi)
+        assert expected is not None and np.array_equal(out[idx], expected)
+        xs[n] = out
+    assert reused > 0
+
+
+def degenerate_block(kind, seed):
+    """A block problem with a planted minimizer z* whose KKT conditions hold
+    with no slack on many coordinates: (gram, lin, start, weight, lo, hi, z*).
+    Box: a third of z* at hi and the clipped coordinates at -0.5 or 0.5, all
+    with multiplier 0. l1 (weight 0.4): 40% of z* at zero, half of those with
+    |r_j| = 0.2, the largest the condition allows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    a = rng.standard_normal((n + 3, n))
+    gram = a.T @ a / n + 0.01 * np.eye(n)
+    if kind == "box":
+        weight, lo, hi = np.zeros(n), np.full(n, -0.5), np.full(n, 0.5)
+        z = np.clip(rng.standard_normal(n), lo, hi)
+        z[rng.permutation(n)[:n // 3]] = 0.5
+        r = np.zeros(n)
+    else:
+        weight, lo, hi = np.full(n, 0.4), np.full(n, -np.inf), np.full(n, np.inf)
+        z = rng.standard_normal(n)
+        zero = rng.permutation(n)[:round(0.4 * n)]
+        z[zero] = 0.0
+        r = 0.2 * np.sign(z)
+        r[zero] = rng.uniform(-0.2, 0.2, zero.size)
+        edge = zero[:zero.size // 2]
+        r[edge] = 0.2 * rng.choice([-1.0, 1.0], edge.size)
+    return gram, gram @ z + r, 0.3 * rng.standard_normal(n), weight, lo, hi, z
+
+
+@DETERMINISTIC
+@given(kind=st.sampled_from(["box", "l1"]), seed=st.integers(0, 2**32 - 1))
+def test_degenerate_blocks_give_the_planted_minimizer(kind, seed):
+    # FISTA iterates never settle on the pattern of such a z*, and the patterns
+    # they do settle on fail the check by rounding; their proposals reach it
+    gram, lin, start, weight, lo, hi, z_star = degenerate_block(kind, seed)
+    lam = float(np.linalg.eigvalsh(gram)[-1])
+    z = problems._active_set_solve(gram, lin, start, weight, lo, hi, lam)
+    assert np.abs(z - z_star).max() <= 1e-12
+
+
+def test_pattern_solves_and_factorizations_are_pinned(monkeypatch):
+    counts = {"_pattern_solve": 0, "factor_spd": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(problems, name, counted(name, getattr(problems, name)))
+    p = make_composite(1, 256, 0.4, ("l1", "box"))
+    # the cold solve of the build tried 34 patterns when each try was proposed
+    # by a FISTA iterate
+    assert counts["_pattern_solve"] <= 12
+    counts.update(_pattern_solve=0, factor_spd=0)
+    trace = run_am(p.handle(), p.default_start, SolverConfig(max_iters=2000, target_gap=1e-8))
+    assert trace.status == "target_gap"
+    # 177 of each when every try factored its own reduced system
+    assert counts["_pattern_solve"] <= 130
+    assert counts["factor_spd"] <= 60
+
+
 def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     p = problem(2)
     x = point(p, 7, 1.0)
@@ -134,10 +248,10 @@ def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     calls = []
 
     def warm_start_fails(*args):
-        # reject the first pattern of each solve, the warm start's, so the
-        # patterns of the FISTA iterates settle the block
+        # reject the first pattern of each solve, the warm start's, and propose
+        # it again, so that the patterns of the FISTA iterates settle the block
         calls.append(args)
-        return None if len(calls) == 1 else pattern_solve(*args)
+        return (False, args[3]) if len(calls) == 1 else pattern_solve(*args)
 
     monkeypatch.setattr(problems, "_pattern_solve", warm_start_fails)
     for i in (0, 1):
@@ -159,18 +273,28 @@ def test_am_run_never_needs_the_full_fallback(n, monkeypatch):
             steps[-1] += 1
             yield x
 
+    pattern_solve = problems._pattern_solve
+    solves = []
+
+    def counted_solve(*args):
+        solves.append(0)
+        return pattern_solve(*args)
+
     monkeypatch.setattr(problems, "_fista", counted)
+    monkeypatch.setattr(problems, "_pattern_solve", counted_solve)
     trace = run_am(p.handle(), p.default_start, SolverConfig(max_iters=200, target_gap=1e-10))
     assert trace.status == "target_gap"
-    # every block settles after a short FISTA run, far from the step cap
-    assert steps and max(steps) <= problems._ACTIVE_SET_MAX_STEPS // 100
+    # every block settles on the patterns its failed tries propose or after a
+    # short FISTA run, far from the step cap
+    assert solves and max(steps, default=0) <= problems._ACTIVE_SET_MAX_STEPS // 100
 
 
 def test_step_cap_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     p = problem(2)
     x = point(p, 7, 1.0)
     monkeypatch.setattr(problems, "_ACTIVE_SET_MAX_STEPS", 0)
-    monkeypatch.setattr(problems, "_pattern_solve", lambda *args: None)
+    # every pattern fails and proposes itself again
+    monkeypatch.setattr(problems, "_pattern_solve", lambda *args: (False, args[3]))
     for i in (0, 1):
         with pytest.raises(SolverError, match="no pattern that meets the KKT conditions"):
             p.block_argmin(p.handle().evaluate(x), i)

@@ -1,5 +1,6 @@
 """The Newton block solver of the nonlinear PL problem: exactness, descent,
-agreement with an independent trust-region solve, and the AM stop it enables."""
+agreement with an independent trust-region solve, the factorizations the
+Hessian shift costs, and the AM stop it enables."""
 
 import functools
 
@@ -9,8 +10,9 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmin import SolverConfig, make_nonlinear_pl, run_am
-from blockmin.errors import SolverError
+from blockmin import SolverConfig, make_nonlinear_pl, problems, run_am
+from blockmin.errors import NotSpd, SolverError
+from blockmin.linalg import factor_spd
 from blockmin.problems import NonlinearEqPlProblem
 
 SHAPES = [(20, 14), (100, 70), (200, 140)]
@@ -90,17 +92,31 @@ def test_block_value_matches_trust_region_reference(seed, shape, point_seed, sca
     assert abs(f_newton - f_ref) <= 1e-13 * (1.0 + f_ref)
 
 
-def test_indefinite_block_hessian_is_shifted():
+def test_indefinite_block_hessian_is_shifted(monkeypatch):
     # far from the solution the curvature term makes the block Hessian
     # indefinite, so the first Newton step needs the shift
     p = problem(0, (20, 14))
     x = point(p, 3, 3.0)
     idx = p.partition.blocks[0]
     assert np.linalg.eigvalsh(block_hessian(p, x, idx))[0] < 0.0
+    factorizations, failures = [], []
+
+    def counted(a):
+        factorizations.append(0)
+        try:
+            return factor_spd(a)
+        except NotSpd:
+            failures.append(0)
+            raise
+
+    monkeypatch.setattr(problems, "factor_spd", counted)
     z = p.block_argmin(p.handle().evaluate(x), 0)
     f_z, g_z, _ = p.value_and_gradient(z)
     assert np.linalg.norm(g_z[idx]) <= 1e-12 * (1.0 + f_z)
     assert f_z < p.smooth_value(x)
+    # 39 factorizations, 27 of them failing, when every Newton step searched
+    # for its shift from 0
+    assert 0 < len(failures) <= 12 and len(factorizations) <= 24
 
 
 @pytest.mark.parametrize("i", [0, 1])
