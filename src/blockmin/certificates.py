@@ -37,7 +37,6 @@ class CertificateRow:
 class CertificateReport:
     kind: str
     rows: tuple[CertificateRow, ...]
-    tolerance: float
 
     @property
     def passed(self) -> bool:
@@ -99,7 +98,7 @@ def check_am_linear(trace: SolverTrace, l_blocks, mu_blocks, f_star: float,
     sweeps = trace.sweep_records()
     gaps = [r.composite_value - f_star for r in sweeps]
     rows = [_row(s, factor * gaps[s - 1], gaps[s], tol) for s in range(1, len(gaps))]
-    return CertificateReport("am_linear_pl", tuple(rows), tol)
+    return CertificateReport("am_linear_pl", tuple(rows))
 
 
 def check_nearly_pl(trace: SolverTrace, l_blocks, mu_blocks, f_star: float,
@@ -128,7 +127,7 @@ def check_nearly_pl(trace: SolverTrace, l_blocks, mu_blocks, f_star: float,
     gaps = [r.composite_value - f_star for r in sweeps]
     for s in range(1, len(gaps)):
         rows.append(_row(sweeps[s].k, factor * gaps[s - 1], gaps[s], tol))
-    return CertificateReport("nearly_pl_combined", tuple(rows), tol)
+    return CertificateReport("nearly_pl_combined", tuple(rows))
 
 
 def check_aam_main(trace: SolverTrace, l_global: float, mu: float, n_blocks: int,
@@ -141,7 +140,7 @@ def check_aam_main(trace: SolverTrace, l_global: float, mu: float, n_blocks: int
         raise ValueError("need 0 <= mu < n L")
     rows = [_row(r.k, aam_main_bound(r.k, l_global, mu, n_blocks, radius),
                  r.composite_value - f_star, tol) for r in trace.records[1:]]
-    return CertificateReport("aam_main", tuple(rows), tol)
+    return CertificateReport("aam_main", tuple(rows))
 
 
 def check_aam_Ak(trace: SolverTrace, l_global: float, mu: float, n_blocks: int,
@@ -161,7 +160,7 @@ def check_aam_Ak(trace: SolverTrace, l_global: float, mu: float, n_blocks: int,
         if geo is not None:
             bound = max(bound, (1.0 / nl) * geo ** (-r.k + 1))
         rows.append(_row(r.k, bound, r.a_sum, tol, lower_bound=True))
-    return CertificateReport("aam_Ak_growth", tuple(rows), tol)
+    return CertificateReport("aam_Ak_growth", tuple(rows))
 
 
 def check_aam_adaptive(trace: SolverTrace, mu_true: float, f_star: float,
@@ -179,7 +178,7 @@ def check_aam_adaptive(trace: SolverTrace, mu_true: float, f_star: float,
     for r in trace.records[1:]:
         prod *= max(0.0, 1.0 - mu_true * r.a * r.a / r.a_sum)
         rows.append(_row(r.k, prod * gap0, r.composite_value - f_star, tol))
-    return CertificateReport("aam_adaptive", tuple(rows), tol)
+    return CertificateReport("aam_adaptive", tuple(rows))
 
 
 def check_am_sublinear(trace: SolverTrace, l_blocks, radius: float, f_star: float,
@@ -201,7 +200,7 @@ def check_am_sublinear(trace: SolverTrace, l_blocks, radius: float, f_star: floa
         bound = max(gaps[0] / 2.0 ** ((n - 1) / 2.0),
                     8.0 * lmin * radius * radius / (n - 1))
         rows.append(_row(n, bound, gaps[n], tol))
-    return CertificateReport("am_sublinear", tuple(rows), tol)
+    return CertificateReport("am_sublinear", tuple(rows))
 
 
 def check_sufficient_decrease(h: ObjectiveHandle, trace: SolverTrace, l_blocks,
@@ -217,7 +216,29 @@ def check_sufficient_decrease(h: ObjectiveHandle, trace: SolverTrace, l_blocks,
         g = prox_map(h, recs[j - 1].x, i, l_blocks[i]).g_map
         drop = recs[j - 1].composite_value - recs[j].composite_value
         rows.append(_row(recs[j].k, 2.0 * l_blocks[i] * drop, float(g @ g), tol))
-    return CertificateReport("sufficient_decrease", tuple(rows), tol)
+    return CertificateReport("sufficient_decrease", tuple(rows))
+
+
+def check_prox_pl(h: ObjectiveHandle, trace: SolverTrace, mu_blocks, f_star: float,
+                  tol: float = FAIL_TOL) -> CertificateReport:
+    """Proximal-PL lemma F* >= F(x) - D_j(x, mu_j) / (2 mu_j) at every AM
+    iterate x, for the block j the step did not minimize.
+
+    The lemma needs the other block to be block-optimal, as it is right after
+    AM minimized it; that makes j the one remaining block, so the check
+    accepts two-block traces only.
+    """
+    _need(trace, "am", "prox_pl")
+    if mu_blocks is None or f_star is None:
+        raise MissingConstants("prox_pl needs per-block mu_i and F*")
+    if trace.n_blocks != 2:
+        raise ValueError("prox_pl needs a two-block trace")
+    rows = []
+    for rec in trace.records[1:]:
+        j = 1 - rec.block
+        d = prox_map(h, rec.x, j, mu_blocks[j]).d_value
+        rows.append(_row(rec.k, f_star, rec.composite_value - d / (2.0 * mu_blocks[j]), tol))
+    return CertificateReport("prox_pl", tuple(rows))
 
 
 def check_aam_recurrence(trace: SolverTrace, mu: float, tol: float = 1e-7,
@@ -256,7 +277,7 @@ def check_aam_recurrence(trace: SolverTrace, mu: float, tol: float = 1e-7,
         af_rounding += a * value_rounding(y)
         rows.append(_row(r.k, psi, r.a_sum * r.composite_value, tol,
                          rounding=af_rounding + r.a_sum * value_rounding(r.x)))
-    return CertificateReport("aam_recurrence", tuple(rows), tol)
+    return CertificateReport("aam_recurrence", tuple(rows))
 
 
 def estimate_empirical_rate(trace: SolverTrace, f_star: float,
@@ -324,5 +345,6 @@ CERTIFICATES = {
         "am", ("l_blocks", "mu_blocks", "f_star"),
         lambda t, c, mu: check_nearly_pl(t, c.l_blocks, c.mu_blocks, c.f_star)),
     "sufficient_decrease": Certificate("am", ("l_blocks",), None),
+    "prox_pl": Certificate("am", ("mu_blocks", "f_star"), None),
 }
 CERTIFICATES["nonacc_max_bound"] = CERTIFICATES["am_sublinear"]

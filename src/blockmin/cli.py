@@ -195,7 +195,7 @@ class InstanceInfo:
 
 def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
     known = {"name", "method", "max_iters", "target_gap", "grad_tolerance",
-             "mu_assumed", "l_known", "momentum_rule"}
+             "mu_assumed", "l_known"}
     unknown = set(entry) - known
     if unknown:
         raise ConfigError(f"unknown solver option(s): {sorted(unknown)}")
@@ -206,8 +206,7 @@ def _solver_config(entry: dict, info: InstanceInfo) -> SolverConfig:
             else float(entry["target_gap"]),
             grad_tolerance=float(entry.get("grad_tolerance", 1e-13)),
             mu_assumed=info.resolve_mu(entry.get("mu_assumed", 0.0)),
-            l_known=info.resolve_l(entry.get("l_known")),
-            momentum_rule=str(entry.get("momentum_rule", "proof")))
+            l_known=info.resolve_l(entry.get("l_known")))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
@@ -445,7 +444,7 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             try:
                 report = cert.from_csv(trace, info, mu_run)
             except TooShort:
-                report = certs.CertificateReport(kind, (), certs.FAIL_TOL)
+                report = certs.CertificateReport(kind, ())
             results.append({
                 "certificate": kind, "solver": name, "passed": report.passed,
                 "worst_slack": report.worst_slack,

@@ -25,10 +25,6 @@ class NoProx(BlockminError):
     """Block has a non-zero composite term but no prox operator."""
 
 
-class NoOptimum(BlockminError):
-    """Operation needs a known optimum (x*, F*) and the objective has none."""
-
-
 class ConstrainedBlock(BlockminError):
     """Operation requires an unconstrained block (feasible set = R^{n_i})."""
 

@@ -509,8 +509,8 @@ def make_composite(seed: int, dim: int, gamma: float,
 
 # Block Newton loop: it stops at a block gradient of _NEWTON_GRAD_FLOOR (1 + f).
 # Near the minimizer the decrease of f drops below its rounding noise first, so
-# a step may raise f by _NEWTON_F_ROUNDING (1 + f). The step cap bounds a loop
-# whose floor is never reached.
+# a step may raise f by _NEWTON_F_ROUNDING (1 + f). A loop that reaches the step
+# cap has not found the block minimum, and fails.
 _NEWTON_GRAD_FLOOR = 1e-14
 _NEWTON_F_ROUNDING = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 50
@@ -569,7 +569,8 @@ class NonlinearEqPlProblem:
         until Cholesky succeeds, doubling the shift from half the one the last
         step accepted, halve the step until f falls (within rounding), and stop
         once the block gradient is at its rounding floor or a step no longer
-        moves the iterate. Each iterate carries its (r, J)."""
+        moves the iterate. Each iterate carries its (r, J). A solve that
+        reaches neither within _NEWTON_MAX_STEPS steps raises SolverError."""
         idx, m = self.partition.blocks[i], self.n_residuals
         diag = np.arange(idx.size)
         p, f, g = start.x.copy(), start.f, start.g
@@ -609,6 +610,9 @@ class NonlinearEqPlProblem:
                     break
                 step = 0.5 * step
             p, f, g, (r, jac) = trial, f_trial, g_trial, cache
+        else:
+            raise SolverError(f"Newton solve of block {i} did not reach its gradient "
+                              f"floor in {_NEWTON_MAX_STEPS} steps")
         return p
 
     def handle(self) -> ObjectiveHandle:

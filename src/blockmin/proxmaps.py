@@ -20,17 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstrainedBlock, NoOptimum, NoProx
+from .errors import ConstrainedBlock, NoProx
 from .objective import ObjectiveHandle
 
 
 def soft_threshold(z: np.ndarray, level: float) -> np.ndarray:
     """Componentwise soft-thresholding, the prox of level*||.||_1."""
     return np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
-
-
-def box_project(z: np.ndarray, lo, hi) -> np.ndarray:
-    return np.clip(z, lo, hi)
 
 
 class ZeroTerm:
@@ -75,15 +71,13 @@ class BoxTerm:
         return 0.0 if inside else np.inf
 
     def prox(self, z: np.ndarray, step: float) -> np.ndarray:
-        return box_project(z, self.lo, self.hi)
+        return np.clip(z, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
 class ProxMapResult:
     """Prox point, gradient mapping and decrease value for one block."""
 
-    block: int
-    step_constant: float
     t_point: np.ndarray
     g_map: np.ndarray
     d_value: float
@@ -122,47 +116,7 @@ def prox_map(h: ObjectiveHandle, x: np.ndarray, i: int, step: float) -> ProxMapR
         g_shift = float(term.value(t)) - float(term.value(xi))
     diff = t - xi
     model_min = float(gi @ diff) + 0.5 * step * float(diff @ diff) + g_shift
-    return ProxMapResult(
-        block=i,
-        step_constant=step,
-        t_point=t,
-        g_map=step * (xi - t),
-        d_value=-2.0 * step * model_min,
-    )
-
-
-def stationarity_check(h: ObjectiveHandle, x: np.ndarray, i: int, step: float = 1.0) -> float:
-    """Norm of the block gradient mapping; ~0 right after minimizing block i."""
-    return float(np.linalg.norm(prox_map(h, x, i, step).g_map))
-
-
-@dataclass(frozen=True)
-class ProxPlResult:
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-
-
-PROX_PL_TOL = 1e-8
-
-
-def prox_pl_certificate(h: ObjectiveHandle, x: np.ndarray, i: int, mu_i: float) -> ProxPlResult:
-    """Check F* >= F(x) - D_i(x, mu_i)/(2 mu_i) at a solver-generated point.
-
-    Valid at points produced by alternating minimization where the other
-    blocks are block-optimal; elsewhere the inequality is not claimed.
-    """
-    if mu_i <= 0:
-        raise ValueError("mu_i must be positive")
-    if h.optimum is None:
-        raise NoOptimum("certificate needs a known optimum value")
-    f_star = float(h.optimum[1])
-    d = prox_map(h, x, i, mu_i).d_value
-    rhs = h.composite_value(x) - d / (2.0 * mu_i)
-    slack = f_star - rhs
-    return ProxPlResult(lhs=f_star, rhs=rhs, slack=slack,
-                        passed=slack >= -PROX_PL_TOL * (1.0 + abs(f_star)))
+    return ProxMapResult(t_point=t, g_map=step * (xi - t), d_value=-2.0 * step * model_min)
 
 
 def d_monotonicity_check(h: ObjectiveHandle, x: np.ndarray, i: int,

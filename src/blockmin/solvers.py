@@ -40,9 +40,6 @@ class SolverConfig:
     norm it monitors drops to grad_tolerance (for AM, on smooth objectives
     only). mu_assumed = 0 runs the accelerated method in "strong convexity
     unknown" mode; l_known = None selects the adaptive coefficient rule.
-    momentum_rule chooses between the lower-model minimizer update ("proof",
-    default) and the plain v - a * grad update ("literal"); the two coincide
-    when mu_assumed = 0.
     """
 
     max_iters: int = 100
@@ -50,7 +47,6 @@ class SolverConfig:
     grad_tolerance: float = 1e-13
     mu_assumed: float = 0.0
     l_known: float | None = None
-    momentum_rule: str = "proof"
 
     def __post_init__(self):
         # every range check is written so that NaN fails it
@@ -64,8 +60,6 @@ class SolverConfig:
             raise ValueError("mu_assumed must be >= 0")
         if self.l_known is not None and not 0 < self.l_known >= self.mu_assumed:
             raise ValueError("l_known must be positive and >= mu_assumed when set")
-        if self.momentum_rule not in ("proof", "literal"):
-            raise ValueError("momentum_rule must be 'proof' or 'literal'")
 
 
 @dataclass
@@ -90,7 +84,6 @@ class IterationRecord:
     v: np.ndarray | None = None
     f_y: float | None = None
     grad_y: np.ndarray | None = None
-    psi_min: float | None = None
     wall_time: float = 0.0
 
 
@@ -116,34 +109,6 @@ class SolverTrace:
     def sweep_records(self) -> list[IterationRecord]:
         """Records at full-sweep boundaries (k multiple of n_blocks)."""
         return [r for r in self.records if r.k % self.n_blocks == 0]
-
-
-@dataclass
-class QuadraticLowerModel:
-    """Running quadratic lower model psi_k with incremental minimum tracking.
-
-    State: psi_k(x) = min_value + (tau/2) ||x - center||^2 where center is the
-    exact minimizer. Each update folds in one linearization term
-    a * (f_y + <grad_y, x - y> + (mu/2)||x - y||^2).
-    """
-
-    center: np.ndarray
-    tau: float = 1.0
-    a_sum: float = 0.0
-    min_value: float = 0.0
-
-    def update(self, a: float, y: np.ndarray, grad_y: np.ndarray,
-               f_y: float, mu: float) -> np.ndarray:
-        tau_new = 1.0 + mu * (self.a_sum + a)
-        new_center = (self.tau * self.center + mu * a * y - a * grad_y) / tau_new
-        step = new_center - self.center
-        dev = new_center - y
-        self.min_value += (0.5 * self.tau * float(step @ step)
-                           + a * (f_y + float(grad_y @ dev) + 0.5 * mu * float(dev @ dev)))
-        self.center = new_center
-        self.tau = tau_new
-        self.a_sum += a
-        return new_center
 
 
 def exact_line_search(h: ObjectiveHandle, p: Point, q: Point) -> tuple[float, Point]:
@@ -305,17 +270,23 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     minimization, coefficient update (closed-form when l_known is set,
     adaptive from the measured decrease otherwise), then the momentum update.
     Smooth unconstrained objectives only.
+
+    The momentum point v^k is the minimizer of the lower model
+    psi_k(x) = ||x - x^0||^2 / 2
+               + sum_{j<=k} a_j (f(y_j) + <grad f(y_j), x - y_j> + (mu/2) ||x - y_j||^2),
+    whose Hessian is tau_k I with tau_k = 1 + mu A_k. So the state is
+    (v, tau, A), and adding the term of a_{k+1} moves the minimizer to
+    v^{k+1} = (tau_k v^k + mu a y - a grad f(y)) / tau_{k+1}.
     """
     if h.block_argmin is None:
         raise NoBlockSolver("accelerated alternating minimization needs block_argmin")
     if not h.is_smooth():
         raise NonSmoothUnsupported("accelerated solver supports g == 0 only")
     mu = cfg.mu_assumed
-    x0 = np.array(x0, dtype=float)
-    x = v = h.evaluate(x0)
-    model = QuadraticLowerModel(center=x0.copy())
+    x = v = h.evaluate(np.array(x0, dtype=float))
+    tau, a_sum = 1.0, 0.0
     t_start = time.perf_counter()
-    records = [_record(h, 0, x, a=0.0, a_sum=0.0, tau=1.0, v=x0.copy(), psi_min=0.0)]
+    records = [_record(h, 0, x, a=0.0, a_sum=a_sum, tau=tau, v=x.x)]
     status = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         if _target_met(h, records[-1], cfg):
@@ -330,29 +301,24 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
         rec = _record(h, k, x_next, block=i, beta=beta, y=y.x, f_y=y.f, grad_y=y.g)
         try:
             if cfg.l_known is not None:
-                a = choose_a_known_L(model.a_sum, model.tau, mu, cfg.l_known, h.n_blocks)
+                a = choose_a_known_L(a_sum, tau, mu, cfg.l_known, h.n_blocks)
             else:
-                a = choose_a_adaptive(y.f, rec.composite_value, y.g, y.x, model.a_sum,
-                                      model.tau, mu, v.x)
+                a = choose_a_adaptive(y.f, rec.composite_value, y.g, y.x, a_sum, tau, mu, v.x)
         except NoPositiveRoot:
             status = "converged"
             break
         if not math.isfinite(a) or a > _STATE_LIMIT:
             status = "diverged"
             break
-        center = model.update(a, y.x, y.g, y.f, mu)
-        if cfg.momentum_rule == "proof":
-            v_next = center.copy()
-        else:
-            v_next = v.x - a * y.g
+        a_sum += a
+        tau_next = 1.0 + mu * a_sum
+        v_next = (tau * v.x + mu * a * y.x - a * y.g) / tau_next
         if not np.all(np.isfinite(v_next)) or float(np.abs(v_next).max()) > _STATE_LIMIT:
-            # the plain momentum update can run away when mu > 0; the
-            # lower-model minimizer update (the default) cannot
             status = "diverged"
             break
-        x, v = x_next, h.evaluate(v_next)
-        rec.a, rec.a_sum, rec.tau, rec.psi_min = a, model.a_sum, model.tau, model.min_value
-        rec.v, rec.wall_time = v_next.copy(), time.perf_counter() - t_start
+        x, v, tau = x_next, h.evaluate(v_next), tau_next
+        rec.a, rec.a_sum, rec.tau, rec.v = a, a_sum, tau, v_next
+        rec.wall_time = time.perf_counter() - t_start
         records.append(rec)
     return SolverTrace("aam", records, status, cfg, h.n_blocks)
 

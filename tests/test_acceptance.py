@@ -10,11 +10,10 @@ import numpy as np
 
 from blockmin import (SolverConfig, check_aam_Ak, check_aam_adaptive,
                       check_aam_main, check_aam_recurrence, check_am_linear,
-                      check_am_sublinear, check_nearly_pl,
+                      check_am_sublinear, check_nearly_pl, check_prox_pl,
                       d_monotonicity_check, estimate_empirical_rate,
                       make_composite, make_nonlinear_pl, make_quadratic,
-                      make_rank_deficient, prox_pl_certificate, run_aam,
-                      run_am)
+                      make_rank_deficient, run_aam, run_am)
 
 
 def report(criterion, ok, detail=""):
@@ -45,12 +44,11 @@ def test_criterion_2_prox_pl_certificate():
         p = make_composite(seed=seed, dim=12, gamma=gamma, cond_number=30.0)
         h = p.handle()
         trace = run_am(h, p.default_start, SolverConfig(max_iters=24))
-        for rec in trace.records[1:]:
-            other = 1 - rec.block
-            res = prox_pl_certificate(h, rec.x, other, p.mu_blocks[other])
-            worst = min(worst, res.slack / (1.0 + abs(p.f_star)))
-            if not res.passed:
-                report(2, False, f"seed {seed} k={rec.k} scaled slack {res.slack:.3e}")
+        rep = check_prox_pl(h, trace, p.mu_blocks, p.f_star, tol=1e-8)
+        worst = min(worst, rep.worst_slack / (1.0 + abs(p.f_star)))
+        if not rep.passed or len(rep.rows) != 24:
+            report(2, False, f"seed {seed} {len(rep.rows)} rows, first failure at "
+                   f"k={rep.first_failure}, slack {rep.worst_slack:.3e}")
     report(2, True, f"10 instances, worst scaled slack {worst:.3e}")
 
 

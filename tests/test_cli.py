@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmin import cli
+from blockmin import cli, problems
 from blockmin.cli import _json_text, main
 from blockmin.errors import SolverError
 
@@ -76,12 +76,14 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        # a solver option no solver reads is rejected, not ignored
-        solvers = [{"name": "am", "method": "am", "max_iters": 5, "rng_seed": 0}]
-        cfg_path, _ = base_config(tmp_path, solvers=solvers)
+        # a solver option no solver reads is rejected, not ignored, and so is
+        # the former option momentum_rule
         capsys.readouterr()
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-        assert "unknown solver option(s)" in capsys.readouterr().err
+        for key, value in (("rng_seed", 0), ("momentum_rule", "proof")):
+            solvers = [{"name": "am", "method": "am", "max_iters": 5, key: value}]
+            cfg_path, _ = base_config(tmp_path, solvers=solvers)
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+            assert f"unknown solver option(s): ['{key}']" in capsys.readouterr().err
         # arguments a problem constructor rejects are input errors, NaN included
         nan = float("nan")
         for instance in ({"kind": "quadratic", "dim": 7},
@@ -220,7 +222,7 @@ class TestVerify:
             "instance": {"kind": "quadratic", "seed": 3, "dim": 16, "cond_number": 100.0},
             "solvers": [{"name": "am", "method": "am", "max_iters": 30},
                         {"name": "aam0", "method": "aam", "max_iters": 30}],
-            "certificates": ["aam_recurrence", "sufficient_decrease", "aam_main"],
+            "certificates": ["aam_recurrence", "sufficient_decrease", "prox_pl", "aam_main"],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -232,7 +234,7 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         skipped = {r["certificate"] for r in report["results"] if "skipped" in r}
-        assert {"aam_recurrence", "sufficient_decrease"} <= skipped
+        assert {"aam_recurrence", "sufficient_decrease", "prox_pl"} <= skipped
         ran = {r["certificate"] for r in report["results"] if "passed" in r}
         assert "aam_main" in ran
 
@@ -457,6 +459,21 @@ class TestStandardSuite:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+
+
+    def test_capped_newton_solve_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a Newton block solve stopped by its step cap fails the run: exit 3,
+        # one error line and no traceback
+        monkeypatch.setattr(problems, "_NEWTON_MAX_STEPS", 1)
+        cfg = {
+            "instance": {"kind": "nonlinear_pl", "seed": 2, "n": 20, "m": 14},
+            "solvers": [{"name": "am", "method": "am", "max_iters": 10}],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: Newton solve of block")
 
 
 class TestFigure:

@@ -153,6 +153,7 @@ SOLVER_KEYS = {
     "target_gap": REAL, "grad_tolerance": REAL,
     "mu_assumed": loose(st.sampled_from([0.0, 0.5, 1e3, "optimal", "true"])),
     "l_known": loose(st.sampled_from([1.0, 1e4, "optimal"])),
+    # keys no solver takes, both former options, which exit 2
     "momentum_rule": loose(st.sampled_from(["proof", "literal"])),
     "line_search_tol": REAL,
 }

@@ -119,6 +119,16 @@ def test_indefinite_block_hessian_is_shifted(monkeypatch):
     assert 0 < len(failures) <= 12 and len(factorizations) <= 24
 
 
+def test_capped_newton_solve_is_a_solver_failure(monkeypatch):
+    # an iterate the step cap stopped is no block minimum; from the far start
+    # above, the solve needs more than one step
+    p = problem(0, (20, 14))
+    start = p.handle().evaluate(point(p, 3, 3.0))
+    monkeypatch.setattr(problems, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(SolverError, match="block 0 .* in 1 steps"):
+        p.block_argmin(start, 0)
+
+
 @pytest.mark.parametrize("i", [0, 1])
 def test_non_finite_data_ends_the_newton_loop(i):
     # a NaN in c reaches block 0's Hessian through the curvature term, and

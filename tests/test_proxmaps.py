@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from blockmin import (BlockPartition, L1Term, ObjectiveHandle, SolverConfig,
-                      ZeroTerm, d_monotonicity_check, prox_map,
-                      prox_pl_certificate, run_am, soft_threshold,
-                      stationarity_check)
-from blockmin.errors import ConstrainedBlock, NoOptimum, NoProx
+                      ZeroTerm, check_prox_pl, d_monotonicity_check, prox_map,
+                      run_am, soft_threshold)
+from blockmin.errors import ConstrainedBlock, MissingConstants, NoProx
 
 
 def l1_handle_2d(grad_vec, gamma):
@@ -117,59 +116,73 @@ class TestProxMap:
             prox_map(h, np.zeros(2), 0, 1.0)
 
 
+def mapping_norm(h, x, i, step):
+    """Norm of the block gradient mapping; ~0 right after minimizing block i."""
+    return float(np.linalg.norm(prox_map(h, x, i, step).g_map))
+
+
 class TestStationarity:
     def test_after_block_min(self, quad16):
         h = quad16.handle()
         x = h.exact_block_min(h.evaluate(quad16.default_start), 1)
         g = np.linalg.norm(h.full_gradient(x))
-        assert stationarity_check(h, x, 1, 1.0) <= 1e-7 * (1 + g)
+        assert mapping_norm(h, x, 1, 1.0) <= 1e-7 * (1 + g)
 
     def test_at_optimum(self, quad16):
         h = quad16.handle()
         for i in range(2):
-            assert stationarity_check(h, quad16.x_star, i, 1.0) <= 1e-7
+            assert mapping_norm(h, quad16.x_star, i, 1.0) <= 1e-7
 
     def test_positive_off_optimum(self, quad16):
         h = quad16.handle()
         x = quad16.x_star + 1.0
-        assert stationarity_check(h, x, 0, 1.0) > 1e-3
+        assert mapping_norm(h, x, 0, 1.0) > 1e-3
 
     def test_along_am_trace(self, composite12):
         h = composite12.handle()
         trace = run_am(h, composite12.default_start, SolverConfig(max_iters=20))
         for rec in trace.records[1:]:
             g = np.linalg.norm(h.full_gradient(rec.x))
-            assert stationarity_check(h, rec.x, rec.block, 2.0) <= 1e-7 * (1 + g)
+            assert mapping_norm(h, rec.x, rec.block, 2.0) <= 1e-7 * (1 + g)
 
 
 class TestProxPlCertificate:
     def test_along_quadratic_am_iterates(self, quad16):
         h = quad16.handle()
         trace = run_am(h, quad16.default_start, SolverConfig(max_iters=30))
-        for rec in trace.records[1:]:
-            other = 1 - rec.block
-            res = prox_pl_certificate(h, rec.x, other, quad16.mu_blocks[other])
-            assert res.passed, f"slack {res.slack} at k={rec.k}"
+        rep = check_prox_pl(h, trace, quad16.mu_blocks, quad16.f_star)
+        assert len(rep.rows) == 30
+        assert rep.passed, f"slack {rep.worst_slack} at k={rep.first_failure}"
 
     def test_zero_slack_at_optimum(self, quad16):
         h = quad16.handle()
-        res = prox_pl_certificate(h, quad16.x_star, 0, quad16.mu_blocks[0])
-        assert res.slack == pytest.approx(0.0, abs=1e-9)
+        trace = run_am(h, quad16.x_star, SolverConfig(max_iters=1))
+        rep = check_prox_pl(h, trace, quad16.mu_blocks, quad16.f_star)
+        assert len(rep.rows) == 1
+        assert rep.rows[0].slack == pytest.approx(0.0, abs=1e-9)
 
     def test_composite_am_iterates(self, composite12):
         h = composite12.handle()
         trace = run_am(h, composite12.default_start, SolverConfig(max_iters=40))
-        for rec in trace.records[1:]:
-            other = 1 - rec.block
-            res = prox_pl_certificate(h, rec.x, other, composite12.mu_blocks[other])
-            assert res.passed, f"slack {res.slack} at k={rec.k}"
+        rep = check_prox_pl(h, trace, composite12.mu_blocks, composite12.f_star)
+        assert len(rep.rows) == 40
+        assert rep.passed, f"slack {rep.worst_slack} at k={rep.first_failure}"
 
-    def test_requires_optimum(self):
-        part = BlockPartition.contiguous([1, 1])
+    def test_requires_optimum(self, quad16):
+        h = quad16.handle()
+        trace = run_am(h, quad16.default_start, SolverConfig(max_iters=2))
+        with pytest.raises(MissingConstants):
+            check_prox_pl(h, trace, quad16.mu_blocks, None)
+
+    def test_two_blocks_only(self):
+        # the lemma needs every block but the checked one block-optimal
+        part = BlockPartition.contiguous([1, 1, 1])
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: float(x @ x),
-                            block_gradient=lambda x, i: 2 * x[part.blocks[i]])
-        with pytest.raises(NoOptimum):
-            prox_pl_certificate(h, np.ones(2), 0, 1.0)
+                            block_gradient=lambda x, i: 2 * x[part.blocks[i]],
+                            block_argmin=lambda p, i: np.where(np.arange(3) == i, 0.0, p.x))
+        trace = run_am(h, np.ones(3), SolverConfig(max_iters=3))
+        with pytest.raises(ValueError):
+            check_prox_pl(h, trace, [1.0, 1.0, 1.0], 0.0)
 
 
 class TestDMonotonicity:

@@ -356,21 +356,33 @@ class TestRunAam:
             rep = check_aam_recurrence(trace, mu)
             assert rep.passed, rep.worst_slack
 
-    def test_incremental_psi_matches_direct(self, quad16):
-        p = quad16
-        mu = p.mu_global
-        trace = run_aam(p.handle(), p.default_start,
-                        SolverConfig(max_iters=50, mu_assumed=mu))
-        recs = trace.records
-        x0 = recs[0].x
-        for k in (1, 10, 25, len(recs) - 1):
-            v = recs[k].v
-            psi = 0.5 * float((v - x0) @ (v - x0))
-            for j in range(1, k + 1):
-                dev = v - recs[j].y
-                psi += recs[j].a * (recs[j].f_y + float(recs[j].grad_y @ dev)
-                                    + 0.5 * mu * float(dev @ dev))
-            assert recs[k].psi_min == pytest.approx(psi, rel=1e-8, abs=1e-8)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(problem=st.sampled_from(["quadratic", "nonlinear"]), mu_star=st.booleans(),
+           known_l=st.booleans(), max_iters=st.integers(1, 60), start_seed=st.integers(0, 99))
+    def test_momentum_point_minimizes_lower_model(self, quad16, nonlinear20, problem,
+                                                  mu_star, known_l, max_iters, start_seed):
+        # v^k zeroes grad psi_k(v) = (v - x^0) + sum_{j<=k} a_j (g_j + mu (v - y_j)),
+        # to rounding relative to the size of its terms. The identity holds for
+        # any coefficients, so the nonlinear fixture, which knows no L, runs
+        # the known-L rule with the Gauss-Newton bound 2 (||A|| + |eps|)^2
+        if problem == "quadratic":
+            p, mu, l_const = quad16, quad16.mu_global, quad16.l_global
+        else:
+            p, mu = nonlinear20, nonlinear20.pl_constant
+            l_const = 2.0 * (np.linalg.norm(p.amat, 2) + abs(p.eps)) ** 2
+        mu = mu if mu_star else 0.0
+        rng = np.random.default_rng(start_seed)
+        x0 = p.default_start + rng.standard_normal(p.default_start.size)
+        cfg = SolverConfig(max_iters=max_iters, mu_assumed=mu,
+                           l_known=l_const if known_l else None)
+        recs = run_aam(p.handle(), x0, cfg).records
+        for k in range(1, len(recs)):
+            v, steps = recs[k].v, recs[1:k + 1]
+            grad = (v - x0) + sum(r.a * (r.grad_y + mu * (v - r.y)) for r in steps)
+            scale = np.linalg.norm(v) + np.linalg.norm(x0) + sum(
+                r.a * (np.linalg.norm(r.grad_y) + mu * (np.linalg.norm(v) + np.linalg.norm(r.y)))
+                for r in steps)
+            assert np.linalg.norm(grad) <= 4.0 * k * EPS * scale, k
 
     def test_a_growth(self, quad16):
         p = quad16
@@ -384,40 +396,9 @@ class TestRunAam:
         assert trace.status in ("grad_tolerance", "converged")
         assert len(trace.records) == 1
 
-    def test_momentum_rules_coincide_for_mu_zero(self, quad8):
-        p = quad8
-        t1 = run_aam(p.handle(), p.default_start,
-                     SolverConfig(max_iters=30, momentum_rule="proof"))
-        t2 = run_aam(p.handle(), p.default_start,
-                     SolverConfig(max_iters=30, momentum_rule="literal"))
-        for r1, r2 in zip(t1.records, t2.records):
-            np.testing.assert_allclose(r1.x, r2.x, atol=1e-12)
-            if r1.v is not None:
-                np.testing.assert_allclose(r1.v, r2.v, atol=1e-12)
-
     def test_rejects_composite(self, composite12):
         with pytest.raises(NonSmoothUnsupported):
             run_aam(composite12.handle(), composite12.default_start, SolverConfig())
-
-    def test_literal_momentum_with_mu_measurable(self, quad8):
-        # measurement switch: with mu > 0 the plain momentum update departs
-        # from the model minimizer and can run away entirely; the solver must
-        # stop cleanly with finite records rather than propagate overflow
-        p = quad8
-        cfg_lit = SolverConfig(max_iters=30, mu_assumed=p.mu_global,
-                               momentum_rule="literal")
-        cfg_prf = SolverConfig(max_iters=30, mu_assumed=p.mu_global,
-                               momentum_rule="proof")
-        t_lit = run_aam(p.handle(), p.default_start, cfg_lit)
-        t_prf = run_aam(p.handle(), p.default_start, cfg_prf)
-        assert all(np.isfinite(r.composite_value) for r in t_lit.records)
-        assert all(np.all(np.isfinite(r.v)) for r in t_lit.records[1:])
-        drift = max(float(np.abs(a.v - b.v).max())
-                    for a, b in zip(t_lit.records[1:], t_prf.records[1:]))
-        assert drift > 1e-8
-        assert t_prf.status != "diverged"
-        if t_lit.status == "diverged":
-            assert len(t_lit.records) >= 2  # stopped after, not during, damage
 
     def test_greedy_choice_recorded(self, quad16):
         trace = run_aam(quad16.handle(), quad16.default_start, SolverConfig(max_iters=20))
@@ -470,8 +451,6 @@ class TestStopping:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(grad_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(momentum_rule="sometimes")
         # NaN fails every range check
         nan = float("nan")
         for bad in (dict(grad_tolerance=nan), dict(target_gap=nan),
