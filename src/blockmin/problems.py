@@ -12,9 +12,11 @@ Two families:
   patterns once those proposals repeat. Each block keeps the factor of the
   last reduced system it factored for the next pattern with the same free set.
   The Hessian of the smooth part is 2 W^T W, so the declared constants carry
-  that factor of two. Points carry their residual W x - b, so f and grad f
-  at an affine combination of two points, the exact line minimizer and the
-  block step need no product with W. The constructor derives every constant
+  that factor of two. A fresh evaluation reads W once, a row chunk at a time.
+  Points carry their residual W x - b, so f and grad f at an affine
+  combination of two points, the exact line minimizer and the block solve
+  need no product with W, and the point after a block step needs only the
+  block's columns of W and of W^T W. The constructor derives every constant
   and the optimum; with terms, the optimum is cross-validated by two
   independent solves: FISTA run to a gradient-mapping norm at its rounding
   floor, and the active-set solve. Its subclass QuadraticSplitProblem is the
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BadDimension, BadShape, NotSpd, SolverError
 from .linalg import SpdFactorization, factor_spd, solve_cholesky, solve_factored
@@ -40,8 +43,9 @@ from .proxmaps import BoxTerm, L1Term, ZeroTerm, soft_threshold
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    q, r = scipy.linalg.qr(rng.standard_normal((n, n)), mode="economic", check_finite=False)
+    # row-major like numpy's qr: the order of q sets the BLAS path of W's products
+    return np.multiply(q, np.sign(np.diag(r)), order="C")
 
 
 # beyond 1/eps, W^T W is singular in double precision; near 1e308 it overflows
@@ -252,17 +256,31 @@ def _active_set_solve(gram, lin, z, weight, lo, hi, lam,
                       f"conditions in {_ACTIVE_SET_MAX_STEPS} FISTA steps")
 
 
+# A fresh evaluation forms r = W x - b and W^T r one row chunk of W at a time,
+# so each chunk is still in cache for its W_c^T r_c: one pass over W in all.
+_CHUNK_BYTES = 1 << 20
+
+
+def _block_slice(idx: np.ndarray) -> slice | np.ndarray:
+    """idx as a slice when it is a contiguous range, so that indexing with it
+    makes a view; idx itself otherwise."""
+    if np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 @dataclass
 class CompositeQuadraticProblem:
     """F(x) = ||W x - b||^2 + sum_i g_i(x_i) over the blocks of ``partition``,
     each g_i an l1, box or zero term; ``terms=None`` means every g_i = 0.
 
-    The rest is built once, from these four: the spectrum of W^T W
-    (``l_global``, ``mu_global``, ``lambda_min_plus``), the columns of W in
-    each block with the Cholesky factors of their Gram matrices and the L_i,
-    and, unless both are given, ``x_star`` and ``f_star``: in closed form
-    with no terms (``lstsq`` when W is rank deficient), otherwise by FISTA
-    cross-validated by the active-set solve.
+    The rest is built once, from these four: G = W^T W and its spectrum
+    (``l_global``, ``mu_global``, ``lambda_min_plus``), the columns of W and
+    the rows of G in each block (views for a contiguous block), the Cholesky
+    factors of the block Gram matrices G_ii with the L_i, and, unless both
+    are given, ``x_star`` and ``f_star``: in closed form with no terms
+    (``lstsq`` when W is rank deficient), otherwise by FISTA cross-validated
+    by the active-set solve.
     """
 
     W: np.ndarray
@@ -276,23 +294,30 @@ class CompositeQuadraticProblem:
     mu_global: float = field(init=False)
     lambda_min_plus: float = field(init=False)
     l_blocks: tuple[float, ...] = field(init=False)
+    _chunks: tuple[slice, ...] = field(init=False, repr=False)
     _cols: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _gram_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _facts: tuple[SpdFactorization, ...] = field(init=False, repr=False)
     _bounds: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
     _last: tuple[_LastFactor, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        rows, dim = self.W.shape
+        step = max(1, _CHUNK_BYTES // (self.W.itemsize * dim))
+        self._chunks = tuple(slice(a, a + step) for a in range(0, rows, step))
         self._bounds = _term_arrays(self.terms, self.partition)
         self._last = tuple(_LastFactor() for _ in self.partition.blocks)
-        self._spectrum_and_optimum()
-        self._cols = tuple(self.W[:, idx] for idx in self.partition.blocks)
-        self._facts = tuple(factor_spd(c.T @ c) for c in self._cols)
+        gram = self.W.T @ self.W  # exactly symmetric: numpy forms it by syrk
+        self._spectrum_and_optimum(gram)
+        blocks = [_block_slice(idx) for idx in self.partition.blocks]
+        self._cols = tuple(self.W[:, s] for s in blocks)
+        self._gram_rows = tuple(gram[s] for s in blocks)
+        self._facts = tuple(factor_spd(g[:, s]) for g, s in zip(self._gram_rows, blocks))
         self.l_blocks = tuple(2.0 * float(np.linalg.eigvalsh(f.source)[-1]) for f in self._facts)
 
-    def _spectrum_and_optimum(self):
-        """The global constants and, unless both are given, x_star and f_star.
-        W^T W lives only here, so it is freed before the block factors exist."""
-        gram = self.W.T @ self.W
+    def _spectrum_and_optimum(self, gram: np.ndarray):
+        """The global constants from gram = W^T W and, unless both are given,
+        x_star and f_star."""
         lam = np.linalg.eigvalsh(gram)
         positive = lam[lam > 1e-10 * max(1.0, lam[-1])]
         full_rank = positive.size == lam.size
@@ -325,7 +350,8 @@ class CompositeQuadraticProblem:
     # -- objective callables -------------------------------------------------
 
     def smooth_value(self, x: np.ndarray) -> float:
-        r = self.W @ x - self.b
+        # the residual chunk by chunk, the same floats as value_and_gradient's
+        r = np.concatenate([self.W[s] @ x - self.b[s] for s in self._chunks])
         return float(r @ r)
 
     def value_rounding(self, x: np.ndarray) -> float:
@@ -341,17 +367,31 @@ class CompositeQuadraticProblem:
         return rows * eps * f + 2.0 * math.sqrt(f) * delta + delta * delta
 
     def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        return 2.0 * (self._cols[i].T @ (self.W @ x - self.b))
+        # a slice of the full gradient: W^T r summed chunk by chunk is not the
+        # same floats as W_i^T r
+        return self.value_and_gradient(x)[1][self.partition.blocks[i]]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """f, grad f and the residual r = W x - b, which the handle keeps as the
-        point's cache; f and grad f are the same floats as smooth_value and
-        block_gradient."""
-        r = self.W @ x - self.b
-        g = np.empty(x.size)
-        for c, idx in zip(self._cols, self.partition.blocks):
-            g[idx] = 2.0 * (c.T @ r)
-        return float(r @ r), g, r
+        point's cache, in one pass over W: each row chunk W_c gives r_c and
+        adds W_c^T r_c to the gradient while it is still in cache."""
+        r = np.empty(self.W.shape[0])
+        g = np.zeros(x.size)
+        for s in self._chunks:
+            w = self.W[s]
+            r[s] = w @ x - self.b[s]
+            g += w.T @ r[s]
+        return float(r @ r), 2.0 * g, r
+
+    def block_value_and_gradient(self, p: Point, x: np.ndarray, i: int
+                                 ) -> tuple[float, np.ndarray, np.ndarray]:
+        """f, grad f and the residual at x, which differs from p.x in block i
+        only, by d: the residual moves by W_i d and the gradient by
+        2 G[:, i] d = 2 G[i, :]^T d, G = W^T W being exactly symmetric."""
+        idx = self.partition.blocks[i]
+        d = x[idx] - p.x[idx]
+        r = p.cache + self._cols[i] @ d
+        return float(r @ r), p.g + 2.0 * (self._gram_rows[i].T @ d), r
 
     def affine_value_and_gradient(self, p: Point, q: Point, t: float
                                   ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -401,7 +441,8 @@ class CompositeQuadraticProblem:
             optimum=(self.x_star, self.f_star),
             line_minimizer=self.line_minimizer,
             value_and_gradient=self.value_and_gradient,
-            affine_value_and_gradient=self.affine_value_and_gradient)
+            affine_value_and_gradient=self.affine_value_and_gradient,
+            block_value_and_gradient=self.block_value_and_gradient)
 
 
 # The smooth case subclasses the composite, not the other way round:

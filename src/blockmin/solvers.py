@@ -250,7 +250,7 @@ def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace
     status = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         i = (k - 1) % h.n_blocks
-        p = h.evaluate(h.exact_block_min(p, i))
+        p = h.block_min(p, i)
         rec = _record(h, k, p, block=i, wall_time=time.perf_counter() - t_start)
         records.append(rec)
         if h.is_smooth() and rec.grad_norm <= cfg.grad_tolerance:
@@ -297,7 +297,7 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             status = "grad_tolerance"
             break
         i = greedy_block(h, y.g)
-        x_next = h.evaluate(h.exact_block_min(y, i))
+        x_next = h.block_min(y, i)
         rec = _record(h, k, x_next, block=i, beta=beta, y=y.x, f_y=y.f, grad_y=y.g)
         try:
             if cfg.l_known is not None:

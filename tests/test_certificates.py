@@ -177,9 +177,12 @@ class TestAamRecurrence:
     def test_rounding_floor_is_not_a_violation(self):
         # with mu > 0 and known L, A_k reaches 3e29 by k = 950 while f(x^k)
         # is rounding noise of ~1e-28, so A_k f(x^k) exceeds psi_k by ~10
-        # without any fault in AAM; the rounding bound of f covers that
+        # without any fault in AAM; the rounding bound of f covers that. The
+        # gradient norm at y floors near 1e-13, so a grad_tolerance below it
+        # keeps the run at the floor until A_k has grown that far
         p = make_quadratic(0, 256, 100.0)
-        cfg = SolverConfig(max_iters=1000, mu_assumed=p.mu_global, l_known=p.l_global)
+        cfg = SolverConfig(max_iters=1000, mu_assumed=p.mu_global, l_known=p.l_global,
+                           grad_tolerance=1e-20)
         trace = run_aam(p.handle(), p.default_start, cfg)
         assert check_aam_recurrence(trace, p.mu_global).first_failure > 900
         rep = check_aam_recurrence(trace, p.mu_global, value_rounding=p.value_rounding)

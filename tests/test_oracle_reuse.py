@@ -1,8 +1,9 @@
 """Each point is evaluated once: the value-and-gradient hook gives the same
-floats as the per-block oracles, the affine hook gives f and grad f at a
-combination of two points to rounding, the solvers give the same traces with
-and without the hooks, and the calls per iteration stay at what the methods
-need."""
+floats as the per-block oracles, the affine and block hooks give f and grad f
+at a combination of two points and after a block step to rounding, the
+solvers give the same traces with and without the hooks (to rounding where
+they make points from other points), and the calls per iteration stay at what
+the methods need."""
 
 import dataclasses
 from collections import Counter
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from blockmin import (BlockPartition, CompositeQuadraticProblem, ObjectiveHandle,
                       SolverConfig, exact_line_search, make_composite, make_quadratic,
                       make_rank_deficient, run_aam, run_am, run_fgm)
+from blockmin import problems
 from blockmin.errors import DimensionMismatch
+from blockmin.objective import REFRESH_BLOCK_STEPS
 from blockmin.solvers import _LINE_SEARCH_MAX_PROBES
 
 # an upper bound on the smoothness constant of the nonlinear fixture, which
@@ -29,12 +32,22 @@ def problem(request):
 
 
 def without_hook(h):
-    return dataclasses.replace(h, value_and_gradient=None, affine_value_and_gradient=None)
+    return dataclasses.replace(h, value_and_gradient=None, affine_value_and_gradient=None,
+                               block_value_and_gradient=None)
+
+
+@pytest.fixture(scope="module")
+def quad512():
+    """Large enough that a fresh evaluation takes W in two row chunks."""
+    p = make_quadratic(0, 512, 100.0)
+    assert p.W.nbytes >= 2 * problems._CHUNK_BYTES
+    return p
 
 
 class TestValueAndGradientHook:
-    def test_matches_per_block_oracles_exactly(self, problem, rng):
-        _, p = problem
+    @pytest.mark.parametrize("name", ["quad16", "composite12", "nonlinear20", "quad512"])
+    def test_matches_per_block_oracles_exactly(self, name, request, rng):
+        p = request.getfixturevalue(name)
         h = p.handle()
         assert h.value_and_gradient is not None
         plain = without_hook(h)
@@ -46,6 +59,11 @@ class TestValueAndGradientHook:
             point = h.evaluate(x)
             assert point.f == f and np.array_equal(point.g, g)
             assert np.array_equal(h.full_gradient(x), g)
+            if name != "nonlinear20":
+                # the chunks add up to 2 W^T (W x - b), formed in one piece
+                _, tol_g, tol_r = rounding_bounds(p, np.abs(x))
+                assert np.all(np.abs(point.cache - (p.W @ x - p.b)) <= tol_r)
+                assert np.all(np.abs(g - 2.0 * (p.W.T @ (p.W @ x - p.b))) <= tol_g)
 
     def test_evaluate_without_hook(self):
         part = BlockPartition.contiguous([1, 2])
@@ -85,41 +103,119 @@ class TestValueAndGradientHook:
                     assert y.f == f
 
 
-def _four_block_quadratic():
-    q = make_quadratic(0, 16, 100.0)
+def _four_blocks(q):
+    """The least squares of q split into four equal contiguous blocks."""
     return CompositeQuadraticProblem(
-        W=q.W, b=q.b, partition=BlockPartition.contiguous([4] * 4), terms=None,
-        default_start=q.default_start)
+        W=q.W, b=q.b, partition=BlockPartition.contiguous([q.W.shape[1] // 4] * 4),
+        terms=None, default_start=q.default_start)
 
 
 # least-squares problems whose handles combine points: quadratic, rank
 # deficient, composite (the smooth part is the same) and four blocks
 AFFINE_PROBLEMS = [make_quadratic(3, 16, 200.0), make_rank_deficient(5, 16, 12),
-                   make_composite(11, 12, 0.4, ("l1", "box")), _four_block_quadratic()]
+                   make_composite(11, 12, 0.4, ("l1", "box")),
+                   _four_blocks(make_quadratic(0, 16, 100.0))]
 EPS = np.finfo(float).eps
+
+
+def rounding_bounds(prob, m):
+    """Bounds on the error of f, and termwise of grad f and r = W x - b, at a
+    point made from points no larger than m termwise. There |r| <= s =
+    |W| m + |b|, and each residual is a sum of at most dim + 1 terms that
+    size, so f and g stay within 8 dim eps of the terms of r.r and 2 W^T r."""
+    absw = np.abs(prob.W)
+    s = absw @ m + np.abs(prob.b)
+    tol = 8.0 * prob.W.shape[1] * EPS
+    return tol * float(s @ s), tol * 2.0 * (absw.T @ s), tol * s
+
+
+def assert_matches_fresh(prob, point, m):
+    h = point.handle
+    fresh = h.evaluate(point.x)
+    tol_f, tol_g, tol_r = rounding_bounds(prob, m)
+    assert abs(point.f - fresh.f) <= tol_f
+    assert np.all(np.abs(point.g - fresh.g) <= tol_g)
+    assert np.all(np.abs(point.cache - fresh.cache) <= tol_r)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(n=st.integers(0, len(AFFINE_PROBLEMS) - 1), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), t=st.floats(0.0, 1.0))
 def test_affine_point_matches_a_fresh_evaluation(n, seed, scale, t):
-    # |r| <= s = |W| (|p.x| + |q.x|) + |b| termwise on the whole segment; each
-    # residual is a sum of at most dim + 1 terms that size, so f and g of the
-    # affine point stay within 8 dim eps of the terms of r.r and 2 W^T r
+    # the whole segment is within |p.x| + |q.x| termwise
     prob = AFFINE_PROBLEMS[n]
     h = prob.handle()
     rng = np.random.default_rng(seed)
     p = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
     q = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
     combined = h.affine(p, q, t)
-    fresh = h.evaluate(p.x + t * (q.x - p.x))
-    assert np.array_equal(combined.x, fresh.x)
-    absw = np.abs(prob.W)
-    s = absw @ (np.abs(p.x) + np.abs(q.x)) + np.abs(prob.b)
-    tol = 8.0 * h.dim * EPS
-    assert abs(combined.f - fresh.f) <= tol * float(s @ s)
-    assert np.all(np.abs(combined.g - fresh.g) <= tol * 2.0 * (absw.T @ s))
-    assert np.all(np.abs(combined.cache - fresh.cache) <= tol * s)
+    assert np.array_equal(combined.x, p.x + t * (q.x - p.x))
+    assert_matches_fresh(prob, combined, np.abs(p.x) + np.abs(q.x))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(0, len(AFFINE_PROBLEMS) - 1), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), i=st.integers(0, 3))
+def test_block_point_matches_a_fresh_evaluation(n, seed, scale, i):
+    # the block change d has |d| <= |p.x| + |x| termwise
+    prob = AFFINE_PROBLEMS[n]
+    h = prob.handle()
+    i %= h.n_blocks
+    rng = np.random.default_rng(seed)
+    p = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
+    block = h.block_min(p, i)
+    assert block.block_steps == 1
+    assert np.array_equal(block.x, h.exact_block_min(p, i))
+    assert_matches_fresh(prob, block, np.abs(p.x) + np.abs(block.x))
+
+
+def test_block_steps_are_refreshed(quad16, rng):
+    # a chain of block points is evaluated afresh every REFRESH_BLOCK_STEPS
+    # steps; an affine point counts the longer chain of its two ends
+    h = quad16.handle()
+    fresh = h.evaluate(quad16.x_star + rng.standard_normal(16))
+    p = fresh
+    for k in range(1, 2 * REFRESH_BLOCK_STEPS + 1):
+        p = h.block_min(p, k % 2)
+        assert p.block_steps == k % REFRESH_BLOCK_STEPS
+        assert h.affine(fresh, p, 0.5).block_steps == p.block_steps
+        if p.block_steps == 0:
+            again = h.evaluate(p.x)
+            assert p.f == again.f and np.array_equal(p.g, again.g)
+            assert np.array_equal(p.cache, again.cache)
+
+
+def _assert_records_match_fresh(prob, trace):
+    # every point of the run is within the largest record termwise: the y_k
+    # lie between x_k and v_k
+    h = prob.handle()
+    m = np.max([np.abs(a) for r in trace.records for a in (r.x, r.y, r.v)
+                if a is not None], axis=0)
+    tol_f, tol_g, _ = rounding_bounds(prob, 2.0 * m)
+    for r in trace.records:
+        fresh = h.evaluate(r.x)
+        assert abs(r.composite_value - h.composite_value(r.x, smooth=fresh.f)) <= tol_f, r.k
+        assert abs(r.grad_norm - float(np.linalg.norm(fresh.g))) <= float(np.linalg.norm(tol_g)), r.k
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_quadratic(0, 256, 100.0),
+    lambda: _four_blocks(make_quadratic(0, 256, 100.0)),
+    lambda: make_rank_deficient(5, 64, 48),
+    lambda: make_composite(11, 64, 0.4, ("l1", "box"))],
+    ids=["quad256", "quad256_4blocks", "rankdef64", "composite64"])
+def test_long_runs_stay_within_rounding_of_fresh_evaluations(make):
+    # 3,000 AM and 1,000 AAM steps, most at the rounding floor, where each
+    # record's F and ||grad f|| come from a chain of block points
+    prob = make()
+    h = prob.handle()
+    floor = 1e-300  # below any gradient floor, so that the runs last
+    _assert_records_match_fresh(prob, run_am(
+        h, prob.default_start, SolverConfig(max_iters=3000, grad_tolerance=floor)))
+    if h.is_smooth():
+        for mu, l_known in ((0.0, None), (prob.mu_global, prob.l_global)):
+            _assert_records_match_fresh(prob, run_aam(h, prob.default_start, SolverConfig(
+                max_iters=1000, grad_tolerance=floor, mu_assumed=mu, l_known=l_known)))
 
 
 def _solver_runs(p):
@@ -138,19 +234,29 @@ def _solver_runs(p):
 
 
 def test_traces_identical_with_and_without_hook(problem):
-    # the runs that combine no points: every solver on the nonlinear system,
-    # which has no affine hook, and AM everywhere
+    # every solver on the nonlinear system, which has only the
+    # value-and-gradient hook, gives the same floats; on least squares AM and
+    # AAM make block points, so they make the choices of the hook-free run,
+    # with F and ||grad f|| within rounding of it
     name, p = problem
     h = p.handle()
     for label, run in _solver_runs(p):
-        if label != "am" and name != "nonlinear20":
+        if label == "fgm" and name != "nonlinear20":
             continue
         with_hook, plain = run(h), run(without_hook(h))
         assert with_hook.status == plain.status, label
         assert len(with_hook.records) == len(plain.records), label
+        if name == "nonlinear20":
+            for r1, r2 in zip(with_hook.records, plain.records):
+                for attr in ("composite_value", "grad_norm", "beta", "a"):
+                    assert getattr(r1, attr) == getattr(r2, attr), (label, r1.k, attr)
+            continue
+        assert [r.block for r in with_hook.records] == [r.block for r in plain.records]
+        m = np.max([np.abs(r.x) for r in plain.records], axis=0)
+        tol_f, tol_g, _ = rounding_bounds(p, 2.0 * m)
         for r1, r2 in zip(with_hook.records, plain.records):
-            for attr in ("composite_value", "grad_norm", "beta", "a"):
-                assert getattr(r1, attr) == getattr(r2, attr), (label, r1.k, attr)
+            assert abs(r1.composite_value - r2.composite_value) <= tol_f, (label, r1.k)
+            assert abs(r1.grad_norm - r2.grad_norm) <= float(np.linalg.norm(tol_g)), (label, r1.k)
 
 
 @pytest.mark.parametrize("name", ["quad16", "rankdef16"])
@@ -174,7 +280,7 @@ def test_combined_points_track_the_hook_free_run(name, request):
 
 
 _ORACLES = ("smooth_value", "block_gradient", "block_argmin", "line_minimizer",
-            "value_and_gradient", "affine_value_and_gradient")
+            "value_and_gradient", "affine_value_and_gradient", "block_value_and_gradient")
 
 
 def counted(h):
@@ -212,9 +318,10 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_am(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n))
-        assert calls == {"value_and_gradient": 1, "block_argmin": 1, "smooth_value": 0,
-                         "block_gradient": 0, "line_minimizer": 0,
-                         "affine_value_and_gradient": 0}
+        # each iterate is a block point of the last
+        assert calls == {"value_and_gradient": 0, "block_value_and_gradient": 1,
+                         "block_argmin": 1, "smooth_value": 0, "block_gradient": 0,
+                         "line_minimizer": 0, "affine_value_and_gradient": 0}
 
     @pytest.mark.parametrize("known_l", [False, True])
     def test_aam(self, quad32, known_l):
@@ -222,12 +329,13 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_aam(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n, l_known=l_known))
-        # the record's x_next and the momentum point v are evaluated; y is an
-        # affine point, and the line search's candidate at 1 is v itself. At
-        # k = 6 the known-L run's line minimizer lies below 0, so y is x and
-        # no affine point is made
-        assert calls == {"value_and_gradient": 2, "smooth_value": 0, "line_minimizer": 1,
-                         "block_argmin": 1, "block_gradient": 0,
+        # the momentum point v is evaluated and the record's x_next is a block
+        # point of y; y is an affine point, and the line search's candidate at
+        # 1 is v itself. At k = 6 the known-L run's line minimizer lies below
+        # 0, so y is x and no affine point is made
+        assert calls == {"value_and_gradient": 1, "block_value_and_gradient": 1,
+                         "smooth_value": 0, "line_minimizer": 1, "block_argmin": 1,
+                         "block_gradient": 0,
                          "affine_value_and_gradient": 0.8 if known_l else 1}
 
     def test_fgm(self, quad32):
@@ -237,18 +345,20 @@ class TestOracleCounts:
         # z is evaluated; the momentum point is an affine point
         assert calls == {"value_and_gradient": 1, "smooth_value": 0, "block_gradient": 0,
                          "block_argmin": 0, "line_minimizer": 0,
-                         "affine_value_and_gradient": 1}
+                         "affine_value_and_gradient": 1, "block_value_and_gradient": 0}
 
     def test_aam_nonlinear(self, nonlinear20):
-        # no line minimizer and no affine hook: x_next, v and each probe of
-        # the slope search are evaluated once, and nothing calls the value alone
+        # no line minimizer and no affine or block hook: x_next, v and each
+        # probe of the slope search are evaluated once, and nothing calls the
+        # value alone
         p = nonlinear20
         calls = calls_per_iteration(
             p.handle(), lambda h, c: run_aam(h, p.default_start, c),
             lambda n: SolverConfig(max_iters=n))
         probes = calls.pop("value_and_gradient") - 2
         assert calls == {"smooth_value": 0, "block_gradient": 0, "block_argmin": 1,
-                         "line_minimizer": 0, "affine_value_and_gradient": 0}
+                         "line_minimizer": 0, "affine_value_and_gradient": 0,
+                         "block_value_and_gradient": 0}
         assert 0 < probes <= _LINE_SEARCH_MAX_PROBES
 
     def test_aam_without_hook(self, quad32):
