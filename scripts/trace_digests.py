@@ -3,8 +3,12 @@
 Runs ``blockmin run`` and then ``blockmin verify`` on every ``configs/*.json``,
 and ``blockmin figure`` on ``configs/quadratic.json``, all into a temporary
 directory. Prints one ``<sha256>  <name>`` line each for every ``trace.csv``,
-the ``results`` of every verify report and ``figure.csv``. The package is
-imported from this checkout's ``src/``.
+the ``results`` of every verify report, the structure of every run and
+``figure.csv``. A structure digest covers the ``solver``, ``k`` and
+``block`` columns of the trace and each solver's ``status`` in
+``summary.json``: a change that moves only floats leaves it equal even where
+the ``trace.csv`` digest changes. The package is imported from this
+checkout's ``src/``.
 
 The floats depend on the BLAS build and the CPU, so no digest is pinned:
 compare two checkouts on one host, or two runs of one checkout::
@@ -20,6 +24,7 @@ digested all the same).
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -45,6 +50,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _structure(out: Path) -> bytes:
+    """The (solver, k, block) rows of out/trace.csv and each run's status."""
+    with open(out / "trace.csv", newline="", encoding="utf-8") as fh:
+        rows = [(r["solver"], r["k"], r["block"]) for r in csv.DictReader(fh)]
+    runs = json.loads((out / "summary.json").read_text(encoding="utf-8"))["runs"]
+    return json.dumps([rows, [(r["solver"], r["status"]) for r in runs]]).encode("utf-8")
+
+
 def digests(tmp: Path) -> list[tuple[str, str]]:
     lines = []
     for cfg in sorted((ROOT / "configs").glob("*.json")):
@@ -59,6 +72,7 @@ def digests(tmp: Path) -> list[tuple[str, str]]:
             raise SystemExit(f"error: verify on {cfg.name} exited {rc}")
         results = json.dumps(json.loads(text)["results"], sort_keys=True)
         lines.append((_sha(results.encode("utf-8")), f"{cfg.stem}/verify.results"))
+        lines.append((_sha(_structure(out)), f"{cfg.stem}/structure"))
     figure = tmp / "figure.csv"
     rc, _ = _quiet(["figure", "--config", str(ROOT / "configs" / "quadratic.json"),
                     "--out", str(figure)])

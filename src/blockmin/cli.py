@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -507,6 +508,7 @@ def cmd_figure(config_path, out_path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: a build costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blockmin",
                                      description="block-structured solver benchmark harness")

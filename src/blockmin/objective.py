@@ -7,7 +7,7 @@ consume: value, per-block gradients, optional exact per-block minimization,
 per-block composite terms with prox operators, declared smoothness/strong
 convexity constants, an optional optimum oracle, and optional hooks that
 evaluate f and grad f at a point in one pass, at an affine combination of two
-evaluated points, and at the point a block step makes from an evaluated one.
+evaluated points, and at a point reached from an evaluated one.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoBlockSolver
 
-# block_min evaluates afresh each point this many block hook steps away from
-# the last fresh evaluation, so that the rounding of the updates cannot build
-# up over a run. Over 3,000 AM steps on make_quadratic(0, 256, 100), ||grad f||
-# drifted from a fresh evaluation by up to 5.6e-13 without the refresh, above
-# the default grad_tolerance of 1e-13, and by up to 1.1e-13 with it.
-REFRESH_BLOCK_STEPS = 32
+# step evaluates afresh each point this many step hook calls away from the
+# last fresh evaluation, so that the rounding of the updates cannot build up
+# over a run. On make_quadratic(0, 256, 100), ||grad f|| drifted from a fresh
+# evaluation by up to 6.2e-13 over 3,000 AM steps and 1.9e-12 over 3,000 FGM
+# steps without the refresh, and by up to 1.4e-13 and 7.8e-14 with it.
+REFRESH_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,16 @@ class BlockPartition:
 @dataclass(frozen=True, eq=False)
 class Point:
     """A point x of a handle's objective with f = f(x), g = grad f(x) and an
-    opaque per-problem cache (the residual W x - b for least squares, the pair
-    (r, J) for the nonlinear system; None when the handle keeps none).
+    opaque per-problem cache (the nonlinear system's pair (r, J); else None).
 
-    ObjectiveHandle.evaluate, affine and block_min make points. With a
+    ObjectiveHandle.evaluate, affine, step and block_min make points. With a
     value_and_gradient hook, f, g and the cache come from one hook call when
     the point is made. Without it, f and g are computed on first read, by
     smooth_value and the per-block block_gradient, each at most once, so a
     point that is only compared by value never pays for its gradient.
-    block_steps counts the block hook steps since a fresh evaluation: 0 for
-    an evaluated point, the larger count of the two ends for an affine one.
+    steps counts step hook calls since a fresh evaluation: 0 for an evaluated
+    point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps
+    for an affine one, whose rounding combines those of p and q so weighted.
     """
 
     x: np.ndarray
@@ -98,7 +98,7 @@ class Point:
     cache: object = field(default=None, repr=False)
     _f: float | None = field(default=None, repr=False)
     _g: np.ndarray | None = field(default=None, repr=False)
-    block_steps: int = field(default=0, repr=False)
+    steps: float = field(default=0.0, repr=False)
 
     @property
     def f(self) -> float:
@@ -141,25 +141,25 @@ class ObjectiveHandle:
     line_minimizer : callable (p, q) -> float, optional
         Unclipped minimizer of t -> f(p.x + t (q.x - p.x)) for Points p and q;
         exact line searches use it instead of a slope search when present
-        (closed form for quadratics, from p.g and the two caches).
+        (closed form for quadratics, from p.g and q.g).
     value_and_gradient : callable x -> (f, g) or (f, g, cache), optional
         f(x) and the full gradient of f in one pass, sharing the work the two
         have in common (a residual, say). It must return the same floats as
         smooth_value and the per-block block_gradient. A third item is kept
         as the Point's cache. When present, evaluate and full_gradient go
         through it.
-    affine_value_and_gradient : callable (p, q, t) -> (f, g, cache), optional
-        The same triple at p.x + t (q.x - p.x), computed from the Points p
-        and q and their caches with no fresh evaluation (for a quadratic f,
-        the residual and the gradient are affine in t). affine uses it when
-        both points carry a cache.
-    block_value_and_gradient : callable (p, x, i) -> (f, g, cache), optional
-        The same triple at x = exact_block_min(p, i), which differs from p.x
-        in block i only, computed from the Point p and its cache with no fresh
-        evaluation (for least squares, the residual moves by W_i (x_i - p.x_i)
-        and the gradient by 2 G[:, i] (x_i - p.x_i), G = W^T W). block_min
-        uses it when p carries a cache, except at every REFRESH_BLOCK_STEPS-th
-        step of a chain of such points, which it evaluates afresh.
+    affine_value_and_gradient : callable (p, q, t) -> (f, g), optional
+        f and grad f at p.x + t (q.x - p.x), computed from the Points p and q
+        with no fresh evaluation (for a quadratic f, the gradient is affine in
+        t and f quadratic, with its curvature read off q.g - p.g). affine uses
+        it when present.
+    step_value_and_gradient : callable (p, x, i) -> (f, g), optional
+        f and grad f at x, computed from the Point p with less work than a
+        fresh evaluation (for least squares, from one product with the Gram
+        matrix); i is None, or a block in which alone x differs from p.x, so
+        that the hook may use that block's share only. step and block_min use
+        it, except at every REFRESH_STEPS-th step of a chain of such points,
+        which they evaluate afresh.
     """
 
     partition: BlockPartition
@@ -175,7 +175,7 @@ class ObjectiveHandle:
     line_minimizer: Callable[[Point, Point], float] | None = None
     value_and_gradient: Callable[[np.ndarray], tuple] | None = None
     affine_value_and_gradient: Callable[[Point, Point, float], tuple] | None = None
-    block_value_and_gradient: Callable[[Point, np.ndarray, int], tuple] | None = None
+    step_value_and_gradient: Callable[[Point, np.ndarray, int | None], tuple] | None = None
 
     def __post_init__(self):
         if self.terms is not None and len(self.terms) != self.partition.n_blocks:
@@ -229,12 +229,12 @@ class ObjectiveHandle:
             out[idx] = gi
         return out
 
-    def _point(self, x: np.ndarray, f, g, cache=None, block_steps: int = 0) -> Point:
+    def _point(self, x: np.ndarray, f, g, cache=None, steps: float = 0.0) -> Point:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.dim,):
             raise DimensionMismatch(
                 f"a hook returned a gradient of shape {g.shape}, expected ({self.dim},)")
-        return Point(x, self, cache, float(f), g, block_steps)
+        return Point(x, self, cache, float(f), g, steps)
 
     def evaluate(self, x: np.ndarray) -> Point:
         """The Point at x: one value_and_gradient call when the handle has the
@@ -246,13 +246,22 @@ class ObjectiveHandle:
 
     def affine(self, p: Point, q: Point, t: float) -> Point:
         """The Point at p.x + t (q.x - p.x): from affine_value_and_gradient
-        when the handle has it and both points carry a cache, evaluated
-        afresh otherwise."""
+        when the handle has it, evaluated afresh otherwise."""
         x = p.x + t * (q.x - p.x)
-        if self.affine_value_and_gradient is None or p.cache is None or q.cache is None:
+        if self.affine_value_and_gradient is None:
             return self.evaluate(x)
         return self._point(x, *self.affine_value_and_gradient(p, q, t),
-                           block_steps=max(p.block_steps, q.block_steps))
+                           steps=abs(1.0 - t) * p.steps + abs(t) * q.steps)
+
+    def step(self, p: Point, x: np.ndarray, block: int | None = None) -> Point:
+        """The Point at x, made from the Point p (with block = i, x differs from
+        p.x in block i only): from step_value_and_gradient when the handle has
+        it and x is under REFRESH_STEPS steps from a fresh evaluation."""
+        x = self._check_dim(x)
+        steps = p.steps + 1
+        if self.step_value_and_gradient is None or steps >= REFRESH_STEPS:
+            return self.evaluate(x)
+        return self._point(x, *self.step_value_and_gradient(p, x, block), steps=steps)
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient of f, from value_and_gradient when the handle has it and
@@ -287,13 +296,5 @@ class ObjectiveHandle:
         return out
 
     def block_min(self, p: Point, i: int) -> Point:
-        """The Point at exact_block_min(p, i): from block_value_and_gradient
-        when the handle has it, p carries a cache and the new point is fewer
-        than REFRESH_BLOCK_STEPS block steps from a fresh evaluation; evaluated
-        afresh otherwise."""
-        x = self.exact_block_min(p, i)
-        steps = p.block_steps + 1
-        if self.block_value_and_gradient is None or p.cache is None \
-                or steps >= REFRESH_BLOCK_STEPS:
-            return self.evaluate(x)
-        return self._point(x, *self.block_value_and_gradient(p, x, i), block_steps=steps)
+        """The Point at exact_block_min(p, i), a step from p in block i."""
+        return self.step(p, self.exact_block_min(p, i), i)

@@ -13,14 +13,15 @@ Two families:
   last reduced system it factored for the next pattern with the same free set.
   The Hessian of the smooth part is 2 W^T W, so the declared constants carry
   that factor of two. A fresh evaluation reads W once, a row chunk at a time.
-  Points carry their residual W x - b, so f and grad f at an affine
-  combination of two points, the exact line minimizer and the block solve
-  need no product with W, and the point after a block step needs only the
-  block's columns of W and of W^T W. The constructor derives every constant
-  and the optimum; with terms, the optimum is cross-validated by two
-  independent solves: FISTA run to a gradient-mapping norm at its rounding
-  floor, and the active-set solve. Its subclass QuadraticSplitProblem is the
-  case with no terms (g = 0), split into two equal blocks.
+  A point p.x + d made from a point p is in Gram form: f and grad f grow by
+  grad f(p.x) . d + d . G d and 2 G d, G = W^T W, from one product with G
+  (with its block rows for a block step). An affine combination of two
+  points and the exact line minimizer need none, as G d is half the gradient
+  difference, nor does a zero-term block solve. The constructor derives
+  every constant and the optimum; with terms, the optimum is cross-validated
+  by two independent solves: FISTA run to a gradient-mapping norm at its
+  rounding floor, and the active-set solve. Its subclass QuadraticSplitProblem
+  is the case with no terms (g = 0), split into two equal blocks.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction; blocks are
   minimized by a globalised Newton loop on the block Hessian, built from the
@@ -275,12 +276,11 @@ class CompositeQuadraticProblem:
     each g_i an l1, box or zero term; ``terms=None`` means every g_i = 0.
 
     The rest is built once, from these four: G = W^T W and its spectrum
-    (``l_global``, ``mu_global``, ``lambda_min_plus``), the columns of W and
-    the rows of G in each block (views for a contiguous block), the Cholesky
-    factors of the block Gram matrices G_ii with the L_i, and, unless both
-    are given, ``x_star`` and ``f_star``: in closed form with no terms
-    (``lstsq`` when W is rank deficient), otherwise by FISTA cross-validated
-    by the active-set solve.
+    (``l_global``, ``mu_global``, ``lambda_min_plus``), the rows of G in each
+    block (views for a contiguous block), the Cholesky factors of the block
+    Gram matrices G_ii with the L_i, and, unless both are given, ``x_star``
+    and ``f_star``: in closed form with no terms (``lstsq`` when W is rank
+    deficient), otherwise by FISTA cross-validated by the active-set solve.
     """
 
     W: np.ndarray
@@ -295,7 +295,7 @@ class CompositeQuadraticProblem:
     lambda_min_plus: float = field(init=False)
     l_blocks: tuple[float, ...] = field(init=False)
     _chunks: tuple[slice, ...] = field(init=False, repr=False)
-    _cols: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _gram: np.ndarray = field(init=False, repr=False)
     _gram_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _facts: tuple[SpdFactorization, ...] = field(init=False, repr=False)
     _bounds: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
@@ -307,10 +307,9 @@ class CompositeQuadraticProblem:
         self._chunks = tuple(slice(a, a + step) for a in range(0, rows, step))
         self._bounds = _term_arrays(self.terms, self.partition)
         self._last = tuple(_LastFactor() for _ in self.partition.blocks)
-        gram = self.W.T @ self.W  # exactly symmetric: numpy forms it by syrk
+        gram = self._gram = self.W.T @ self.W  # exactly symmetric: numpy forms it by syrk
         self._spectrum_and_optimum(gram)
         blocks = [_block_slice(idx) for idx in self.partition.blocks]
-        self._cols = tuple(self.W[:, s] for s in blocks)
         self._gram_rows = tuple(gram[s] for s in blocks)
         self._facts = tuple(factor_spd(g[:, s]) for g, s in zip(self._gram_rows, blocks))
         self.l_blocks = tuple(2.0 * float(np.linalg.eigvalsh(f.source)[-1]) for f in self._facts)
@@ -371,57 +370,55 @@ class CompositeQuadraticProblem:
         # same floats as W_i^T r
         return self.value_and_gradient(x)[1][self.partition.blocks[i]]
 
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """f, grad f and the residual r = W x - b, which the handle keeps as the
-        point's cache, in one pass over W: each row chunk W_c gives r_c and
-        adds W_c^T r_c to the gradient while it is still in cache."""
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """f and grad f in one pass over W: each row chunk W_c gives its share
+        r_c of the residual r = W x - b and adds W_c^T r_c to the gradient
+        while the chunk is still in the CPU cache."""
         r = np.empty(self.W.shape[0])
         g = np.zeros(x.size)
         for s in self._chunks:
             w = self.W[s]
             r[s] = w @ x - self.b[s]
             g += w.T @ r[s]
-        return float(r @ r), 2.0 * g, r
+        return float(r @ r), 2.0 * g
 
-    def block_value_and_gradient(self, p: Point, x: np.ndarray, i: int
-                                 ) -> tuple[float, np.ndarray, np.ndarray]:
-        """f, grad f and the residual at x, which differs from p.x in block i
-        only, by d: the residual moves by W_i d and the gradient by
-        2 G[:, i] d = 2 G[i, :]^T d, G = W^T W being exactly symmetric."""
-        idx = self.partition.blocks[i]
+    def step_value_and_gradient(self, p: Point, x: np.ndarray, i: int | None
+                                ) -> tuple[float, np.ndarray]:
+        """f and grad f at x = p.x + d in Gram form: f(p.x) + grad f(p.x) . d
+        + d . G d and grad f(p.x) + 2 G d. When x differs from p.x in block i
+        only, G d = G[:, i] d_i = G[i, :]^T d_i (G = W^T W is exactly
+        symmetric) reads only the block's rows of G."""
+        idx = slice(None) if i is None else self.partition.blocks[i]
         d = x[idx] - p.x[idx]
-        r = p.cache + self._cols[i] @ d
-        return float(r @ r), p.g + 2.0 * (self._gram_rows[i].T @ d), r
+        gd = (self._gram if i is None else self._gram_rows[i]).T @ d
+        return p.f + float(d @ (p.g[idx] + gd[idx])), p.g + 2.0 * gd
 
     def affine_value_and_gradient(self, p: Point, q: Point, t: float
-                                  ) -> tuple[float, np.ndarray, np.ndarray]:
-        """f, grad f and the residual at p.x + t (q.x - p.x) with no product:
-        f is quadratic, so the residual and the gradient are affine in t."""
-        r = p.cache + t * (q.cache - p.cache)
-        return float(r @ r), p.g + t * (q.g - p.g), r
+                                  ) -> tuple[float, np.ndarray]:
+        """f and grad f at p.x + t d, d = q.x - p.x, with no product: G d is
+        (q.g - p.g) / 2, so the step t d of step_value_and_gradient gives
+        f(p.x) + t d . (p.g + t (q.g - p.g) / 2) and p.g + t (q.g - p.g)."""
+        dg = q.g - p.g
+        return p.f + t * float((q.x - p.x) @ (p.g + 0.5 * t * dg)), p.g + t * dg
 
     def line_minimizer(self, p: Point, q: Point) -> float:
-        """-(g_p . d) / (2 ||W d||^2) for d = q.x - p.x, with W d = r_q - r_p
-        when both points carry their residual."""
+        """-(p.g . d) / (d . (q.g - p.g)) for d = q.x - p.x, with no product as
+        d . (q.g - p.g) = 2 d . G d; 0 when rounding leaves that at or below 0."""
         d = q.x - p.x
-        wd = self.W @ d if p.cache is None or q.cache is None else q.cache - p.cache
-        curv = 2.0 * float(wd @ wd)
-        if curv == 0.0:
-            return 0.0
-        return -float(p.g @ d) / curv
+        curv = float(d @ (q.g - p.g))
+        return -float(p.g @ d) / curv if curv > 0.0 else 0.0
 
     def block_argmin(self, p: Point, i: int) -> np.ndarray:
         idx = self.partition.blocks[i]
-        # the factorization keeps the block Gram matrix G_ii as its source
-        gram = self._facts[i].source
-        # normal equations of the block least squares with the rest fixed:
-        # G_ii z = W_i^T (b - W x + W_i x_i) = G_ii x_i - g_i / 2
-        lin = gram @ p.x[idx] - 0.5 * p.g[idx]
         term = None if self.terms is None else self.terms[i]
         out = p.x.copy()
+        # normal equations of the block least squares with the rest fixed:
+        # G_ii (z - x_i) = W_i^T (b - W x) = -g_i / 2
         if term is None or term.is_zero:
-            out[idx] = solve_factored(self._facts[i], lin)
+            out[idx] += solve_factored(self._facts[i], -0.5 * p.g[idx])
             return out
+        gram = self._facts[i].source  # the factorization keeps G_ii
+        lin = gram @ p.x[idx] - 0.5 * p.g[idx]
         weight, lo, hi = (a[idx] for a in self._bounds)
         out[idx] = _active_set_solve(gram, lin, p.x[idx], weight, lo, hi,
                                      0.5 * self.l_blocks[i], self._last[i])
@@ -442,7 +439,7 @@ class CompositeQuadraticProblem:
             line_minimizer=self.line_minimizer,
             value_and_gradient=self.value_and_gradient,
             affine_value_and_gradient=self.affine_value_and_gradient,
-            block_value_and_gradient=self.block_value_and_gradient)
+            step_value_and_gradient=self.step_value_and_gradient)
 
 
 # The smooth case subclasses the composite, not the other way round:

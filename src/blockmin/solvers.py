@@ -316,7 +316,7 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
         if not np.all(np.isfinite(v_next)) or float(np.abs(v_next).max()) > _STATE_LIMIT:
             status = "diverged"
             break
-        x, v, tau = x_next, h.evaluate(v_next), tau_next
+        x, v, tau = x_next, h.step(v, v_next), tau_next
         rec.a, rec.a_sum, rec.tau, rec.v = a, a_sum, tau, v_next
         rec.wall_time = time.perf_counter() - t_start
         records.append(rec)
@@ -348,7 +348,7 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
         if not np.all(np.isfinite(z_new)) or float(np.abs(z_new).max()) > _STATE_LIMIT:
             status = "diverged"  # possible when the supplied L is too small
             break
-        z_next = h.evaluate(z_new)
+        z_next = h.step(v, z_new)
         v = h.affine(z, z_next, k / (k + 3.0))
         z = z_next
         records.append(_record(h, k + 1, z, v=v.x.copy(),

@@ -1,9 +1,10 @@
 """Each point is evaluated once: the value-and-gradient hook gives the same
-floats as the per-block oracles, the affine and block hooks give f and grad f
-at a combination of two points and after a block step to rounding, the
-solvers give the same traces with and without the hooks (to rounding where
-they make points from other points), and the calls per iteration stay at what
-the methods need."""
+floats as the per-block oracles, the affine and step hooks give f and grad f
+at a combination of two points and after a step or a block step to rounding,
+chains of such points stay within rounding of fresh evaluations, the solvers
+give the same traces with and without the hooks (to rounding where they make
+points from other points), and the calls per iteration stay at what the
+methods need."""
 
 import dataclasses
 from collections import Counter
@@ -18,7 +19,7 @@ from blockmin import (BlockPartition, CompositeQuadraticProblem, ObjectiveHandle
                       make_rank_deficient, run_aam, run_am, run_fgm)
 from blockmin import problems
 from blockmin.errors import DimensionMismatch
-from blockmin.objective import REFRESH_BLOCK_STEPS
+from blockmin.objective import REFRESH_STEPS
 from blockmin.solvers import _LINE_SEARCH_MAX_PROBES
 
 # an upper bound on the smoothness constant of the nonlinear fixture, which
@@ -33,7 +34,7 @@ def problem(request):
 
 def without_hook(h):
     return dataclasses.replace(h, value_and_gradient=None, affine_value_and_gradient=None,
-                               block_value_and_gradient=None)
+                               step_value_and_gradient=None)
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +61,11 @@ class TestValueAndGradientHook:
             assert point.f == f and np.array_equal(point.g, g)
             assert np.array_equal(h.full_gradient(x), g)
             if name != "nonlinear20":
-                # the chunks add up to 2 W^T (W x - b), formed in one piece
-                _, tol_g, tol_r = rounding_bounds(p, np.abs(x))
-                assert np.all(np.abs(point.cache - (p.W @ x - p.b)) <= tol_r)
-                assert np.all(np.abs(g - 2.0 * (p.W.T @ (p.W @ x - p.b))) <= tol_g)
+                # the chunks add up to r . r and 2 W^T r, r = W x - b formed in one piece
+                tol_f, tol_g = rounding_bounds(p, np.abs(x))
+                r = p.W @ x - p.b
+                assert abs(f - float(r @ r)) <= tol_f
+                assert np.all(np.abs(g - 2.0 * (p.W.T @ r)) <= tol_g)
 
     def test_evaluate_without_hook(self):
         part = BlockPartition.contiguous([1, 2])
@@ -119,23 +121,22 @@ EPS = np.finfo(float).eps
 
 
 def rounding_bounds(prob, m):
-    """Bounds on the error of f, and termwise of grad f and r = W x - b, at a
-    point made from points no larger than m termwise. There |r| <= s =
-    |W| m + |b|, and each residual is a sum of at most dim + 1 terms that
-    size, so f and g stay within 8 dim eps of the terms of r.r and 2 W^T r."""
+    """Bounds on the error of f, and termwise of grad f, at a point made from
+    points no larger than m termwise. There the residual r = W x - b has
+    |r| <= s = |W| m + |b|, and each residual is a sum of at most dim + 1
+    terms that size, so f and g stay within 8 dim eps of the terms of r.r and
+    2 W^T r."""
     absw = np.abs(prob.W)
     s = absw @ m + np.abs(prob.b)
     tol = 8.0 * prob.W.shape[1] * EPS
-    return tol * float(s @ s), tol * 2.0 * (absw.T @ s), tol * s
+    return tol * float(s @ s), tol * 2.0 * (absw.T @ s)
 
 
 def assert_matches_fresh(prob, point, m):
-    h = point.handle
-    fresh = h.evaluate(point.x)
-    tol_f, tol_g, tol_r = rounding_bounds(prob, m)
+    fresh = point.handle.evaluate(point.x)
+    tol_f, tol_g = rounding_bounds(prob, m)
     assert abs(point.f - fresh.f) <= tol_f
     assert np.all(np.abs(point.g - fresh.g) <= tol_g)
-    assert np.all(np.abs(point.cache - fresh.cache) <= tol_r)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -164,25 +165,76 @@ def test_block_point_matches_a_fresh_evaluation(n, seed, scale, i):
     rng = np.random.default_rng(seed)
     p = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
     block = h.block_min(p, i)
-    assert block.block_steps == 1
+    assert block.steps == 1
     assert np.array_equal(block.x, h.exact_block_min(p, i))
     assert_matches_fresh(prob, block, np.abs(p.x) + np.abs(block.x))
 
 
 def test_block_steps_are_refreshed(quad16, rng):
-    # a chain of block points is evaluated afresh every REFRESH_BLOCK_STEPS
-    # steps; an affine point counts the longer chain of its two ends
+    # a chain of block points is evaluated afresh every REFRESH_STEPS steps;
+    # an affine point weighs the counts of its two ends
     h = quad16.handle()
     fresh = h.evaluate(quad16.x_star + rng.standard_normal(16))
     p = fresh
-    for k in range(1, 2 * REFRESH_BLOCK_STEPS + 1):
+    for k in range(1, 2 * REFRESH_STEPS + 1):
         p = h.block_min(p, k % 2)
-        assert p.block_steps == k % REFRESH_BLOCK_STEPS
-        assert h.affine(fresh, p, 0.5).block_steps == p.block_steps
-        if p.block_steps == 0:
+        assert p.steps == k % REFRESH_STEPS
+        assert h.affine(fresh, p, 0.25).steps == 0.25 * p.steps
+        if p.steps == 0:
             again = h.evaluate(p.x)
             assert p.f == again.f and np.array_equal(p.g, again.g)
-            assert np.array_equal(p.cache, again.cache)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(0, len(AFFINE_PROBLEMS) - 1), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       moves=st.lists(st.sampled_from(["fgm", "aam", "am"]), min_size=1,
+                      max_size=3 * REFRESH_STEPS))
+def test_chained_points_match_fresh_evaluations(n, seed, scale, moves):
+    # chains of the points the solvers make from other points: an FGM
+    # iteration (a gradient step from v, then v between the last two z), an
+    # AAM iteration (y between x and v, a block step from y, then the
+    # momentum point v as a step from v) and an AM block step. Every point
+    # stays within rounding of a fresh evaluation, and a step point is
+    # evaluated afresh exactly when it would be the REFRESH_STEPS-th of its chain
+    prob = AFFINE_PROBLEMS[n]
+    h = prob.handle()
+    rng = np.random.default_rng(seed)
+    x = v = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
+    made = [x]
+
+    def made_from(p, q):
+        # q was made from p by the step hook, or afresh as the REFRESH_STEPS-th
+        if p.steps + 1 >= REFRESH_STEPS:
+            again = h.evaluate(q.x)
+            assert q.steps == 0 and q.f == again.f and np.array_equal(q.g, again.g)
+        else:
+            assert q.steps == p.steps + 1
+        made.append(q)
+        return q
+
+    def affine(p, q, t):
+        y = h.affine(p, q, t)
+        assert y.steps == (1.0 - t) * p.steps + t * q.steps
+        made.append(y)
+        return y
+
+    for k, move in enumerate(moves):
+        i = int(rng.integers(h.n_blocks))
+        if move == "fgm":
+            z = made_from(v, h.step(v, v.x - v.g / prob.l_global))
+            v, x = affine(x, z, k / (k + 3.0)), z
+        elif move == "aam":
+            y = affine(x, v, float(rng.uniform()))
+            x = made_from(y, h.block_min(y, i))
+            a = float(rng.uniform()) / prob.l_global
+            v_next = (v.x + prob.mu_global * a * y.x - a * y.g) / (1.0 + prob.mu_global * a)
+            v = made_from(v, h.step(v, v_next))
+        else:
+            x = made_from(x, h.block_min(x, i))
+    m = np.max([np.abs(p.x) for p in made], axis=0)
+    for p in made:
+        assert_matches_fresh(prob, p, 2.0 * m)
 
 
 def _assert_records_match_fresh(prob, trace):
@@ -191,7 +243,7 @@ def _assert_records_match_fresh(prob, trace):
     h = prob.handle()
     m = np.max([np.abs(a) for r in trace.records for a in (r.x, r.y, r.v)
                 if a is not None], axis=0)
-    tol_f, tol_g, _ = rounding_bounds(prob, 2.0 * m)
+    tol_f, tol_g = rounding_bounds(prob, 2.0 * m)
     for r in trace.records:
         fresh = h.evaluate(r.x)
         assert abs(r.composite_value - h.composite_value(r.x, smooth=fresh.f)) <= tol_f, r.k
@@ -236,7 +288,7 @@ def _solver_runs(p):
 def test_traces_identical_with_and_without_hook(problem):
     # every solver on the nonlinear system, which has only the
     # value-and-gradient hook, gives the same floats; on least squares AM and
-    # AAM make block points, so they make the choices of the hook-free run,
+    # AAM make step points, so they make the choices of the hook-free run,
     # with F and ||grad f|| within rounding of it
     name, p = problem
     h = p.handle()
@@ -253,7 +305,7 @@ def test_traces_identical_with_and_without_hook(problem):
             continue
         assert [r.block for r in with_hook.records] == [r.block for r in plain.records]
         m = np.max([np.abs(r.x) for r in plain.records], axis=0)
-        tol_f, tol_g, _ = rounding_bounds(p, 2.0 * m)
+        tol_f, tol_g = rounding_bounds(p, 2.0 * m)
         for r1, r2 in zip(with_hook.records, plain.records):
             assert abs(r1.composite_value - r2.composite_value) <= tol_f, (label, r1.k)
             assert abs(r1.grad_norm - r2.grad_norm) <= float(np.linalg.norm(tol_g)), (label, r1.k)
@@ -280,7 +332,7 @@ def test_combined_points_track_the_hook_free_run(name, request):
 
 
 _ORACLES = ("smooth_value", "block_gradient", "block_argmin", "line_minimizer",
-            "value_and_gradient", "affine_value_and_gradient", "block_value_and_gradient")
+            "value_and_gradient", "affine_value_and_gradient", "step_value_and_gradient")
 
 
 def counted(h):
@@ -318,8 +370,8 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_am(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n))
-        # each iterate is a block point of the last
-        assert calls == {"value_and_gradient": 0, "block_value_and_gradient": 1,
+        # each iterate is a block step from the last
+        assert calls == {"value_and_gradient": 0, "step_value_and_gradient": 1,
                          "block_argmin": 1, "smooth_value": 0, "block_gradient": 0,
                          "line_minimizer": 0, "affine_value_and_gradient": 0}
 
@@ -329,11 +381,11 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_aam(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n, l_known=l_known))
-        # the momentum point v is evaluated and the record's x_next is a block
-        # point of y; y is an affine point, and the line search's candidate at
-        # 1 is v itself. At k = 6 the known-L run's line minimizer lies below
-        # 0, so y is x and no affine point is made
-        assert calls == {"value_and_gradient": 1, "block_value_and_gradient": 1,
+        # the momentum point v is a step from the last and the record's
+        # x_next a block step from y; y is an affine point, and the line
+        # search's candidate at 1 is v itself. At k = 6 the known-L run's line
+        # minimizer lies below 0, so y is x and no affine point is made
+        assert calls == {"value_and_gradient": 0, "step_value_and_gradient": 2,
                          "smooth_value": 0, "line_minimizer": 1, "block_argmin": 1,
                          "block_gradient": 0,
                          "affine_value_and_gradient": 0.8 if known_l else 1}
@@ -342,13 +394,26 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_fgm(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n, l_known=quad32.l_global))
-        # z is evaluated; the momentum point is an affine point
-        assert calls == {"value_and_gradient": 1, "smooth_value": 0, "block_gradient": 0,
+        # z is a step from the momentum point, which is an affine point
+        assert calls == {"value_and_gradient": 0, "smooth_value": 0, "block_gradient": 0,
                          "block_argmin": 0, "line_minimizer": 0,
-                         "affine_value_and_gradient": 1, "block_value_and_gradient": 0}
+                         "affine_value_and_gradient": 1, "step_value_and_gradient": 1}
+
+    def test_fgm_refresh(self, quad32):
+        # one fresh evaluation at the start and then one about every
+        # REFRESH_STEPS iterations, never more often: the momentum point after
+        # a refreshed z weighs the older z, and the count of its chain, by
+        # 3 / (k + 3) only
+        n = 10 * REFRESH_STEPS
+        hc, counts = counted(quad32.handle())
+        trace = run_fgm(hc, quad32.default_start, SolverConfig(
+            max_iters=n, grad_tolerance=1e-300, l_known=quad32.l_global))
+        assert trace.final.k == n
+        assert counts["value_and_gradient"] + counts["step_value_and_gradient"] == n + 1
+        assert 1 + n / (REFRESH_STEPS + 4) <= counts["value_and_gradient"] <= 1 + n / REFRESH_STEPS
 
     def test_aam_nonlinear(self, nonlinear20):
-        # no line minimizer and no affine or block hook: x_next, v and each
+        # no line minimizer and no affine or step hook: x_next, v and each
         # probe of the slope search are evaluated once, and nothing calls the
         # value alone
         p = nonlinear20
@@ -358,7 +423,7 @@ class TestOracleCounts:
         probes = calls.pop("value_and_gradient") - 2
         assert calls == {"smooth_value": 0, "block_gradient": 0, "block_argmin": 1,
                          "line_minimizer": 0, "affine_value_and_gradient": 0,
-                         "block_value_and_gradient": 0}
+                         "step_value_and_gradient": 0}
         assert 0 < probes <= _LINE_SEARCH_MAX_PROBES
 
     def test_aam_without_hook(self, quad32):
@@ -366,6 +431,8 @@ class TestOracleCounts:
             without_hook(quad32.handle()),
             lambda h, c: run_aam(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n))
-        assert calls["block_gradient"] <= 4
+        # the gradients of y, x_next and v, which the line minimizer reads as
+        # q.g, two blocks each; the values of the same three points
+        assert calls["block_gradient"] <= 6
         assert calls["smooth_value"] <= 3
         assert calls["value_and_gradient"] == 0
