@@ -11,7 +11,6 @@ from .certificates import (CertificateReport, CertificateRow, check_aam_Ak,
                            check_aam_recurrence, check_am_linear,
                            check_am_sublinear, check_nearly_pl, check_prox_pl,
                            check_sufficient_decrease, estimate_empirical_rate)
-from .linalg import SpdFactorization, cholesky, solve_spd, spectral_extremes
 from .objective import BlockPartition, ObjectiveHandle
 from .problems import (CompositeQuadraticProblem, NonlinearEqPlProblem,
                        QuadraticSplitProblem, make_composite,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockPartition", "ObjectiveHandle",
-    "SpdFactorization", "cholesky", "solve_spd", "spectral_extremes",
     "ZeroTerm", "L1Term", "BoxTerm", "ProxMapResult",
     "soft_threshold", "prox_map", "d_monotonicity_check",
     "SolverConfig", "SolverTrace", "IterationRecord",

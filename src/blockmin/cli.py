@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import certificates as certs
-from .errors import (BadDimension, BadShape, BlockminError, ConfigError,
-                     SolverError, TooShort, TraceParseError)
+from .errors import (BlockminError, ConfigError, SolverError, TooShort,
+                     TraceParseError)
 from .problems import (make_composite, make_nonlinear_pl, make_quadratic,
                        make_rank_deficient)
 from .solvers import (IterationRecord, SolverConfig, SolverTrace, run_aam,
@@ -152,7 +152,7 @@ class InstanceInfo:
                 prob = make_nonlinear_pl(seed, _integer(spec, "n", 20),
                                          _integer(spec, "m", 10),
                                          eps=_finite(spec, "eps", 0.25))
-        except (BadDimension, BadShape, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad {kind} instance: {exc}") from exc
         self.problem = prob
         self.handle = h = prob.handle()

@@ -9,10 +9,6 @@ class DimensionMismatch(BlockminError):
     pass
 
 
-class NotSymmetric(BlockminError):
-    pass
-
-
 class NotSpd(BlockminError):
     pass
 
@@ -47,14 +43,6 @@ class MissingConstants(BlockminError):
 
 class TooShort(BlockminError):
     """Trace has too few usable iterations."""
-
-
-class BadDimension(BlockminError):
-    pass
-
-
-class BadShape(BlockminError):
-    pass
 
 
 class ConfigError(BlockminError):

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BadDimension, BadShape, NotSpd, SolverError
-from .linalg import SpdFactorization, factor_spd, solve_cholesky, solve_factored
+from .errors import NotSpd, SolverError
+from .linalg import SpdFactorization, cholesky, solve_spd, spectral_extremes
 from .objective import BlockPartition, ObjectiveHandle, Point
 from .proxmaps import BoxTerm, L1Term, ZeroTerm, soft_threshold
 
@@ -77,7 +77,7 @@ def _term_arrays(terms, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             weight[idx] = term.weight
         elif isinstance(term, BoxTerm):
             lo[idx], hi[idx] = term.lo, term.hi
-        elif not term.is_zero:
+        elif term is not None and not term.is_zero:
             raise SolverError("no exact block solver for this term type")
     return weight, lo, hi
 
@@ -165,12 +165,12 @@ _ACTIVE_SET_MAX_STEPS = 10_000
 
 @dataclass
 class _LastFactor:
-    """The free index set and the Cholesky factor of the last reduced system
+    """The free index set and the factorization of the last reduced system
     factored on one Gram matrix. A pattern with the same free set has the same
-    reduced matrix, so reusing the factor gives the same floats."""
+    reduced matrix, so reusing the factorization gives the same floats."""
 
     free: np.ndarray | None = None
-    factor: np.ndarray | None = None
+    fact: SpdFactorization | None = None
 
 
 def _pattern(x, weight, lo, hi) -> bytes:
@@ -210,8 +210,8 @@ def _pattern_solve(gram, abs_gram, lin, z, weight, lo, hi, lam, last: _LastFacto
         every = f.size == z.size
         rows = gram if every else gram[f]
         if not np.array_equal(f, last.free):
-            last.free, last.factor = f, factor_spd(gram if every else rows[:, f]).factor
-        out[f] = solve_cholesky(last.factor, lin[f] - target[f] - rows @ out)
+            last.free, last.fact = f, cholesky(gram if every else rows[:, f])
+        out[f] = solve_spd(last.fact, lin[f] - target[f] - rows @ out)
     r = lin - gram @ out
     tol = _ACTIVE_SET_RTOL * z.size * (np.abs(lin) + abs_gram @ np.abs(out) + half)
     zero = sign == 0.0
@@ -273,7 +273,8 @@ def _block_slice(idx: np.ndarray) -> slice | np.ndarray:
 @dataclass
 class CompositeQuadraticProblem:
     """F(x) = ||W x - b||^2 + sum_i g_i(x_i) over the blocks of ``partition``,
-    each g_i an l1, box or zero term; ``terms=None`` means every g_i = 0.
+    each g_i an l1, box or zero term or None, which is a zero term;
+    ``terms=None`` means every g_i = 0.
 
     The rest is built once, from these four: G = W^T W and its spectrum
     (``l_global``, ``mu_global``, ``lambda_min_plus``), the rows of G in each
@@ -311,8 +312,8 @@ class CompositeQuadraticProblem:
         self._spectrum_and_optimum(gram)
         blocks = [_block_slice(idx) for idx in self.partition.blocks]
         self._gram_rows = tuple(gram[s] for s in blocks)
-        self._facts = tuple(factor_spd(g[:, s]) for g, s in zip(self._gram_rows, blocks))
-        self.l_blocks = tuple(2.0 * float(np.linalg.eigvalsh(f.source)[-1]) for f in self._facts)
+        self._facts = tuple(cholesky(g[:, s]) for g, s in zip(self._gram_rows, blocks))
+        self.l_blocks = tuple(2.0 * spectral_extremes(f.source)[1] for f in self._facts)
 
     def _spectrum_and_optimum(self, gram: np.ndarray):
         """The global constants from gram = W^T W and, unless both are given,
@@ -329,7 +330,7 @@ class CompositeQuadraticProblem:
                                 terms=self.terms).composite_value
         if self.terms is None:
             if full_rank:
-                x = solve_factored(factor_spd(gram), self.W.T @ self.b)
+                x = solve_spd(cholesky(gram), self.W.T @ self.b)
             else:
                 x = np.linalg.lstsq(self.W, self.b, rcond=None)[0]
             self.x_star, self.f_star = x, value(x)
@@ -415,7 +416,7 @@ class CompositeQuadraticProblem:
         # normal equations of the block least squares with the rest fixed:
         # G_ii (z - x_i) = W_i^T (b - W x) = -g_i / 2
         if term is None or term.is_zero:
-            out[idx] += solve_factored(self._facts[i], -0.5 * p.g[idx])
+            out[idx] += solve_spd(self._facts[i], -0.5 * p.g[idx])
             return out
         gram = self._facts[i].source  # the factorization keeps G_ii
         lin = gram @ p.x[idx] - 0.5 * p.g[idx]
@@ -462,7 +463,7 @@ class QuadraticSplitProblem(CompositeQuadraticProblem):
         b = np.asarray(b, dtype=float)
         dim = W.shape[1]
         if dim % 2 != 0 or dim < 2:
-            raise BadDimension("dimension must be even and >= 2")
+            raise ValueError("dimension must be even and >= 2")
         prob = cls(W=W, b=b, partition=BlockPartition.halves(dim), terms=None)
         rng = np.random.default_rng(0) if rng is None else rng
         prob.default_start = prob.x_star + rng.standard_normal(dim)
@@ -481,9 +482,9 @@ class QuadraticSplitProblem(CompositeQuadraticProblem):
 def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitProblem:
     """Seeded dense quadratic with eigenvalue ratio of W^T W == cond_number."""
     if dim % 2 != 0 or dim < 2:
-        raise BadDimension("dim must be even and >= 2")
+        raise ValueError("dim must be even and >= 2")
     if not 1.0 <= cond_number <= MAX_COND:  # written so that NaN fails too
-        raise BadDimension("cond_number must be in [1, 1/eps]")
+        raise ValueError("cond_number must be in [1, 1/eps]")
     rng = np.random.default_rng(seed)
     W = _design_matrix(rng, dim, cond_number)
     b = rng.standard_normal(dim)
@@ -493,7 +494,7 @@ def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitPro
 def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem:
     """Quadratic with a deliberate null space (mu = 0, still block-solvable)."""
     if dim % 2 != 0 or not dim // 2 < rank < dim:
-        raise BadDimension("need dim even and dim/2 < rank < dim")
+        raise ValueError("need dim even and dim/2 < rank < dim")
     rng = np.random.default_rng(seed)
     u = _orthogonal(rng, dim)
     v = _orthogonal(rng, dim)
@@ -513,9 +514,9 @@ def make_composite(seed: int, dim: int, gamma: float,
     if not gamma >= 0.0:  # written so that NaN fails too
         raise ValueError("gamma must be >= 0")
     if not 1.0 <= cond_number <= MAX_COND:
-        raise BadDimension("cond_number must be in [1, 1/eps]")
+        raise ValueError("cond_number must be in [1, 1/eps]")
     if dim % 2 != 0 or dim < 4:
-        raise BadDimension("dim must be even and >= 4")
+        raise ValueError("dim must be even and >= 4")
     if len(kinds) != 2:
         raise ValueError("need one term kind per block")
     if len(box_bounds) != 2 or not -math.inf < box_bounds[0] <= box_bounds[1] < math.inf:
@@ -629,12 +630,12 @@ class NonlinearEqPlProblem:
             shift = 0.5 * shift if 0.5 * shift >= smallest else 0.0
             while True:
                 try:
-                    fact = factor_spd(hess + shift * np.eye(idx.size) if shift else hess)
+                    fact = cholesky(hess + shift * np.eye(idx.size) if shift else hess)
                     break
                 except NotSpd:
                     smallest = 1e-3 * (1.0 + float(np.abs(hess).max()))
                     shift = max(2.0 * shift, smallest)
-            step = solve_factored(fact, g[idx])
+            step = solve_spd(fact, g[idx])
             if not np.isfinite(step).all():
                 # halving never shrinks a NaN or inf step (from a non-finite gradient)
                 raise SolverError("Newton step is not finite")
@@ -672,11 +673,11 @@ def make_nonlinear_pl(seed: int, n: int, m: int,
                       eps: float = 0.25) -> NonlinearEqPlProblem:
     """Consistent nonlinear system with a uniform Jacobian rank bound."""
     if not 0 < m < n:
-        raise BadShape("need 0 < m < n")
+        raise ValueError("need 0 < m < n")
     if not 0.0 <= eps <= 0.5:
         raise ValueError("need 0 <= eps <= 1/2 for the Jacobian bound")
     if n % 2 != 0:
-        raise BadShape("n must be even for the two-halves partition")
+        raise ValueError("n must be even for the two-halves partition")
     rng = np.random.default_rng(seed)
     u = _orthogonal(rng, m)
     v = _orthogonal(rng, n)

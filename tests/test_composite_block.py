@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from blockmin import SolverConfig, cli, make_composite, run_am
 from blockmin import problems
 from blockmin.errors import SolverError
-from blockmin.linalg import factor_spd, solve_factored
+from blockmin.linalg import cholesky, solve_spd
 from blockmin.proxmaps import BoxTerm, L1Term
 
 # (seed, dim, gamma, kinds, box_bounds): every instance has an l1 or a box
@@ -143,8 +143,7 @@ def fresh_pattern_solve(gram, lin, z, weight, lo, hi):
     f = np.flatnonzero(free)
     if f.size:
         out[f] = 0.0
-        out[f] = solve_factored(factor_spd(gram[np.ix_(f, f)]),
-                                lin[f] - target[f] - gram[f] @ out)
+        out[f] = solve_spd(cholesky(gram[np.ix_(f, f)]), lin[f] - target[f] - gram[f] @ out)
     r = lin - gram @ out
     tol = problems._ACTIVE_SET_RTOL * z.size * (np.abs(lin) + np.abs(gram) @ np.abs(out) + half)
     zero = sign == 0.0
@@ -218,7 +217,7 @@ def test_degenerate_blocks_give_the_planted_minimizer(kind, seed):
 
 
 def test_pattern_solves_and_factorizations_are_pinned(monkeypatch):
-    counts = {"_pattern_solve": 0, "factor_spd": 0}
+    counts = {"_pattern_solve": 0, "cholesky": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -232,12 +231,12 @@ def test_pattern_solves_and_factorizations_are_pinned(monkeypatch):
     # the cold solve of the build tried 34 patterns when each try was proposed
     # by a FISTA iterate
     assert counts["_pattern_solve"] <= 12
-    counts.update(_pattern_solve=0, factor_spd=0)
+    counts.update(_pattern_solve=0, cholesky=0)
     trace = run_am(p.handle(), p.default_start, SolverConfig(max_iters=2000, target_gap=1e-8))
     assert trace.status == "target_gap"
     # 177 of each when every try factored its own reduced system
     assert counts["_pattern_solve"] <= 130
-    assert counts["factor_spd"] <= 60
+    assert counts["cholesky"] <= 60
 
 
 def test_full_fallback_gives_the_same_minimizer(monkeypatch):

@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockmin import (SolverConfig, make_composite, make_nonlinear_pl, make_quadratic,
-                      make_rank_deficient, prox_map, run_aam, run_am, spectral_extremes)
+from blockmin import (BlockPartition, CompositeQuadraticProblem, L1Term, SolverConfig,
+                      ZeroTerm, make_composite, make_nonlinear_pl, make_quadratic,
+                      make_rank_deficient, prox_map, run_aam, run_am)
 from blockmin import linalg, problems
-from blockmin.errors import BadDimension, BadShape
+from blockmin.linalg import spectral_extremes
 
 
 def central_fd_jacobian(fun, x, m, step=1e-6):
@@ -48,9 +49,9 @@ class TestMakeQuadratic:
         np.testing.assert_array_equal(p1.default_start, p2.default_start)
 
     def test_bad_dimension(self):
-        with pytest.raises(BadDimension):
+        with pytest.raises(ValueError):
             make_quadratic(seed=0, dim=7, cond_number=10.0)
-        with pytest.raises(BadDimension):
+        with pytest.raises(ValueError):
             make_quadratic(seed=0, dim=8, cond_number=0.5)
 
     def test_block_constants_bracket_global(self, quad16):
@@ -83,7 +84,7 @@ class TestRankDeficient:
         assert np.linalg.norm(grad) <= 1e-9
 
     def test_bad_rank(self):
-        with pytest.raises(BadDimension):
+        with pytest.raises(ValueError):
             make_rank_deficient(seed=0, dim=8, rank=8)
 
 
@@ -158,6 +159,14 @@ class TestMakeComposite:
         np.testing.assert_allclose(z[6:], np.linalg.solve(cols.T @ cols, rhs),
                                    atol=1e-10)
 
+    def test_none_term_is_no_term(self, rng):
+        # as everywhere in ObjectiveHandle, a None entry of terms is a zero term
+        w, b = rng.standard_normal((8, 8)), rng.standard_normal(8)
+        probs = [CompositeQuadraticProblem(w, b, BlockPartition.halves(8),
+                                           terms=(t, L1Term(0.3))) for t in (None, ZeroTerm())]
+        np.testing.assert_array_equal(probs[0].x_star, probs[1].x_star)
+        assert probs[0].f_star == probs[1].f_star
+
 
 class TestNonlinearPl:
     def test_linear_case_constants(self):
@@ -207,20 +216,25 @@ class TestNonlinearPl:
             np.testing.assert_array_equal(z[idx], x[idx])
 
     def test_bad_shape(self):
-        with pytest.raises(BadShape):
+        with pytest.raises(ValueError):
             make_nonlinear_pl(seed=0, n=10, m=10)
 
 
 def test_factored_matrices_are_finite_and_exactly_symmetric(monkeypatch):
-    # factor_spd checks neither property, and reads one triangle only: every
-    # matrix the problems hand it must have both
-    seen = []
+    # cholesky and spectral_extremes check neither property, and read one
+    # triangle only: every matrix the problems hand them must have both
+    seen = {"cholesky": [], "spectral_extremes": []}
 
-    def recording(a):
-        seen.append(a.copy())
-        return linalg.factor_spd(a)
+    def recording(name):
+        kernel = getattr(linalg, name)
 
-    monkeypatch.setattr(problems, "factor_spd", recording)
+        def call(a):
+            seen[name].append(a.copy())
+            return kernel(a)
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(problems, name, recording(name))
     cfg = SolverConfig(max_iters=40)
     nl = make_nonlinear_pl(0, 20, 14)
     run_am(nl.handle(), nl.default_start, cfg)
@@ -228,10 +242,11 @@ def test_factored_matrices_are_finite_and_exactly_symmetric(monkeypatch):
     # far from the solution the block Hessian is indefinite and gets shifted
     far = nl.x_solution + 3.0 * np.random.default_rng(3).standard_normal(20)
     nl.block_argmin(nl.handle().evaluate(far), 0)
-    n_nonlinear = len(seen)
+    n_nonlinear = len(seen["cholesky"])
     comp = make_composite(1, 16, 0.4, ("l1", "box"))
     run_am(comp.handle(), comp.default_start, cfg)
     make_quadratic(0, 16, 100.0)  # block factors and the closed-form optimum
-    assert 0 < n_nonlinear < len(seen)
-    for a in seen:
+    assert 0 < n_nonlinear < len(seen["cholesky"])
+    assert len(seen["spectral_extremes"]) == 4  # the L_i of both builds
+    for a in seen["cholesky"] + seen["spectral_extremes"]:
         assert np.isfinite(a).all() and np.array_equal(a, a.T)
