@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingConstants, TooShort
+from .errors import TooShort
 from .objective import ObjectiveHandle
 from .proxmaps import prox_map
 from .solvers import SolverTrace
@@ -93,7 +93,7 @@ def check_am_linear(trace: SolverTrace, l_blocks, mu_blocks, f_star: float,
     """Per-sweep contraction F(next) - F* <= prod_i (1 - mu_i/L_i) (F(prev) - F*)."""
     _need(trace, "am", "am_linear_pl")
     if l_blocks is None or mu_blocks is None or f_star is None:
-        raise MissingConstants("am_linear_pl needs per-block L_i, mu_i and F*")
+        raise ValueError("am_linear_pl needs per-block L_i, mu_i and F*")
     factor = am_linear_factor(l_blocks, mu_blocks)
     sweeps = trace.sweep_records()
     gaps = [r.composite_value - f_star for r in sweeps]
@@ -110,7 +110,7 @@ def check_nearly_pl(trace: SolverTrace, l_blocks, mu_blocks, f_star: float,
     """
     _need(trace, "am", "nearly_pl_combined")
     if l_blocks is None or mu_blocks is None or f_star is None:
-        raise MissingConstants("nearly_pl_combined needs per-block L_i, mu_i and F*")
+        raise ValueError("nearly_pl_combined needs per-block L_i, mu_i and F*")
     factor = 1.0
     for li, mi in zip(l_blocks, mu_blocks):
         if li <= 0 or mi <= 0:
@@ -135,7 +135,7 @@ def check_aam_main(trace: SolverTrace, l_global: float, mu: float, n_blocks: int
     """Accelerated bound f(x^k) - f* <= aam_main_bound(k, L, mu, n, R)."""
     _need(trace, "aam", "aam_main")
     if l_global is None or f_star is None or radius is None:
-        raise MissingConstants("aam_main needs L, R and F*")
+        raise ValueError("aam_main needs L, R and F*")
     if not 0.0 <= mu < n_blocks * l_global:
         raise ValueError("need 0 <= mu < n L")
     rows = [_row(r.k, aam_main_bound(r.k, l_global, mu, n_blocks, radius),
@@ -149,7 +149,7 @@ def check_aam_Ak(trace: SolverTrace, l_global: float, mu: float, n_blocks: int,
     geometric branch (1/(nL)) (1 - sqrt(mu/(nL)))^{-k+1} when mu > 0."""
     _need(trace, "aam", "aam_Ak_growth")
     if l_global is None:
-        raise MissingConstants("aam_Ak_growth needs L")
+        raise ValueError("aam_Ak_growth needs L")
     nl = n_blocks * l_global
     geo = 1.0 - math.sqrt(mu / nl) if mu > 0 else None
     rows = []
@@ -171,7 +171,7 @@ def check_aam_adaptive(trace: SolverTrace, mu_true: float, f_star: float,
     """
     _need(trace, "aam", "aam_adaptive")
     if f_star is None:
-        raise MissingConstants("aam_adaptive needs F*")
+        raise ValueError("aam_adaptive needs F*")
     gap0 = trace.records[0].composite_value - f_star
     prod = 1.0
     rows = []
@@ -189,7 +189,7 @@ def check_am_sublinear(trace: SolverTrace, l_blocks, radius: float, f_star: floa
     """
     _need(trace, "am", "am_sublinear")
     if l_blocks is None or radius is None or f_star is None:
-        raise MissingConstants("am_sublinear needs L_i, R and F*")
+        raise ValueError("am_sublinear needs L_i, R and F*")
     sweeps = trace.sweep_records()
     if len(sweeps) < 3:
         raise TooShort("need at least two complete sweeps")
@@ -208,7 +208,7 @@ def check_sufficient_decrease(h: ObjectiveHandle, trace: SolverTrace, l_blocks,
     """||G_{L_i}^i(before)||^2 <= 2 L_i (F(before) - F(after)) per block step."""
     _need(trace, "am", "sufficient_decrease")
     if l_blocks is None:
-        raise MissingConstants("sufficient_decrease needs per-block L_i")
+        raise ValueError("sufficient_decrease needs per-block L_i")
     rows = []
     recs = trace.records
     for j in range(1, len(recs)):
@@ -230,7 +230,7 @@ def check_prox_pl(h: ObjectiveHandle, trace: SolverTrace, mu_blocks, f_star: flo
     """
     _need(trace, "am", "prox_pl")
     if mu_blocks is None or f_star is None:
-        raise MissingConstants("prox_pl needs per-block mu_i and F*")
+        raise ValueError("prox_pl needs per-block mu_i and F*")
     if trace.n_blocks != 2:
         raise ValueError("prox_pl needs a two-block trace")
     rows = []
@@ -347,4 +347,3 @@ CERTIFICATES = {
     "sufficient_decrease": Certificate("am", ("l_blocks",), None),
     "prox_pl": Certificate("am", ("mu_blocks", "f_star"), None),
 }
-CERTIFICATES["nonacc_max_bound"] = CERTIFICATES["am_sublinear"]

@@ -365,7 +365,9 @@ def recorded_constants(trace_path, spec: dict) -> dict | None:
     """The constants in the summary.json beside the trace; None (rebuild the
     instance) unless ``run`` wrote it for this instance object and these exact
     trace bytes, with every constant a finite float, null where the instance
-    may lack it, and each per-block list n_blocks long."""
+    may lack it, and each per-block list n_blocks long. Each must also lie in
+    the range ``run`` writes, where the certificates raise outside it: L, every
+    L_i and mu_true positive, every mu_i in (0, L_i] and both radii >= 0."""
     trace = Path(trace_path)
     try:
         summary = json.loads((trace.parent / "summary.json").read_text(encoding="utf-8"))
@@ -390,7 +392,15 @@ def recorded_constants(trace_path, spec: dict) -> dict | None:
           and all(found[key] is None or (type(found[key]) is list and len(found[key]) == n
                                          and all(real(v, False) for v in found[key]))
                   for key in ("l_blocks", "mu_blocks")))
-    return found if ok else None
+    if not ok:
+        return None
+    l_blocks, mu_blocks = found["l_blocks"], found["mu_blocks"]
+    in_range = (found["radius"] >= 0.0 and (found["sublevel_radius"] or 0.0) >= 0.0
+                and all(v is None or v > 0.0
+                        for v in (found["l_global"], found["mu_true"], *(l_blocks or ())))
+                and (mu_blocks is None or l_blocks is not None
+                     and all(0.0 < m <= li for m, li in zip(mu_blocks, l_blocks))))
+    return found if in_range else None
 
 
 def cmd_verify(trace_path, config_path, strict: bool = False) -> int:

@@ -17,8 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoBlockSolver
-
 # step evaluates afresh each point this many step hook calls away from the
 # last fresh evaluation, so that the rounding of the updates cannot build up
 # over a run. On make_quadratic(0, 256, 100), ||grad f|| drifted from a fresh
@@ -57,9 +55,6 @@ class BlockPartition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_size(self, i: int) -> int:
-        return int(self.blocks[i].size)
-
     @classmethod
     def contiguous(cls, sizes: Sequence[int]) -> "BlockPartition":
         """Partition into consecutive index ranges of the given sizes."""
@@ -80,37 +75,19 @@ class BlockPartition:
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A point x of a handle's objective with f = f(x), g = grad f(x) and an
-    opaque per-problem cache (the nonlinear system's pair (r, J); else None).
-
-    ObjectiveHandle.evaluate, affine, step and block_min make points. With a
-    value_and_gradient hook, f, g and the cache come from one hook call when
-    the point is made. Without it, f and g are computed on first read, by
-    smooth_value and the per-block block_gradient, each at most once, so a
-    point that is only compared by value never pays for its gradient.
+    """A point x of an objective with f = f(x), g = grad f(x) and an opaque
+    per-problem cache (the nonlinear system's pair (r, J); else None), all
+    filled when ObjectiveHandle.evaluate, affine, step or block_min makes it.
     steps counts step hook calls since a fresh evaluation: 0 for an evaluated
     point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps
     for an affine one, whose rounding combines those of p and q so weighted.
     """
 
     x: np.ndarray
-    handle: ObjectiveHandle = field(repr=False)
+    f: float
+    g: np.ndarray = field(repr=False)
     cache: object = field(default=None, repr=False)
-    _f: float | None = field(default=None, repr=False)
-    _g: np.ndarray | None = field(default=None, repr=False)
     steps: float = field(default=0.0, repr=False)
-
-    @property
-    def f(self) -> float:
-        if self._f is None:
-            object.__setattr__(self, "_f", float(self.handle.smooth_value(self.x)))
-        return self._f
-
-    @property
-    def g(self) -> np.ndarray:
-        if self._g is None:
-            object.__setattr__(self, "_g", self.handle._block_gradients(self.x))
-        return self._g
 
 
 @dataclass(frozen=True)
@@ -146,8 +123,7 @@ class ObjectiveHandle:
         f(x) and the full gradient of f in one pass, sharing the work the two
         have in common (a residual, say). It must return the same floats as
         smooth_value and the per-block block_gradient. A third item is kept
-        as the Point's cache. When present, evaluate and full_gradient go
-        through it.
+        as the Point's cache. When present, evaluate goes through it.
     affine_value_and_gradient : callable (p, q, t) -> (f, g), optional
         f and grad f at p.x + t (q.x - p.x), computed from the Points p and q
         with no fresh evaluation (for a quadratic f, the gradient is affine in
@@ -214,7 +190,7 @@ class ObjectiveHandle:
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
-            raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
         return x
 
     # -- operations --------------------------------------------------------
@@ -224,7 +200,7 @@ class ObjectiveHandle:
         for i, idx in enumerate(self.partition.blocks):
             gi = np.asarray(self.block_gradient(x, i), dtype=float)
             if gi.shape != (idx.size,):
-                raise DimensionMismatch(
+                raise ValueError(
                     f"block_gradient({i}) returned shape {gi.shape}, expected ({idx.size},)")
             out[idx] = gi
         return out
@@ -232,16 +208,16 @@ class ObjectiveHandle:
     def _point(self, x: np.ndarray, f, g, cache=None, steps: float = 0.0) -> Point:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.dim,):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"a hook returned a gradient of shape {g.shape}, expected ({self.dim},)")
-        return Point(x, self, cache, float(f), g, steps)
+        return Point(x, float(f), g, cache, steps)
 
     def evaluate(self, x: np.ndarray) -> Point:
         """The Point at x: one value_and_gradient call when the handle has the
-        hook; f and g on first read otherwise."""
+        hook; smooth_value and the per-block block_gradient otherwise."""
         x = self._check_dim(x)
         if self.value_and_gradient is None:
-            return Point(x, self)
+            return self._point(x, self.smooth_value(x), self._block_gradients(x))
         return self._point(x, *self.value_and_gradient(x))
 
     def affine(self, p: Point, q: Point, t: float) -> Point:
@@ -263,11 +239,6 @@ class ObjectiveHandle:
             return self.evaluate(x)
         return self._point(x, *self.step_value_and_gradient(p, x, block), steps=steps)
 
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of f, from value_and_gradient when the handle has it and
-        assembled from the per-block gradients otherwise."""
-        return self.evaluate(x).g
-
     def composite_value(self, x: np.ndarray, smooth: float | None = None) -> float:
         """F(x) = f(x) + sum_i g_i(x_i); pass smooth = f(x) when it is known."""
         x = self._check_dim(x)
@@ -285,10 +256,10 @@ class ObjectiveHandle:
         The result is spliced onto p.x so only block-i coordinates change.
         """
         if self.block_argmin is None:
-            raise NoBlockSolver(f"objective provides no block minimizer (block {i})")
+            raise ValueError(f"objective provides no block minimizer (block {i})")
         z = np.asarray(self.block_argmin(p, i), dtype=float)
         if z.shape != (self.dim,):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"block_argmin({i}) returned shape {z.shape}, expected ({self.dim},)")
         out = p.x.copy()
         idx = self.partition.blocks[i]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstrainedBlock, NoProx
 from .objective import ObjectiveHandle
 
 
@@ -95,7 +94,7 @@ def prox_map(h: ObjectiveHandle, x: np.ndarray, i: int, step: float) -> ProxMapR
 
     Raises
     ------
-    NoProx
+    ValueError
         If block i has a non-zero composite term without a prox operator.
     """
     if step <= 0:
@@ -111,7 +110,7 @@ def prox_map(h: ObjectiveHandle, x: np.ndarray, i: int, step: float) -> ProxMapR
         g_shift = 0.0
     else:
         if getattr(term, "prox", None) is None:
-            raise NoProx(f"block {i} has a non-zero term but no prox operator")
+            raise ValueError(f"block {i} has a non-zero term but no prox operator")
         t = np.asarray(term.prox(z, step), dtype=float)
         g_shift = float(term.value(t)) - float(term.value(xi))
     diff = t - xi
@@ -129,7 +128,7 @@ def d_monotonicity_check(h: ObjectiveHandle, x: np.ndarray, i: int,
     if not (0.0 < lam1 < lam2):
         raise ValueError("need 0 < lam1 < lam2")
     if not h.block_unconstrained(i):
-        raise ConstrainedBlock(f"block {i} is constrained")
+        raise ValueError(f"block {i} is constrained")
     d1 = prox_map(h, x, i, lam1).d_value
     d2 = prox_map(h, x, i, lam2).d_value
     return d2 >= d1 - tol

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingL, NoBlockSolver, NonSmoothUnsupported, NoPositiveRoot
+from .errors import NoPositiveRoot, SolverError
 from .objective import ObjectiveHandle, Point
 
 # iterate/coefficient magnitude beyond which a run is declared divergent,
@@ -94,10 +94,6 @@ class SolverTrace:
     status: str
     config: SolverConfig
     n_blocks: int
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.records[0].x
 
     @property
     def final(self) -> IterationRecord:
@@ -243,7 +239,7 @@ def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace
     points.
     """
     if h.block_argmin is None:
-        raise NoBlockSolver("alternating minimization needs block_argmin")
+        raise ValueError("alternating minimization needs block_argmin")
     p = h.evaluate(np.array(x0, dtype=float))
     t_start = time.perf_counter()
     records = [_record(h, 0, p)]
@@ -279,9 +275,9 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     v^{k+1} = (tau_k v^k + mu a y - a grad f(y)) / tau_{k+1}.
     """
     if h.block_argmin is None:
-        raise NoBlockSolver("accelerated alternating minimization needs block_argmin")
+        raise ValueError("accelerated alternating minimization needs block_argmin")
     if not h.is_smooth():
-        raise NonSmoothUnsupported("accelerated solver supports g == 0 only")
+        raise SolverError("accelerated solver supports g == 0 only")
     mu = cfg.mu_assumed
     x = v = h.evaluate(np.array(x0, dtype=float))
     tau, a_sum = 1.0, 0.0
@@ -330,9 +326,9 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     """
     l_const = cfg.l_known if cfg.l_known is not None else h.l_global
     if l_const is None:
-        raise MissingL("fast gradient method needs a known L")
+        raise SolverError("fast gradient method needs a known L")
     if not h.is_smooth():
-        raise NonSmoothUnsupported("fast gradient method supports g == 0 only")
+        raise SolverError("fast gradient method supports g == 0 only")
     z = v = h.evaluate(np.array(x0, dtype=float))
     t_start = time.perf_counter()
     records = [_record(h, 0, z)]

@@ -7,7 +7,7 @@ from blockmin import (QuadraticSplitProblem, SolverConfig, check_aam_Ak,
                       estimate_empirical_rate, make_composite, make_quadratic,
                       run_aam, run_am)
 from blockmin import solvers
-from blockmin.errors import MissingConstants, TooShort
+from blockmin.errors import TooShort
 from blockmin.solvers import IterationRecord, SolverTrace
 
 
@@ -49,7 +49,7 @@ class TestAmLinear:
 
     def test_missing_constants(self, quad16):
         trace = run_am(quad16.handle(), quad16.default_start, SolverConfig(max_iters=4))
-        with pytest.raises(MissingConstants):
+        with pytest.raises(ValueError, match="needs per-block L_i, mu_i and F"):
             check_am_linear(trace, None, quad16.mu_blocks, quad16.f_star)
 
     def test_pure(self, quad16):

@@ -450,15 +450,24 @@ class TestStandardSuite:
                          "--config", str(cfg_path), "--strict"]) == 0, cfg_path.name
             capsys.readouterr()
 
-    def test_solver_failure_exit_code(self, tmp_path):
-        # fgm on the nonlinear instance has no L anywhere: solver error, exit 3
-        cfg = {
-            "instance": {"kind": "nonlinear_pl", "seed": 2, "n": 20, "m": 10},
-            "solvers": [{"name": "fgm", "method": "fgm", "max_iters": 10}],
-        }
+    @pytest.mark.parametrize("instance,method,message", [
+        # the nonlinear instance has no L anywhere
+        ({"kind": "nonlinear_pl", "seed": 2, "n": 20, "m": 10}, "fgm",
+         "fast gradient method needs a known L"),
+        # AAM and FGM accept g == 0 only
+        ({"kind": "composite", "seed": 3, "dim": 12}, "aam",
+         "accelerated solver supports g == 0 only"),
+        ({"kind": "composite", "seed": 3, "dim": 12}, "fgm",
+         "fast gradient method supports g == 0 only"),
+    ], ids=["fgm_without_l", "aam_composite", "fgm_composite"])
+    def test_solver_failure_exit_code(self, tmp_path, capsys, instance, method, message):
+        # a solver that cannot run the instance: exit 3 and one error line
+        cfg = {"instance": instance,
+               "solvers": [{"name": method, "method": method, "max_iters": 10}]}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"solver error: {message}"]
 
 
     def test_capped_newton_solve_exit_code(self, tmp_path, monkeypatch, capsys):

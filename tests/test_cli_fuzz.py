@@ -35,12 +35,14 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 JUNK = {
     "n_blocks": ["2", True, 2.0, 0, -1, None, [], *NON_FINITE],
     "f_star": ["0.5", True, {}, [], None, 1, *NON_FINITE],
-    "radius": ["0.5", False, {}, [1.0], None, 3, *NON_FINITE],
-    "l_global": ["0.5", True, {}, [1.0], 2, *NON_FINITE],
-    "mu_true": ["0.5", True, {}, [1.0], 2, *NON_FINITE],
-    "sublevel_radius": ["0.5", True, {}, [1.0], 2, *NON_FINITE],
-    "l_blocks": ["0.5", True, {}, 1.5, 1, [], [1.0], *NON_FINITE],
-    "mu_blocks": ["0.5", True, {}, 1.5, 1, [], [1.0], *NON_FINITE],
+    "radius": ["0.5", False, {}, [1.0], None, 3, -1.0, *NON_FINITE],
+    "l_global": ["0.5", True, {}, [1.0], 2, 0.0, -5.0, *NON_FINITE],
+    "mu_true": ["0.5", True, {}, [1.0], 2, 0.0, -1.0, *NON_FINITE],
+    "sublevel_radius": ["0.5", True, {}, [1.0], 2, -1.0, *NON_FINITE],
+    "l_blocks": ["0.5", True, {}, 1.5, 1, [], [1.0], [0.0, 1.0], [-1.0, -1.0],
+                 *NON_FINITE],
+    "mu_blocks": ["0.5", True, {}, 1.5, 1, [], [1.0], [1e6, 1e6], [0.0, 0.0],
+                  [-1.0, 1.0], *NON_FINITE],
 }
 ROOT_JUNK = {
     "instance": [None, "quadratic", {}, [], 5],
@@ -98,7 +100,7 @@ def corrupted_summary(draw, summary: dict) -> str:
                 constants[key] = value[:-1] if draw(st.booleans()) else value + value[-1:]
             else:
                 value[draw(st.integers(0, len(value) - 1))] = draw(
-                    st.sampled_from(["1.0", None, True, *NON_FINITE]))
+                    st.sampled_from(["1.0", None, True, 0.0, -1.0, *NON_FINITE]))
         else:
             constants[key] = draw(st.sampled_from(JUNK[key]))
     text = json.dumps(summary)  # writes the NaN and Infinity tokens

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from blockmin import BlockPartition, L1Term, ObjectiveHandle, ZeroTerm
-from blockmin.errors import DimensionMismatch, NoBlockSolver
 
 
 def central_fd_gradient(fun, x, step=1e-6):
@@ -27,7 +26,7 @@ def simple_handle():
 class TestBlockPartition:
     def test_valid(self):
         p = BlockPartition.contiguous([2, 3])
-        assert p.total_dim == 5 and p.n_blocks == 2 and p.block_size(1) == 3
+        assert p.total_dim == 5 and p.n_blocks == 2 and p.blocks[1].size == 3
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -43,26 +42,28 @@ class TestBlockPartition:
 
 
 class TestFullGradient:
+    """The full gradient a Point carries, h.evaluate(x).g."""
+
     def test_half_norm_squared(self):
         h = simple_handle()
-        np.testing.assert_allclose(h.full_gradient(np.array([1.0, 2.0])), [1.0, 2.0])
+        np.testing.assert_allclose(h.evaluate(np.array([1.0, 2.0])).g, [1.0, 2.0])
 
     def test_constant_objective(self):
         part = BlockPartition.contiguous([1, 1])
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: 7.0,
                             block_gradient=lambda x, i: np.zeros(1))
-        np.testing.assert_allclose(h.full_gradient(np.array([3.0, -1.0])), [0.0, 0.0])
+        np.testing.assert_allclose(h.evaluate(np.array([3.0, -1.0])).g, [0.0, 0.0])
 
     def test_matches_finite_differences(self, quad16, rng):
         h = quad16.handle()
         x = quad16.x_star + rng.standard_normal(16)
-        g = h.full_gradient(x)
+        g = h.evaluate(x).g
         fd = central_fd_gradient(h.smooth_value, x)
         assert np.abs(g - fd).max() <= 1e-5 * (1 + np.abs(g).max())
 
     def test_dimension_check(self, quad16):
-        with pytest.raises(DimensionMismatch):
-            quad16.handle().full_gradient(np.zeros(7))
+        with pytest.raises(ValueError, match=r"point has shape \(7,\)"):
+            quad16.handle().evaluate(np.zeros(7))
 
     def test_scattered_partition(self):
         # non-contiguous blocks must place block gradients at their indices
@@ -71,7 +72,7 @@ class TestFullGradient:
                             smooth_value=lambda x: 0.5 * float(x @ x),
                             block_gradient=lambda x, i: x[part.blocks[i]].copy())
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_allclose(h.full_gradient(x), x)
+        np.testing.assert_allclose(h.evaluate(x).g, x)
 
 
 class TestCompositeValue:
@@ -163,7 +164,7 @@ class TestExactBlockMin:
         part = BlockPartition.contiguous([1, 1])
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: 0.0,
                             block_gradient=lambda x, i: np.zeros(1))
-        with pytest.raises(NoBlockSolver):
+        with pytest.raises(ValueError, match="no block minimizer"):
             h.exact_block_min(h.evaluate(np.zeros(2)), 0)
 
 
@@ -178,7 +179,7 @@ class TestDeclaredConstants:
             x = rng.standard_normal(dim)
             y = rng.standard_normal(dim)
             fx, fy = h.smooth_value(x), h.smooth_value(y)
-            lin = fx + h.full_gradient(x) @ (y - x)
+            lin = fx + h.evaluate(x).g @ (y - x)
             dist = float((y - x) @ (y - x))
             assert fy >= lin + 0.5 * mu * dist - 1e-9 * (1 + abs(fy))
             assert fy <= lin + 0.5 * lconst * dist + 1e-9 * (1 + abs(fy))

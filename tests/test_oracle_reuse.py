@@ -18,7 +18,6 @@ from blockmin import (BlockPartition, CompositeQuadraticProblem, ObjectiveHandle
                       SolverConfig, exact_line_search, make_composite, make_quadratic,
                       make_rank_deficient, run_aam, run_am, run_fgm)
 from blockmin import problems
-from blockmin.errors import DimensionMismatch
 from blockmin.objective import REFRESH_STEPS
 from blockmin.solvers import _LINE_SEARCH_MAX_PROBES
 
@@ -56,10 +55,9 @@ class TestValueAndGradientHook:
             x = p.default_start + rng.standard_normal(h.dim)
             f, g = h.value_and_gradient(x)[:2]
             assert f == h.smooth_value(x)
-            assert np.array_equal(g, plain.full_gradient(x))
+            assert np.array_equal(g, plain.evaluate(x).g)
             point = h.evaluate(x)
             assert point.f == f and np.array_equal(point.g, g)
-            assert np.array_equal(h.full_gradient(x), g)
             if name != "nonlinear20":
                 # the chunks add up to r . r and 2 W^T r, r = W x - b formed in one piece
                 tol_f, tol_g = rounding_bounds(p, np.abs(x))
@@ -78,9 +76,7 @@ class TestValueAndGradientHook:
     def test_hook_gradient_shape_checked(self, quad16):
         h = dataclasses.replace(quad16.handle(),
                                 value_and_gradient=lambda x: (0.0, np.zeros(3)))
-        with pytest.raises(DimensionMismatch):
-            h.full_gradient(np.zeros(16))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="a hook returned a gradient of shape"):
             h.evaluate(np.zeros(16))
 
     def test_composite_value_takes_known_smooth_value(self, composite12):
@@ -133,7 +129,7 @@ def rounding_bounds(prob, m):
 
 
 def assert_matches_fresh(prob, point, m):
-    fresh = point.handle.evaluate(point.x)
+    fresh = prob.handle().evaluate(point.x)
     tol_f, tol_g = rounding_bounds(prob, m)
     assert abs(point.f - fresh.f) <= tol_f
     assert np.all(np.abs(point.g - fresh.g) <= tol_g)
@@ -431,8 +427,18 @@ class TestOracleCounts:
             without_hook(quad32.handle()),
             lambda h, c: run_aam(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n))
-        # the gradients of y, x_next and v, which the line minimizer reads as
-        # q.g, two blocks each; the values of the same three points
-        assert calls["block_gradient"] <= 6
-        assert calls["smooth_value"] <= 3
-        assert calls["value_and_gradient"] == 0
+        # y, x_next and v are each evaluated when made: one value and the
+        # gradient of both blocks
+        assert calls == {"smooth_value": 3, "block_gradient": 6, "block_argmin": 1,
+                         "line_minimizer": 1, "value_and_gradient": 0,
+                         "affine_value_and_gradient": 0, "step_value_and_gradient": 0}
+
+    def test_am_and_fgm_without_hook(self, quad32):
+        # AM evaluates its iterate; FGM its z and its momentum point v
+        h = without_hook(quad32.handle())
+        am = calls_per_iteration(h, lambda h, c: run_am(h, quad32.default_start, c),
+                                 lambda n: SolverConfig(max_iters=n))
+        fgm = calls_per_iteration(h, lambda h, c: run_fgm(h, quad32.default_start, c),
+                                  lambda n: SolverConfig(max_iters=n, l_known=quad32.l_global))
+        assert (am["smooth_value"], am["block_gradient"], am["block_argmin"]) == (1, 2, 1)
+        assert (fgm["smooth_value"], fgm["block_gradient"], fgm["block_argmin"]) == (2, 4, 0)

@@ -40,7 +40,7 @@ class TestMakeQuadratic:
             assert quad16.f_star <= quad16.smooth_value(x) + 1e-12
 
     def test_first_order_conditions(self, quad16):
-        assert np.linalg.norm(quad16.handle().full_gradient(quad16.x_star)) <= 1e-10
+        assert np.linalg.norm(quad16.handle().evaluate(quad16.x_star).g) <= 1e-10
 
     def test_deterministic(self):
         p1 = make_quadratic(seed=9, dim=8, cond_number=10.0)
@@ -80,7 +80,7 @@ class TestRankDeficient:
         assert rankdef16.lambda_min_plus > 0.0
 
     def test_minimum_norm_solution(self, rankdef16):
-        grad = rankdef16.handle().full_gradient(rankdef16.x_star)
+        grad = rankdef16.handle().evaluate(rankdef16.x_star).g
         assert np.linalg.norm(grad) <= 1e-9
 
     def test_bad_rank(self):
