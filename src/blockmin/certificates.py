@@ -314,12 +314,14 @@ class Certificate:
         rebuilt from trace.csv; None when the check needs the iterate vectors,
         which the CSV does not keep.
     mu_zero_only: the bound holds only for runs with mu_assumed = 0.
+    mu_below_nl: the bound holds only for runs with mu_assumed < n L.
     """
 
     method: str
     constants: tuple[str, ...]
     from_csv: Callable[[SolverTrace, object, float], CertificateReport] | None
     mu_zero_only: bool = False
+    mu_below_nl: bool = False
 
 
 # The lambdas look each check up on this module when they run, so a check
@@ -333,10 +335,11 @@ CERTIFICATES = {
         lambda t, c, mu: check_am_sublinear(t, c.l_blocks, c.sublevel_radius, c.f_star)),
     "aam_main": Certificate(
         "aam", ("l_global", "radius", "f_star"),
-        lambda t, c, mu: check_aam_main(t, c.l_global, mu, c.n_blocks, c.radius, c.f_star)),
+        lambda t, c, mu: check_aam_main(t, c.l_global, mu, c.n_blocks, c.radius, c.f_star),
+        mu_below_nl=True),
     "aam_Ak_growth": Certificate(
         "aam", ("l_global",),
-        lambda t, c, mu: check_aam_Ak(t, c.l_global, mu, c.n_blocks)),
+        lambda t, c, mu: check_aam_Ak(t, c.l_global, mu, c.n_blocks), mu_below_nl=True),
     "aam_recurrence": Certificate("aam", (), None),
     "aam_adaptive": Certificate(
         "aam", ("mu_true", "f_star"),

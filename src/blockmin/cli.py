@@ -437,12 +437,19 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             if cert.method != method:
                 continue  # certificate simply targets another solver
             missing = [c for c in cert.constants if getattr(info, c) is None]
+            if cert.mu_zero_only and mu_run != 0.0:
+                not_applicable = "applies to mu_assumed = 0 runs only"
+            elif (cert.mu_below_nl and info.l_global is not None
+                  and mu_run >= info.n_blocks * info.l_global):
+                not_applicable = "applies to mu_assumed < n L runs only"
+            else:
+                not_applicable = None
             if cert.from_csv is None:
                 reason = "needs full iterate vectors (library-level only)"
-            elif cert.mu_zero_only and mu_run != 0.0:
+            elif not_applicable:
                 # does not apply to this run: listed, but not counted as skipped
                 results.append({"certificate": kind, "solver": name,
-                                "skipped": "applies to mu_assumed = 0 runs only"})
+                                "skipped": not_applicable})
                 continue
             elif missing:
                 reason = f"missing constants: {', '.join(missing)}"

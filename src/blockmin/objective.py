@@ -76,7 +76,7 @@ class BlockPartition:
 @dataclass(frozen=True, eq=False)
 class Point:
     """A point x of an objective with f = f(x), g = grad f(x) and an opaque
-    per-problem cache (the nonlinear system's pair (r, J); else None), all
+    per-problem cache (the nonlinear system's residual r; else None), all
     filled when ObjectiveHandle.evaluate, affine, step or block_min makes it.
     steps counts step hook calls since a fresh evaluation: 0 for an evaluated
     point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps

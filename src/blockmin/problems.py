@@ -24,8 +24,9 @@ Two families:
   is the case with no terms (g = 0), split into two equal blocks.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction; blocks are
-  minimized by a globalised Newton loop on the block Hessian, built from the
-  residual and Jacobian each point carries.
+  minimized by a globalised Newton loop on the block Hessian, built in
+  O(n_i^2) from the residual each point carries and two per-block constants
+  of A, without forming the Jacobian.
 """
 
 from __future__ import annotations
@@ -571,6 +572,7 @@ class NonlinearEqPlProblem:
     partition: BlockPartition
     x_solution: np.ndarray
     default_start: np.ndarray
+    _hessian_consts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def mu_j(self) -> float:
@@ -594,13 +596,48 @@ class NonlinearEqPlProblem:
         r = self.residual(x)
         return float(r @ r)
 
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray, tuple]:
-        """f and grad f = 2 J^T r, and (r, J) as the point's cache."""
-        r, jac = self.residual(x), self.jacobian(x)
-        return float(r @ r), 2.0 * (jac.T @ r), (r, jac)
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """f and grad f = 2 J^T r = 2 (A^T r + eps cos(x_{1..m}) r), with the
+        residual r as the point's cache."""
+        m = self.n_residuals
+        r = self.residual(x)
+        g = self.amat.T @ r
+        g[:m] += self.eps * np.cos(x[:m]) * r
+        return float(r @ r), 2.0 * g, r
 
     def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.value_and_gradient(x)[1][self.partition.blocks[i]]
+
+    def _block_hessian(self, i: int, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Hessian of f over block i at x, from x and its residual r alone.
+
+        It is 2 J_i^T J_i + 2 sum_j r_j hess g_j (Nocedal & Wright, Numerical
+        Optimization, 2nd ed., sec. 10.2), and J = A + diag(e) with
+        e_j = eps cos x_j (j < m) differs from A on one diagonal only, so
+        H_i = H0_i + 2 (K + K^T) + 2 diag(e^2 - eps sin(x) r). K = R_i^T diag(e)
+        fills the columns of the block's coordinates below m, R_i holds the rows
+        of A_i at those coordinates, and e, sin x and r are taken there.
+        H0_i = 2 A_i^T A_i and R_i are computed at the block's first solve, so
+        a build costs no more than A itself; a step then costs O(n_i^2), where
+        forming J_i^T J_i costs O(m n_i^2)."""
+        if i not in self._hessian_consts:
+            idx = self.partition.blocks[i]
+            a_i = self.amat[:, idx]
+            below = np.flatnonzero(idx < self.n_residuals)
+            self._hessian_consts[i] = (2.0 * (a_i.T @ a_i), below, a_i[idx[below]],
+                                       idx[below])
+        h0, below, rows, cols = self._hessian_consts[i]
+        e = self.eps * np.cos(x[cols])
+        if below.size == h0.shape[0]:
+            k = rows.T * e
+        else:
+            k = np.zeros_like(h0)
+            k[:, below] = rows.T * e
+        hess = k + k.T  # exactly symmetric, as cholesky reads one triangle
+        hess *= 2.0
+        hess += h0
+        hess[below, below] += 2.0 * (e * e - self.eps * np.sin(x[cols]) * r[cols])
+        return hess
 
     def block_argmin(self, start: Point, i: int) -> np.ndarray:
         """Newton's method on block i from the Point start (Nocedal & Wright,
@@ -608,22 +645,17 @@ class NonlinearEqPlProblem:
         until Cholesky succeeds, doubling the shift from half the one the last
         step accepted, halve the step until f falls (within rounding), and stop
         once the block gradient is at its rounding floor or a step no longer
-        moves the iterate. Each iterate carries its (r, J). A solve that
-        reaches neither within _NEWTON_MAX_STEPS steps raises SolverError."""
-        idx, m = self.partition.blocks[i], self.n_residuals
-        diag = np.arange(idx.size)
+        moves the iterate. Each Hessian comes from the residual the iterate
+        carries, without a Jacobian (see _block_hessian). A solve that reaches
+        neither stop within _NEWTON_MAX_STEPS steps raises SolverError."""
+        idx = self.partition.blocks[i]
         p, f, g = start.x.copy(), start.f, start.g
-        r, jac = start.cache or (self.residual(p), self.jacobian(p))
+        r = self.residual(p) if start.cache is None else start.cache
         shift = smallest = 0.0
         for _ in range(_NEWTON_MAX_STEPS):
             if float(np.linalg.norm(g[idx])) <= _NEWTON_GRAD_FLOOR * (1.0 + f):
                 break
-            # 2 J_i^T J_i plus the diagonal 2 r_j d^2 g_j / dx_j^2 = -2 eps sin(x_j) r_j
-            jac_i = jac[:, idx]
-            hess = 2.0 * (jac_i.T @ jac_i)
-            curv = np.zeros(p.size)
-            curv[:m] = -self.eps * np.sin(p[:m]) * r
-            hess[diag, diag] += 2.0 * curv[idx]
+            hess = self._block_hessian(i, p, r)
             # the search starts from half the last accepted shift, or from 0
             # below the smallest shift: from the accepted shift itself the
             # iterates would never get the plain Newton step back
@@ -648,7 +680,7 @@ class NonlinearEqPlProblem:
                 if f_trial <= f + _NEWTON_F_ROUNDING * (1.0 + f):
                     break
                 step = 0.5 * step
-            p, f, g, (r, jac) = trial, f_trial, g_trial, cache
+            p, f, g, r = trial, f_trial, g_trial, cache
         else:
             raise SolverError(f"Newton solve of block {i} did not reach its gradient "
                               f"floor in {_NEWTON_MAX_STEPS} steps")

@@ -258,6 +258,29 @@ class TestVerify:
                    if "skipped" in r]
         assert skipped == [("aam_recurrence", "aam0")]
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_mu_assumed_at_least_n_l_is_not_applicable(self, tmp_path, capsys, strict):
+        # n L = 400 here: the factor 1 - sqrt(mu / (n L)) of aam_main and
+        # aam_Ak_growth leaves [0, 1), and verify ended in a ValueError
+        cfg = {
+            "instance": {"kind": "quadratic", "seed": 0, "dim": 16, "cond_number": 100.0},
+            "solvers": [{"name": "aam", "method": "aam", "max_iters": 50, "mu_assumed": 1e9}],
+            "certificates": ["aam_main", "aam_Ak_growth"],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv"), "--config", str(cfg_path)]
+                    + ["--strict"] * strict) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["skipped"], report["violations"]) == (0, 0)
+        assert report["results"][1:] == [
+            {"certificate": kind, "solver": "aam",
+             "skipped": "applies to mu_assumed < n L runs only"}
+            for kind in ("aam_main", "aam_Ak_growth")]
+
     def test_malformed_trace(self, run_outputs, tmp_path, capsys):
         cfg_path, trace = run_outputs
         bad = tmp_path / "bad.csv"

@@ -220,3 +220,23 @@ def test_fuzzed_config_exits_with_a_code(tmp_path_factory, cfg):
     assert code in (0, 1, 2, 3)
     code, _ = quiet_main(["verify", "--trace", d / "run" / "trace.csv", "--config", cfg_path])
     assert code in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(cfg=st.sampled_from([VALID_CONFIGS[0], VALID_CONFIGS[3]]), mu=st.floats(0.0, 1e12))
+def test_any_mu_assumed_exits_with_a_code(tmp_path_factory, cfg, mu):
+    # from mu_assumed = n L on (200 for the quadratic) aam_main and
+    # aam_Ak_growth do not apply; an uncaught exception, which would end the
+    # CLI in a traceback, fails the test
+    cfg = json.loads(json.dumps(cfg))
+    for entry in cfg["solvers"]:
+        if entry["method"] == "aam":
+            entry["mu_assumed"] = mu
+    d = tmp_path_factory.mktemp("mu")
+    cfg_path = d / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert quiet_main(["run", "--config", cfg_path, "--out", d / "run"])[0] in (0, 1, 2, 3)
+    for strict in ([], ["--strict"]):
+        code, _ = quiet_main(["verify", "--trace", d / "run" / "trace.csv",
+                              "--config", cfg_path, *strict])
+        assert code in (0, 1, 2, 3)

@@ -1,7 +1,9 @@
 """The Newton block solver of the nonlinear PL problem: exactness, descent,
 agreement with an independent trust-region solve, the factorizations the
-Hessian shift costs, and the AM stop it enables."""
+Hessian shift costs, the AM stop it enables, and the gradient and block
+Hessian it builds without a Jacobian, against ones built from jacobian()."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,9 +12,10 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmin import SolverConfig, make_nonlinear_pl, problems, run_am
+from blockmin import BlockPartition, SolverConfig, make_nonlinear_pl, problems, run_aam, run_am
 from blockmin.errors import NotSpd, SolverError
 from blockmin.linalg import cholesky
+from blockmin.objective import ObjectiveHandle
 from blockmin.problems import NonlinearEqPlProblem
 
 SHAPES = [(20, 14), (100, 70), (200, 140)]
@@ -151,3 +154,59 @@ def test_am_reaches_grad_tolerance(seed):
     trace = run_am(p.handle(), p.default_start, SolverConfig(max_iters=200))
     assert trace.status == "grad_tolerance"
     assert trace.final.k < 200
+
+
+# (n, m), partition, block: a block wholly below m, one that straddles m, one
+# with no coordinate below m, and both blocks of a partition into two
+# interleaved, unordered index sets
+REFERENCE_CASES = [((200, 140), "halves", 0), ((200, 140), "halves", 1),
+                   ((20, 8), "halves", 1), ((20, 14), "shuffled", 0),
+                   ((20, 14), "shuffled", 1)]
+
+
+@DETERMINISTIC
+@given(seed=st.integers(0, 7), case=st.sampled_from(REFERENCE_CASES),
+       eps=st.floats(0.0, 0.5), point_seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 3.0]), cut=st.integers(1, 19))
+def test_gradient_and_block_hessian_match_the_jacobian_forms(seed, case, eps, point_seed,
+                                                             scale, cut):
+    (n, m), layout, i = case
+    p = make_nonlinear_pl(seed, n, m, eps=eps)
+    if layout == "shuffled":
+        perm = np.random.default_rng(point_seed).permutation(n)
+        p = dataclasses.replace(p, partition=BlockPartition(n, (perm[:cut], perm[cut:])))
+    x = point(p, point_seed, scale)
+    f, g, r = p.value_and_gradient(x)
+    assert np.array_equal(r, p.residual(x)) and f == float(r @ r)
+    g_ref = 2.0 * (p.jacobian(x).T @ r)
+    assert np.linalg.norm(g - g_ref) <= 1e-13 * (1.0 + np.linalg.norm(g_ref))
+    hess = p._block_hessian(i, x, r)
+    hess_ref = block_hessian(p, x, p.partition.blocks[i])
+    assert np.array_equal(hess, hess.T)  # cholesky reads one triangle
+    assert np.linalg.norm(hess - hess_ref) <= 1e-13 * (1.0 + np.linalg.norm(hess_ref))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_am_and_aam_form_no_jacobian(monkeypatch, seed):
+    # the Newton loop and every point carry the residual alone; jacobian()
+    # is the reference the test above compares against
+    def no_jacobian(self, x):
+        raise AssertionError("a Jacobian was formed")
+
+    made = []
+    make_point = ObjectiveHandle._point
+
+    def recorded(h, *args, **kwargs):
+        made.append(make_point(h, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(NonlinearEqPlProblem, "jacobian", no_jacobian)
+    monkeypatch.setattr(ObjectiveHandle, "_point", recorded)
+    p = make_nonlinear_pl(seed, 200, 140)
+    cfg = SolverConfig(max_iters=400, target_gap=1e-10)
+    for run in (run_am, run_aam):
+        made.clear()
+        trace = run(p.handle(), p.default_start, cfg)
+        assert trace.status == "target_gap"
+        assert made and all(q.cache.shape == (140,) and np.array_equal(q.cache, p.residual(q.x))
+                            for q in made)
