@@ -186,14 +186,12 @@ def check_am_sublinear(trace: SolverTrace, l_blocks, radius: float, f_star: floa
     """Non-strongly-convex AM bound over sweeps N >= 2:
 
     F(x^N) - F* <= max{(F(x^0) - F*)/2^{(N-1)/2}, 8 min_i L_i R^2 / (N - 1)}.
+    A trace of fewer than two sweeps gives no rows.
     """
     _need(trace, "am", "am_sublinear")
     if l_blocks is None or radius is None or f_star is None:
         raise ValueError("am_sublinear needs L_i, R and F*")
-    sweeps = trace.sweep_records()
-    if len(sweeps) < 3:
-        raise TooShort("need at least two complete sweeps")
-    gaps = [r.composite_value - f_star for r in sweeps]
+    gaps = [r.composite_value - f_star for r in trace.sweep_records()]
     lmin = min(l_blocks)
     rows = []
     for n in range(2, len(gaps)):
@@ -303,6 +301,12 @@ def estimate_empirical_rate(trace: SolverTrace, f_star: float,
     return float(np.exp(slope_lin)), float(slope_log)
 
 
+def _mu_below_nl(info, mu_run: float) -> str | None:
+    # from mu = n L on, the factor 1 - sqrt(mu / (n L)) leaves [0, 1)
+    return ("applies to mu_assumed < n L runs only" if info.l_global is not None
+            and mu_run >= info.n_blocks * info.l_global else None)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """One certificate kind as ``blockmin verify`` runs it.
@@ -313,15 +317,14 @@ class Certificate:
     from_csv: (trace, instance, mu assumed by the run) -> report, on a trace
         rebuilt from trace.csv; None when the check needs the iterate vectors,
         which the CSV does not keep.
-    mu_zero_only: the bound holds only for runs with mu_assumed = 0.
-    mu_below_nl: the bound holds only for runs with mu_assumed < n L.
+    applies: (instance, mu assumed by the run) -> why the bound does not hold
+        for that run, or None; verify and the trace's bound columns ask it.
     """
 
     method: str
     constants: tuple[str, ...]
     from_csv: Callable[[SolverTrace, object, float], CertificateReport] | None
-    mu_zero_only: bool = False
-    mu_below_nl: bool = False
+    applies: Callable[[object, float], str | None] = lambda info, mu_run: None
 
 
 # The lambdas look each check up on this module when they run, so a check
@@ -336,17 +339,21 @@ CERTIFICATES = {
     "aam_main": Certificate(
         "aam", ("l_global", "radius", "f_star"),
         lambda t, c, mu: check_aam_main(t, c.l_global, mu, c.n_blocks, c.radius, c.f_star),
-        mu_below_nl=True),
+        _mu_below_nl),
     "aam_Ak_growth": Certificate(
         "aam", ("l_global",),
-        lambda t, c, mu: check_aam_Ak(t, c.l_global, mu, c.n_blocks), mu_below_nl=True),
+        lambda t, c, mu: check_aam_Ak(t, c.l_global, mu, c.n_blocks), _mu_below_nl),
     "aam_recurrence": Certificate("aam", (), None),
     "aam_adaptive": Certificate(
         "aam", ("mu_true", "f_star"),
-        lambda t, c, mu: check_aam_adaptive(t, c.mu_true, c.f_star), mu_zero_only=True),
+        lambda t, c, mu: check_aam_adaptive(t, c.mu_true, c.f_star),
+        lambda c, mu: None if mu == 0.0 else "applies to mu_assumed = 0 runs only"),
     "nearly_pl_combined": Certificate(
         "am", ("l_blocks", "mu_blocks", "f_star"),
-        lambda t, c, mu: check_nearly_pl(t, c.l_blocks, c.mu_blocks, c.f_star)),
+        lambda t, c, mu: check_nearly_pl(t, c.l_blocks, c.mu_blocks, c.f_star),
+        # a block that cannot move fails its proximal-PL inequality whenever F > F*
+        lambda c, mu: ("does not apply to a block whose box is a single point"
+                       if c.point_box else None)),
     "sufficient_decrease": Certificate("am", ("l_blocks",), None),
     "prox_pl": Certificate("am", ("mu_blocks", "f_star"), None),
 }

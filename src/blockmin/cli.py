@@ -32,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificates as certs
-from .errors import (BlockminError, ConfigError, SolverError, TooShort,
-                     TraceParseError)
+from .errors import BlockminError, ConfigError, SolverError, TraceParseError
 from .problems import (make_composite, make_nonlinear_pl, make_quadratic,
                        make_rank_deficient)
 from .solvers import (IterationRecord, SolverConfig, SolverTrace, run_aam,
@@ -109,9 +108,18 @@ def _finite(spec: dict, key: str, default: float) -> float:
     return value
 
 
+def _point_box(spec: dict) -> bool:
+    """Whether a composite spec has a box block whose box is a single point;
+    total on any JSON value, as the spec of a recorded summary is not rebuilt."""
+    kinds, bounds = spec.get("kinds"), spec.get("box_bounds")
+    return (spec.get("kind") == "composite" and isinstance(kinds, list) and "box" in kinds
+            and isinstance(bounds, list) and len(bounds) == 2 and bounds[0] == bounds[1])
+
+
 class InstanceInfo:
     """Resolved problem plus the constants certificates need; None means unknown.
-    Given ``constants``, as ``constants()`` returns them, it builds no problem."""
+    Given ``constants``, as ``constants()`` returns them, it builds no problem.
+    ``point_box`` is read from the spec on both paths, so it is no constant."""
 
     # the keys each instance kind accepts besides "kind"
     KEYS = {
@@ -122,6 +130,7 @@ class InstanceInfo:
     }
 
     def __init__(self, spec: dict, constants: dict | None = None):
+        self.point_box = _point_box(spec)
         if constants is not None:
             self.problem = self.handle = self.x0 = None
             vars(self).update(constants)
@@ -226,27 +235,30 @@ def _run_one(method: str, info: InstanceInfo, cfg: SolverConfig) -> SolverTrace:
 # trace CSV
 # ---------------------------------------------------------------------------
 
-def _bound_columns(method: str, rec: IterationRecord, info: InstanceInfo,
-                   cfg: SolverConfig, gap0: float):
-    bound_main = None
-    bound_linear = None
-    if method == "aam" and rec.k >= 1 and info.l_global is not None:
-        bound_main = certs.aam_main_bound(rec.k, info.l_global, cfg.mu_assumed,
-                                          info.n_blocks, info.radius)
-    if (method == "am" and rec.k >= 1 and rec.k % info.n_blocks == 0
-            and info.mu_blocks is not None):
-        factor = certs.am_linear_factor(info.l_blocks, info.mu_blocks)
-        bound_linear = gap0 * factor ** (rec.k // info.n_blocks)
-    return bound_main, bound_linear
+def _bound_columns(method: str, trace: SolverTrace, info: InstanceInfo, cfg: SolverConfig):
+    """(bound_aam_main, bound_am_linear) per record of one run: None where the bound
+    says nothing at k, or where verify would not check its certificate on the run."""
+    def checked(kind):
+        cert = certs.CERTIFICATES[kind]
+        return cert.method == method and _unchecked(cert, info, cfg.mu_assumed)[0] is None
+
+    main = checked("aam_main")
+    factor = (certs.am_linear_factor(info.l_blocks, info.mu_blocks)
+              if checked("am_linear_pl") else None)
+    gap0, n = trace.records[0].composite_value - info.f_star, info.n_blocks
+    for r in trace.records:
+        yield (certs.aam_main_bound(r.k, info.l_global, cfg.mu_assumed, n, info.radius)
+               if main and r.k >= 1 else None,
+               gap0 * factor ** (r.k // n)
+               if factor is not None and r.k >= 1 and r.k % n == 0 else None)
 
 
 def trace_csv_text(runs, info: InstanceInfo, record_wall: bool) -> str:
     rows = []
     for name, method, cfg, trace in runs:
-        gap0 = trace.records[0].composite_value - info.f_star
-        for rec in trace.records:
+        for rec, (bound_main, bound_linear) in zip(trace.records,
+                                                   _bound_columns(method, trace, info, cfg)):
             gap = rec.composite_value - info.f_star
-            bound_main, bound_linear = _bound_columns(method, rec, info, cfg, gap0)
             rows.append([
                 rec.k, name, _fmt(gap), _fmt(rec.grad_norm),
                 "" if rec.block is None else str(rec.block),
@@ -403,6 +415,18 @@ def recorded_constants(trace_path, spec: dict) -> dict | None:
     return found if in_range else None
 
 
+def _unchecked(cert: certs.Certificate, info: InstanceInfo, mu_run: float):
+    """(why verify does not check cert on a run, whether that counts as a skip),
+    or (None, False) when it does; a run cert does not apply to is not counted."""
+    if cert.from_csv is None:
+        return "needs full iterate vectors (library-level only)", True
+    not_applicable = cert.applies(info, mu_run)
+    if not_applicable is not None:
+        return not_applicable, False
+    missing = [c for c in cert.constants if getattr(info, c) is None]
+    return (f"missing constants: {', '.join(missing)}", True) if missing else (None, False)
+
+
 def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
     cfg = load_config(config_path)
     requested = cfg.get("certificates", [])
@@ -436,33 +460,12 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             cert = certs.CERTIFICATES[kind]
             if cert.method != method:
                 continue  # certificate simply targets another solver
-            missing = [c for c in cert.constants if getattr(info, c) is None]
-            if cert.mu_zero_only and mu_run != 0.0:
-                not_applicable = "applies to mu_assumed = 0 runs only"
-            elif (cert.mu_below_nl and info.l_global is not None
-                  and mu_run >= info.n_blocks * info.l_global):
-                not_applicable = "applies to mu_assumed < n L runs only"
-            else:
-                not_applicable = None
-            if cert.from_csv is None:
-                reason = "needs full iterate vectors (library-level only)"
-            elif not_applicable:
-                # does not apply to this run: listed, but not counted as skipped
-                results.append({"certificate": kind, "solver": name,
-                                "skipped": not_applicable})
-                continue
-            elif missing:
-                reason = f"missing constants: {', '.join(missing)}"
-            else:
-                reason = None
+            reason, counted = _unchecked(cert, info, mu_run)
             if reason is not None:
                 results.append({"certificate": kind, "solver": name, "skipped": reason})
-                skipped += 1
+                skipped += counted
                 continue
-            try:
-                report = cert.from_csv(trace, info, mu_run)
-            except TooShort:
-                report = certs.CertificateReport(kind, ())
+            report = cert.from_csv(trace, info, mu_run)
             results.append({
                 "certificate": kind, "solver": name, "passed": report.passed,
                 "worst_slack": report.worst_slack,

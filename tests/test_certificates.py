@@ -237,10 +237,12 @@ class TestAmSublinear:
         assert rep.rows[1].bound_value == pytest.approx(8.0 / 2.0)
 
     def test_too_short(self, rankdef16):
+        # one complete sweep: the bound starts at N = 2, so there are no rows,
+        # which verify marks vacuous
         trace = run_am(rankdef16.handle(), rankdef16.default_start,
                        SolverConfig(max_iters=2))
-        with pytest.raises(TooShort):
-            check_am_sublinear(trace, rankdef16.l_blocks, 1.0, rankdef16.f_star)
+        rep = check_am_sublinear(trace, rankdef16.l_blocks, 1.0, rankdef16.f_star)
+        assert rep.rows == ()
 
 
 class TestEmpiricalRate:

@@ -258,13 +258,18 @@ class TestVerify:
                    if "skipped" in r]
         assert skipped == [("aam_recurrence", "aam0")]
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_mu_assumed_at_least_n_l_is_not_applicable(self, tmp_path, capsys, strict):
+    # ids [False] and [True] are the adaptive rule
+    @pytest.mark.parametrize("strict, rule", [
+        pytest.param(strict, rule, id=f"{name}{strict}")
+        for name, rule in (("", {}), ("known_l-", {"l_known": 1e9})) for strict in (False, True)])
+    def test_mu_assumed_at_least_n_l_is_not_applicable(self, tmp_path, capsys, strict, rule):
         # n L = 400 here: the factor 1 - sqrt(mu / (n L)) of aam_main and
-        # aam_Ak_growth leaves [0, 1), and verify ended in a ValueError
+        # aam_Ak_growth leaves [0, 1), so neither verify nor the trace's
+        # bound_aam_main column may use it
         cfg = {
             "instance": {"kind": "quadratic", "seed": 0, "dim": 16, "cond_number": 100.0},
-            "solvers": [{"name": "aam", "method": "aam", "max_iters": 50, "mu_assumed": 1e9}],
+            "solvers": [{"name": "aam", "method": "aam", "max_iters": 50, "mu_assumed": 1e9,
+                         **rule}],
             "certificates": ["aam_main", "aam_Ak_growth"],
         }
         cfg_path = tmp_path / "cfg.json"
@@ -272,6 +277,10 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
+        rows = read_rows(out / "trace.csv")
+        # the known-L rule runs all 50 iterations; the adaptive one stops at k = 0
+        assert len(rows) == (51 if rule else 1)
+        assert all(r["bound_aam_main"] == "" for r in rows)
         assert main(["verify", "--trace", str(out / "trace.csv"), "--config", str(cfg_path)]
                     + ["--strict"] * strict) == 0
         report = json.loads(capsys.readouterr().out)
@@ -280,6 +289,34 @@ class TestVerify:
             {"certificate": kind, "solver": "aam",
              "skipped": "applies to mu_assumed < n L runs only"}
             for kind in ("aam_main", "aam_Ak_growth")]
+
+    def test_point_box_is_not_applicable(self, tmp_path, capsys):
+        # the box block cannot move, so its proximal-PL inequality fails
+        # whenever F > F*: checked anyway, nearly_pl_combined fails at k = 1
+        cfg = {
+            "instance": {"kind": "composite", "seed": 6, "dim": 12, "gamma": 0.4,
+                         "kinds": ["box", "l1"], "box_bounds": [0.0, 0.0]},
+            "solvers": [{"name": "am", "method": "am", "max_iters": 2000, "target_gap": 1e-8}],
+            "certificates": ["nearly_pl_combined"],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        # from the recorded constants, then from a rebuild of the instance
+        for strict, source in (([], "summary"), (["--strict"], "summary"),
+                               (["--strict"], "rebuild")):
+            if source == "rebuild":
+                (out / "summary.json").unlink()
+            capsys.readouterr()
+            assert main(["verify", "--trace", str(out / "trace.csv"),
+                         "--config", str(cfg_path), *strict]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["constants_from"] == source
+            assert (report["skipped"], report["violations"]) == (0, 0)
+            assert report["results"][1:] == [
+                {"certificate": "nearly_pl_combined", "solver": "am",
+                 "skipped": "does not apply to a block whose box is a single point"}]
 
     def test_malformed_trace(self, run_outputs, tmp_path, capsys):
         cfg_path, trace = run_outputs

@@ -3,6 +3,7 @@ trace, and the config fields. Every input ends in exit code 0, 1, 2 or 3,
 never in a traceback, and a corrupted summary gives a rebuild's results."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -223,19 +224,29 @@ def test_fuzzed_config_exits_with_a_code(tmp_path_factory, cfg):
 
 
 @FUZZ
-@given(cfg=st.sampled_from([VALID_CONFIGS[0], VALID_CONFIGS[3]]), mu=st.floats(0.0, 1e12))
-def test_any_mu_assumed_exits_with_a_code(tmp_path_factory, cfg, mu):
+@given(cfg=st.sampled_from([VALID_CONFIGS[0], VALID_CONFIGS[3]]), mu=st.floats(0.0, 1e12),
+       known_l=st.booleans())
+def test_any_mu_assumed_exits_with_a_code(tmp_path_factory, cfg, mu, known_l):
     # from mu_assumed = n L on (200 for the quadratic) aam_main and
-    # aam_Ak_growth do not apply; an uncaught exception, which would end the
-    # CLI in a traceback, fails the test
+    # aam_Ak_growth do not apply, and the trace leaves their bound cells
+    # empty; an uncaught exception, which would end the CLI in a traceback,
+    # fails the test
     cfg = json.loads(json.dumps(cfg))
     for entry in cfg["solvers"]:
         if entry["method"] == "aam":
             entry["mu_assumed"] = mu
+            if known_l:
+                entry["l_known"] = max(mu, 1.0)
     d = tmp_path_factory.mktemp("mu")
     cfg_path = d / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert quiet_main(["run", "--config", cfg_path, "--out", d / "run"])[0] in (0, 1, 2, 3)
+    code, _ = quiet_main(["run", "--config", cfg_path, "--out", d / "run"])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        with open(d / "run" / "trace.csv", newline="", encoding="utf-8") as fh:
+            cells = [float(v) for row in csv.DictReader(fh)
+                     for key, v in row.items() if key.startswith("bound_") and v]
+        assert all(math.isfinite(v) and v >= 0.0 for v in cells)
     for strict in ([], ["--strict"]):
         code, _ = quiet_main(["verify", "--trace", d / "run" / "trace.csv",
                               "--config", cfg_path, *strict])
