@@ -20,8 +20,8 @@ import numpy as np
 # step evaluates afresh each point this many step hook calls away from the
 # last fresh evaluation, so that the rounding of the updates cannot build up
 # over a run. On make_quadratic(0, 256, 100), ||grad f|| drifted from a fresh
-# evaluation by up to 6.2e-13 over 3,000 AM steps and 1.9e-12 over 3,000 FGM
-# steps without the refresh, and by up to 1.4e-13 and 7.8e-14 with it.
+# evaluation by up to 6.2e-13 over 3,000 AM steps and 2.0e-12 over 3,000 FGM
+# steps without the refresh, and by up to 1.4e-13 and 1.1e-13 with it.
 REFRESH_STEPS = 32
 
 

@@ -14,8 +14,9 @@ Two families:
   The Hessian of the smooth part is 2 W^T W, so the declared constants carry
   that factor of two. A fresh evaluation reads W once, a row chunk at a time.
   A point p.x + d made from a point p is in Gram form: f and grad f grow by
-  grad f(p.x) . d + d . G d and 2 G d, G = W^T W, from one product with G
-  (with its block rows for a block step). An affine combination of two
+  grad f(p.x) . d + d . G d and 2 G d, G = W^T W, from one product with G:
+  a symmetric one (BLAS symv) that reads one triangle of G for a full step,
+  one with its block rows for a block step. An affine combination of two
   points and the exact line minimizer need none, as G d is half the gradient
   difference, nor does a zero-term block solve. The constructor derives
   every constant and the optimum; with terms, the optimum is cross-validated
@@ -387,12 +388,18 @@ class CompositeQuadraticProblem:
     def step_value_and_gradient(self, p: Point, x: np.ndarray, i: int | None
                                 ) -> tuple[float, np.ndarray]:
         """f and grad f at x = p.x + d in Gram form: f(p.x) + grad f(p.x) . d
-        + d . G d and grad f(p.x) + 2 G d. When x differs from p.x in block i
-        only, G d = G[:, i] d_i = G[i, :]^T d_i (G = W^T W is exactly
-        symmetric) reads only the block's rows of G."""
+        + d . G d and grad f(p.x) + 2 G d. G = W^T W is exactly symmetric, so
+        a full step forms G d by BLAS symv from one triangle of G, and when x
+        differs from p.x in block i only, G d = G[:, i] d_i = G[i, :]^T d_i
+        reads only the block's rows of G."""
         idx = slice(None) if i is None else self.partition.blocks[i]
         d = x[idx] - p.x[idx]
-        gd = (self._gram if i is None else self._gram_rows[i]).T @ d
+        if i is None:
+            # the transpose of the C-ordered G is an F-ordered view that BLAS
+            # reads in place; G itself would be copied on every call
+            gd = scipy.linalg.blas.dsymv(1.0, self._gram.T, d, lower=0)
+        else:
+            gd = self._gram_rows[i].T @ d
         return p.f + float(d @ (p.g[idx] + gd[idx])), p.g + 2.0 * gd
 
     def affine_value_and_gradient(self, p: Point, q: Point, t: float

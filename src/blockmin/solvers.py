@@ -30,6 +30,10 @@ _STATE_LIMIT = 1e50
 _LINE_SEARCH_TOL = 1e-10
 _LINE_SEARCH_MAX_PROBES = 40
 
+# A decrease f(y) - f(x_next) at most this times (1 + |f(y)|) is rounding: an
+# AAM coefficient equation without a positive root then means convergence.
+_F_ROUNDING = 4.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -207,8 +211,9 @@ def choose_a_adaptive(f_y: float, f_next: float, grad_y: np.ndarray,
     with G = ||grad_y||^2 and V = ||v - y||^2. Cleared of denominators this is
     (G - 2 delta mu) a^2 - (mu tau V + 2 delta (mu A + tau)) a - 2 delta A tau
     = 0 with delta = f(y) - f(x_next) >= 0. The leading coefficient is <= 0
-    only within rounding of the optimum (delta ~ gap bound). Raises
-    NoPositiveRoot when no progress is measurable (converged).
+    only within rounding of the optimum (delta ~ gap bound) or when mu exceeds
+    the PL modulus of f. Raises NoPositiveRoot when no progress is measurable
+    (converged), or when lead <= 0 at A = 0.
     """
     vy = np.asarray(v, dtype=float) - np.asarray(y, dtype=float)
     delta = f_y - f_next
@@ -301,7 +306,13 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             else:
                 a = choose_a_adaptive(y.f, rec.composite_value, y.g, y.x, a_sum, tau, mu, v.x)
         except NoPositiveRoot:
-            status = "converged"
+            # Beyond rounding, the adaptive rule lacks a root only at k = 1
+            # (A = 0) with ||grad f(y)||^2 <= 2 mu delta, delta = f(y) -
+            # f(x_next): then mu > mu_PL, as delta <= f(y) - f* <=
+            # ||grad f(y)||^2 / (2 mu_PL).
+            delta = y.f - rec.composite_value
+            too_large = cfg.l_known is None and delta > _F_ROUNDING * (1.0 + abs(y.f))
+            status = "mu_too_large" if too_large else "converged"
             break
         if not math.isfinite(a) or a > _STATE_LIMIT:
             status = "diverged"

@@ -166,6 +166,49 @@ def test_block_point_matches_a_fresh_evaluation(n, seed, scale, i):
     assert_matches_fresh(prob, block, np.abs(p.x) + np.abs(block.x))
 
 
+# the affine problems and one whose fresh evaluation takes W in two row chunks
+STEP_PROBLEMS = AFFINE_PROBLEMS + [make_quadratic(0, 512, 100.0)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n=st.integers(0, len(STEP_PROBLEMS) - 1), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_full_step_point_matches_a_fresh_evaluation(n, seed, scale):
+    # a step in every coordinate, G d by symv from one triangle of G; the
+    # change d has |d| <= |p.x| + |x| termwise
+    prob = STEP_PROBLEMS[n]
+    h = prob.handle()
+    rng = np.random.default_rng(seed)
+    p = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
+    x = prob.x_star + scale * rng.standard_normal(h.dim)
+    point = h.step(p, x)
+    assert point.steps == 1 and np.array_equal(point.x, x)
+    assert_matches_fresh(prob, point, np.abs(p.x) + np.abs(x))
+
+
+def test_full_step_reads_the_gram_matrix_in_place(monkeypatch, quad16, rng):
+    # symv is handed an F-ordered view of G: handed the C-ordered G itself,
+    # scipy would copy all of it on every call
+    seen = []
+    symv = problems.scipy.linalg.blas.dsymv
+
+    def spy(alpha, a, x, **kw):
+        seen.append(a)
+        return symv(alpha, a, x, **kw)
+
+    monkeypatch.setattr(problems.scipy.linalg.blas, "dsymv", spy)
+    h = quad16.handle()
+    p = h.evaluate(quad16.default_start)
+    x = quad16.x_star + rng.standard_normal(16)
+    h.step(p, x)
+    assert len(seen) == 1
+    a = seen[0]
+    assert a.flags.f_contiguous and np.shares_memory(a, quad16._gram)
+    assert np.array_equal(a, quad16._gram)
+    h.step(p, x, 0)  # a block step reads the block's rows of G, not symv
+    assert len(seen) == 1
+
+
 def test_block_steps_are_refreshed(quad16, rng):
     # a chain of block points is evaluated afresh every REFRESH_STEPS steps;
     # an affine point weighs the counts of its two ends

@@ -395,6 +395,18 @@ class TestRunAam:
         assert trace.status in ("grad_tolerance", "converged")
         assert len(trace.records) == 1
 
+    @pytest.mark.parametrize("mu,status,iters", [
+        (100.0, "max_iters", 50), (200.0, "mu_too_large", 0),
+        (399.0, "mu_too_large", 0), (1e9, "mu_too_large", 0)])
+    def test_mu_above_the_pl_modulus(self, mu, status, iters):
+        # mu_global = 2 and n L = 400. From mu = 200 the adaptive equation has
+        # no positive root at k = 1 (A = 0) although f has measurably fallen;
+        # at mu = 100 it keeps one and the run goes on
+        p = make_quadratic(0, 16, 100.0)
+        trace = run_aam(p.handle(), p.default_start,
+                        SolverConfig(max_iters=50, mu_assumed=mu))
+        assert (trace.status, trace.final.k) == (status, iters)
+
     def test_rejects_composite(self, composite12):
         with pytest.raises(SolverError, match="supports g == 0 only"):
             run_aam(composite12.handle(), composite12.default_start, SolverConfig())
