@@ -141,8 +141,8 @@ class InstanceInfo:
         unknown = set(spec) - self.KEYS[kind] - {"kind"}
         if unknown:
             raise ConfigError(f"unknown {kind} instance key(s): {sorted(unknown)}")
-        # a bad argument is an input error; a failing reference solve
-        # (SolverError) stays a solver failure
+        # a bad argument is an input error; an optimum that fails its
+        # certified gap bound (SolverError) stays a solver failure
         try:
             seed = _integer(spec, "seed", 0)
             if kind == "quadratic":

@@ -19,10 +19,10 @@ Two families:
   one with its block rows for a block step. An affine combination of two
   points and the exact line minimizer need none, as G d is half the gradient
   difference, nor does a zero-term block solve. The constructor derives
-  every constant and the optimum; with terms, the optimum is cross-validated
-  by two independent solves: FISTA run to a gradient-mapping norm at its
-  rounding floor, and the active-set solve. Its subclass QuadraticSplitProblem
-  is the case with no terms (g = 0), split into two equal blocks.
+  every constant and the optimum; with terms, one active-set solve whose gap
+  F(x) - F* <= s . G^-1 s / 4, s in dF(x), is proved, rounding included, to
+  be at most 1e-10 (1 + |F|). Its subclass QuadraticSplitProblem is the case
+  with no terms (g = 0), split into two equal blocks.
 * NonlinearEqPlProblem -- f(x) = ||g(x)||^2 for a mildly nonlinear
   underdetermined system, gradient-dominated by construction; blocks are
   minimized by a globalised Newton loop on the block Hessian, built in
@@ -53,6 +53,9 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 # beyond 1/eps, W^T W is singular in double precision; near 1e308 it overflows
 MAX_COND = 1.0 / np.finfo(float).eps
+# W^T W is rank deficient (mu_global = 0) where an eigenvalue is at or below
+# _RANK_RTOL times the largest; a composite optimum is certified only if not
+_RANK_RTOL = 1e-10
 
 
 def _design_matrix(rng: np.random.Generator, dim: int, cond_number: float) -> np.ndarray:
@@ -100,7 +103,7 @@ def _fista(residual, z, weight, lo, hi, lam):
 
     Restarts use the gradient criterion <y - x_new, x_new - x> > 0; a
     function-value criterion would stall at the rounding floor of F long
-    before the mapping norm reaches the reference tolerance."""
+    before the mapping norm reaches its own rounding floor."""
     x = z
     y = z
     t = 1.0
@@ -114,45 +117,6 @@ def _fista(residual, z, weight, lo, hi, lam):
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
         yield x
-
-
-# The rounding error of W^T (b - W y) has size eps ||W|| (||b|| + ||W|| ||y||).
-# On make_composite(1, 512, 0.4, ("l1", "box"), cond_number=1e4) the reference's
-# mapping norm floors at 0.15 to 0.35 of that size (2e-12 to 5e-12), so it
-# never reaches an absolute 1e-12; it stops at _REFERENCE_FLOOR times that size.
-_REFERENCE_FLOOR = 4.0 * np.finfo(float).eps
-
-
-def _fista_reference(W, b, weight, lo, hi, lam, max_iters: int = 400_000) -> np.ndarray:
-    """FISTA from zero to a gradient-mapping norm at the rounding floor or
-    1e-12, whichever is larger, with lam the largest eigenvalue of W^T W.
-    First of the two independent optimum solvers.
-
-    r(y) is formed as W^T (b - W y), not W^T b - W^T W y: on
-    make_composite(1, 256, 0.4, ("l1", "box"), cond_number=1e4) the Gram form
-    floors at a mapping norm of ~4e-12 from rounding, while this form reaches
-    1e-12 in ~7,500 steps. Where the mapping norm never reaches the target,
-    the last iterate of the budget is accepted at 10 times the target."""
-    norm_w, norm_b = math.sqrt(lam), float(np.linalg.norm(b))
-
-    def residual(y):
-        return W.T @ (b - W @ y)
-
-    def mapping_norm(x):
-        return 2.0 * lam * float(np.linalg.norm(
-            x - _prox_step(x, residual(x), weight, lo, hi, lam)))
-
-    def target(x):
-        return max(1e-12, _REFERENCE_FLOOR * norm_w
-                   * (norm_b + norm_w * float(np.linalg.norm(x))))
-
-    steps = _fista(residual, np.zeros(W.shape[1]), weight, lo, hi, lam)
-    for k, x in enumerate(itertools.islice(steps, max_iters)):
-        if k % 25 == 0 and mapping_norm(x) <= target(x):
-            return x
-    if mapping_norm(x) <= 10 * target(x):
-        return x
-    raise SolverError("prox-gradient reference failed to reach the mapping tolerance")
 
 
 # Active-set solve. A pattern's reduced solution is accepted when the KKT
@@ -283,7 +247,8 @@ class CompositeQuadraticProblem:
     block (views for a contiguous block), the Cholesky factors of the block
     Gram matrices G_ii with the L_i, and, unless both are given, ``x_star``
     and ``f_star``: in closed form with no terms (``lstsq`` when W is rank
-    deficient), otherwise by FISTA cross-validated by the active-set solve.
+    deficient), otherwise by the active-set solve from zero; SolverError if
+    ``_gap_bound`` cannot prove its gap at most 1e-10 (1 + |F|).
     """
 
     W: np.ndarray
@@ -321,7 +286,7 @@ class CompositeQuadraticProblem:
         """The global constants from gram = W^T W and, unless both are given,
         x_star and f_star."""
         lam = np.linalg.eigvalsh(gram)
-        positive = lam[lam > 1e-10 * max(1.0, lam[-1])]
+        positive = lam[lam > _RANK_RTOL * max(1.0, lam[-1])]
         full_rank = positive.size == lam.size
         self.l_global = 2.0 * lam[-1]
         self.mu_global = 2.0 * lam[0] if full_rank else 0.0
@@ -337,13 +302,41 @@ class CompositeQuadraticProblem:
                 x = np.linalg.lstsq(self.W, self.b, rcond=None)[0]
             self.x_star, self.f_star = x, value(x)
             return
-        x_a = _fista_reference(self.W, self.b, *self._bounds, lam[-1])
-        x_b = _active_set_solve(gram, self.W.T @ self.b, np.zeros(lam.size),
-                                *self._bounds, lam[-1])
-        f_a, f_b = value(x_a), value(x_b)
-        if abs(f_a - f_b) > 1e-10 * (1.0 + abs(f_a)):
-            raise SolverError("reference optima disagree beyond tolerance")
-        self.x_star, self.f_star = (x_a, f_a) if f_a <= f_b else (x_b, f_b)
+        x = _active_set_solve(gram, self.W.T @ self.b, np.zeros(lam.size),
+                              *self._bounds, lam[-1])
+        f = value(x)
+        if self._gap_bound(x) > 1e-10 * (1.0 + abs(f)):
+            raise SolverError("composite optimum's gap bound exceeds 1e-10 (1 + |F*|)")
+        self.x_star, self.f_star = x, f
+
+    def _gap_bound(self, x: np.ndarray) -> float:
+        """Upper bound on F(x) - F* at a feasible x, rounding included. f has
+        Hessian 2 G, so F(x) - F* <= s . G^-1 s / 4 for every s in dF(x)
+        (Karimi, Nutini & Schmidt, ECML PKDD 2016); s is the one nearest zero,
+        from the computed gradient g + 2 W^T dr + 2 e, |dr| <= (dim + 1) eps
+        (|W| |x| + |b|) the residual's error and |e| <= rows eps |W|^T |r| that
+        of W^T r (Higham, Accuracy and Stability, 2nd ed., ch. 3). As
+        ||W^T dr||_{G^-1} <= ||dr||, the gap is at most (||s|| / sqrt(lam)
+        + 2 ||dr|| + 2 ||e|| / sqrt(lam))^2 / 4, lam = mu_global / 2 less
+        (rows + dim) eps ||W||_F^2: the error of G and of its spectrum, a
+        margin far above the rounding of s and of the norms."""
+        rows, dim = self.W.shape
+        eps = np.finfo(float).eps
+        lam = 0.5 * self.mu_global - (rows + dim) * eps * float(np.trace(self._gram))
+        if not lam > 0.0:
+            raise SolverError("W^T W is singular: the optimum cannot be certified")
+        weight, lo, hi = self._bounds
+        r = self.W @ x - self.b
+        g = 2.0 * (self.W.T @ r)
+        s = np.where(x != 0.0, g + weight * np.sign(x), soft_threshold(g, weight))
+        s = np.where(x == lo, np.minimum(s, 0.0), s)
+        s = np.where(x == hi, np.maximum(s, 0.0), s)
+        abs_w = np.abs(self.W)
+        dr = (dim + 1) * eps * (abs_w @ np.abs(x) + np.abs(self.b))
+        e = rows * eps * (abs_w.T @ np.abs(r))
+        root = ((np.linalg.norm(s) + 2.0 * np.linalg.norm(e)) / math.sqrt(lam)
+                + 2.0 * np.linalg.norm(dr))
+        return 0.25 * float(root) ** 2
 
     @property
     def mu_blocks(self) -> tuple[float, ...]:
@@ -517,12 +510,13 @@ def make_composite(seed: int, dim: int, gamma: float,
                    box_bounds: tuple[float, float] = (-0.5, 0.5),
                    cond_number: float = 50.0) -> CompositeQuadraticProblem:
     """Composite instance; by default l1 (weight gamma) on block 1, nothing on
-    block 2. The reference optimum is computed by accelerated prox-gradient and
-    cross-validated by the active-set solve before it is trusted."""
+    block 2. The optimum is the active-set solve of the full problem, whose gap
+    the build proves to be at most 1e-10 (1 + |F|); a cond_number of 1e10 or
+    more, where W^T W is rank deficient to the build, raises ValueError."""
     if not gamma >= 0.0:  # written so that NaN fails too
         raise ValueError("gamma must be >= 0")
-    if not 1.0 <= cond_number <= MAX_COND:
-        raise ValueError("cond_number must be in [1, 1/eps]")
+    if not 1.0 <= cond_number < 1.0 / _RANK_RTOL:
+        raise ValueError(f"cond_number must be in [1, {1.0 / _RANK_RTOL:g})")
     if dim % 2 != 0 or dim < 4:
         raise ValueError("dim must be even and >= 4")
     if len(kinds) != 2:

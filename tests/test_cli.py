@@ -92,6 +92,10 @@ class TestRun:
                          # W^T W would overflow: a warning, and a traceback under -W error
                          {"kind": "quadratic", "dim": 8, "cond_number": 1e308},
                          {"kind": "composite", "dim": 8, "cond_number": 1e308},
+                         # from 1e10 on, W^T W is rank deficient to the build's
+                         # rank test, and no composite optimum can be certified
+                         {"kind": "composite", "seed": 2, "dim": 8, "gamma": 0.3,
+                          "kinds": ["l1", "box"], "cond_number": 1e12},
                          {"kind": "nonlinear_pl", "n": 7, "m": 3},
                          {"kind": "composite", "dim": 8, "kinds": ["l2", "zero"]},
                          {"kind": "composite", "dim": 8, "kinds": ["l1"]},

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmin import (BlockPartition, CompositeQuadraticProblem, L1Term, SolverConfig,
                       ZeroTerm, make_composite, make_nonlinear_pl, make_quadratic,
@@ -17,6 +20,15 @@ def central_fd_jacobian(fun, x, m, step=1e-6):
         e[j] = step
         jac[:, j] = (fun(x + e) - fun(x - e)) / (2 * step)
     return jac
+
+
+def exact_composite_value(p, x):
+    """F(x) in exact rational arithmetic, for a feasible float x."""
+    xs = [Fraction(float(v)) for v in x]
+    r = [sum((Fraction(float(w)) * v for w, v in zip(row, xs)), -Fraction(float(bi)))
+         for row, bi in zip(p.W, p.b)]
+    return (sum(ri * ri for ri in r)
+            + sum(Fraction(float(w)) * abs(v) for w, v in zip(p._bounds[0], xs)))
 
 
 class TestMakeQuadratic:
@@ -67,10 +79,7 @@ class TestMakeQuadratic:
         rng = np.random.default_rng(7)
         for _ in range(5):
             x = p.x_star + scale * rng.standard_normal(16)
-            w = [[Fraction(float(c)) for c in row] for row in p.W]
-            r = [sum((wj * Fraction(float(xj)) for wj, xj in zip(row, x)), -Fraction(float(bi)))
-                 for row, bi in zip(w, p.b)]
-            exact = sum(ri * ri for ri in r)
+            exact = exact_composite_value(p, x)
             assert abs(Fraction(p.smooth_value(x)) - exact) <= Fraction(p.value_rounding(x))
 
 
@@ -107,36 +116,42 @@ class TestMakeComposite:
         res = prox_map(comp.handle(), comp.x_star, 0, comp.l_global)
         assert np.linalg.norm(res.g_map) <= 1e-8
 
-    def test_reference_methods_agree(self, composite12):
-        from blockmin.problems import (_active_set_solve, _fista_reference,
-                                       _term_arrays)
-        p = composite12
-        gram, lin = p.W.T @ p.W, p.W.T @ p.b
-        lam = np.linalg.eigvalsh(gram)[-1]
-        bounds = _term_arrays(p.terms, p.partition)
-        x_a = _fista_reference(p.W, p.b, *bounds, lam)
-        x_b = _active_set_solve(gram, lin, np.zeros(12), *bounds, lam)
-        value = p.handle().composite_value
-        f_a, f_b = value(x_a), value(x_b)
-        assert abs(f_a - f_b) <= 1e-10 * (1 + abs(f_a))
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    @pytest.mark.parametrize("cond", [50.0, 1e4])
+    def test_certified_optimum_matches_lbfgsb(self, dim, cond):
+        # an independent solve: L-BFGS-B on the split-sign reformulation, the
+        # l1 block as x = u - v with u, v >= 0 and weight sum(u + v), the box
+        # block as bounds
+        p = make_composite(3, dim, 0.4, ("l1", "box"), (-0.5, 0.5), cond_number=cond)
+        half = dim // 2
 
-    def test_reference_stops_at_the_rounding_floor(self, monkeypatch):
-        # at condition number 1e5 the reference's mapping norm floors above
-        # 1e-12 (2.5e-12 at best over 60,000 steps); stopping at the rounding
-        # floor takes ~10,000 steps
-        from blockmin import problems
+        def fun(z):
+            x = np.concatenate([z[:half] - z[half:dim], z[dim:]])
+            r = p.W @ x - p.b
+            g = 2.0 * (p.W.T @ r)
+            value = float(r @ r) + 0.4 * float(z[:dim].sum())
+            return value, np.concatenate([g[:half] + 0.4, 0.4 - g[:half], g[half:]])
+
+        bounds = [(0.0, None)] * dim + [(-0.5, 0.5)] * half
+        res = scipy.optimize.minimize(fun, np.zeros(dim + half), jac=True,
+                                      method="L-BFGS-B", bounds=bounds,
+                                      options={"ftol": 1e-16, "gtol": 1e-13,
+                                               "maxiter": 20000})
+        assert abs(res.fun - p.f_star) <= 1e-9 * (1.0 + abs(p.f_star))
+
+    def test_cond_1e5_build_stays_within_the_active_set_steps(self, monkeypatch):
+        # the build's one solve is the active set from zero, whose FISTA steps
+        # are capped; its optimum meets the mapping-norm check
         fista, steps = problems._fista, []
 
         def counted(*args):
-            steps.append(0)
             for x in fista(*args):
-                steps[-1] += 1
-                if steps[-1] > 20_000:
-                    raise AssertionError("a FISTA run went past 20,000 steps")
+                steps.append(0)
                 yield x
 
         monkeypatch.setattr(problems, "_fista", counted)
         p = make_composite(1, 256, 0.4, ("l1", "box"), cond_number=1e5)
+        assert len(steps) <= problems._ACTIVE_SET_MAX_STEPS
         res = prox_map(p.handle(), p.x_star, 0, p.l_global)
         assert np.linalg.norm(res.g_map) <= 1e-8
 
@@ -166,6 +181,25 @@ class TestMakeComposite:
                                            terms=(t, L1Term(0.3))) for t in (None, ZeroTerm())]
         np.testing.assert_array_equal(probs[0].x_star, probs[1].x_star)
         assert probs[0].f_star == probs[1].f_star
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**16), dim=st.sampled_from([4, 8, 12]),
+       cond=st.sampled_from([1.0, 2.0, 50.0, 1e4, 1e8]),
+       kinds=st.tuples(*[st.sampled_from(["l1", "box", "zero"])] * 2),
+       gamma=st.sampled_from([0.0, 0.4, 3.0]),
+       box_bounds=st.sampled_from([(-0.3, 0.3), (0.0, 1.0), (0.0, 0.0)]),
+       sigma=st.sampled_from([1e-6, 1e-2, 1.0]), point_seed=st.integers(0, 2**16))
+def test_gap_bound_covers_the_gap(seed, dim, cond, kinds, gamma, box_bounds, sigma,
+                                  point_seed):
+    # at points near x* clipped to the box, so that some sit on a bound, the
+    # certified bound covers F(x) - F(x*) <= F(x) - F*, both taken exactly
+    p = make_composite(seed, dim, gamma, kinds, box_bounds, cond_number=cond)
+    assert p._gap_bound(p.x_star) <= 1e-10 * (1.0 + abs(p.f_star))
+    rng = np.random.default_rng(point_seed)
+    x = np.clip(p.x_star + sigma * rng.standard_normal(dim), *p._bounds[1:])
+    gap = exact_composite_value(p, x) - exact_composite_value(p, p.x_star)
+    assert Fraction(p._gap_bound(x)) >= gap
 
 
 class TestNonlinearPl:
