@@ -28,6 +28,13 @@ Two families:
   minimized by a globalised Newton loop on the block Hessian, built in
   O(n_i^2) from the residual each point carries and two per-block constants
   of A, without forming the Jacobian.
+
+The seeded least squares (make_quadratic, make_rank_deficient, make_composite)
+take W = diag(sigma) Q with prescribed singular values sigma and one Haar
+orthogonal Q; _design_matrix says why no left factor U of W = U diag(sigma) V^T
+is drawn. make_nonlinear_pl keeps both factors of its A: its eps sin term acts
+on the residual coordinate by coordinate, so a rotation of the residual would
+change that family.
 """
 
 from __future__ import annotations
@@ -46,25 +53,40 @@ from .proxmaps import BoxTerm, L1Term, ZeroTerm, soft_threshold
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed n x n orthogonal matrix: QR of a Gaussian matrix with
+    the signs of R's diagonal moved into Q (Mezzadri, Notices AMS 54(5), 2007).
+    Its transpose is Haar too."""
     q, r = scipy.linalg.qr(rng.standard_normal((n, n)), mode="economic", check_finite=False)
-    # row-major like numpy's qr: the order of q sets the BLAS path of W's products
+    # row-major like numpy's qr, so that W = sigma Q keeps contiguous row chunks
     return np.multiply(q, np.sign(np.diag(r)), order="C")
 
 
-# beyond 1/eps, W^T W is singular in double precision; near 1e308 it overflows
-MAX_COND = 1.0 / np.finfo(float).eps
 # W^T W is rank deficient (mu_global = 0) where an eigenvalue is at or below
 # _RANK_RTOL times the largest; a composite optimum is certified only if not
 _RANK_RTOL = 1e-10
 
 
-def _design_matrix(rng: np.random.Generator, dim: int, cond_number: float) -> np.ndarray:
-    """Dense W with singular values spanning [1, sqrt(cond_number)] exactly."""
-    u = _orthogonal(rng, dim)
-    v = _orthogonal(rng, dim)
-    sigma = np.geomspace(1.0, math.sqrt(cond_number), dim) if cond_number > 1 \
-        else np.ones(dim)
-    return u @ (sigma[:, None] * v.T)
+def _condition_spectrum(dim: int, cond_number: float) -> np.ndarray:
+    """Singular values spanning [1, sqrt(cond_number)] geometrically, so that
+    W^T W has eigenvalue ratio cond_number. From 1/_RANK_RTOL on, the rank
+    test would call W^T W rank deficient, so such a cond_number is refused."""
+    if not 1.0 <= cond_number < 1.0 / _RANK_RTOL:  # written so that NaN fails too
+        raise ValueError(f"cond_number must be in [1, {1.0 / _RANK_RTOL:g})")
+    return np.geomspace(1.0, math.sqrt(cond_number), dim)
+
+
+def _design_matrix(rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
+    """Dense square W = diag(sigma) Q with Q Haar orthogonal, whose singular
+    values are exactly sigma.
+
+    Q plays V^T of W = U diag(sigma) V^T; U is left out. A least-squares
+    f(x) = ||W x - b||^2 depends on (W, b) only through G = W^T W, W^T b and
+    ||b||^2, and ||U diag(sigma) Q x - b|| = ||diag(sigma) Q x - U^T b||. For
+    b ~ N(0, I) drawn apart from a Haar U, U^T b ~ N(0, I), independent of U
+    and Q, so both draws give f the same distribution, and this one saves a QR
+    and a dense product. W is C-ordered like Q, so its row chunks W[s] are
+    contiguous."""
+    return sigma[:, None] * _orthogonal(rng, sigma.size)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +503,14 @@ class QuadraticSplitProblem(CompositeQuadraticProblem):
 
 
 def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitProblem:
-    """Seeded dense quadratic with eigenvalue ratio of W^T W == cond_number."""
+    """Seeded dense quadratic with eigenvalue ratio of W^T W == cond_number;
+    a cond_number of 1e10 or more, where W^T W is rank deficient to the
+    build, raises ValueError."""
     if dim % 2 != 0 or dim < 2:
         raise ValueError("dim must be even and >= 2")
-    if not 1.0 <= cond_number <= MAX_COND:  # written so that NaN fails too
-        raise ValueError("cond_number must be in [1, 1/eps]")
+    sigma = _condition_spectrum(dim, cond_number)
     rng = np.random.default_rng(seed)
-    W = _design_matrix(rng, dim, cond_number)
+    W = _design_matrix(rng, sigma)
     b = rng.standard_normal(dim)
     return QuadraticSplitProblem.from_matrix(W, b, rng)
 
@@ -496,11 +519,9 @@ def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem
     """Quadratic with a deliberate null space (mu = 0, still block-solvable)."""
     if dim % 2 != 0 or not dim // 2 < rank < dim:
         raise ValueError("need dim even and dim/2 < rank < dim")
-    rng = np.random.default_rng(seed)
-    u = _orthogonal(rng, dim)
-    v = _orthogonal(rng, dim)
     sigma = np.concatenate([np.geomspace(1.0, 3.0, rank), np.zeros(dim - rank)])
-    W = u @ (sigma[:, None] * v.T)
+    rng = np.random.default_rng(seed)
+    W = _design_matrix(rng, sigma)
     b = rng.standard_normal(dim)
     return QuadraticSplitProblem.from_matrix(W, b, rng)
 
@@ -515,8 +536,6 @@ def make_composite(seed: int, dim: int, gamma: float,
     more, where W^T W is rank deficient to the build, raises ValueError."""
     if not gamma >= 0.0:  # written so that NaN fails too
         raise ValueError("gamma must be >= 0")
-    if not 1.0 <= cond_number < 1.0 / _RANK_RTOL:
-        raise ValueError(f"cond_number must be in [1, {1.0 / _RANK_RTOL:g})")
     if dim % 2 != 0 or dim < 4:
         raise ValueError("dim must be even and >= 4")
     if len(kinds) != 2:
@@ -524,8 +543,9 @@ def make_composite(seed: int, dim: int, gamma: float,
     if len(box_bounds) != 2 or not -math.inf < box_bounds[0] <= box_bounds[1] < math.inf:
         # written so that NaN fails too
         raise ValueError("box_bounds must be finite with lo <= hi")
+    sigma = _condition_spectrum(dim, cond_number)
     rng = np.random.default_rng(seed)
-    W = _design_matrix(rng, dim, cond_number)
+    W = _design_matrix(rng, sigma)
     b = rng.standard_normal(dim)
 
     def build_term(kind: str):

@@ -93,9 +93,11 @@ class TestRun:
                          {"kind": "quadratic", "dim": 8, "cond_number": 1e308},
                          {"kind": "composite", "dim": 8, "cond_number": 1e308},
                          # from 1e10 on, W^T W is rank deficient to the build's
-                         # rank test, and no composite optimum can be certified
+                         # rank test: no composite optimum can be certified, and
+                         # a quadratic would have mu_global = 0
                          {"kind": "composite", "seed": 2, "dim": 8, "gamma": 0.3,
                           "kinds": ["l1", "box"], "cond_number": 1e12},
+                         {"kind": "quadratic", "seed": 0, "dim": 8, "cond_number": 1e11},
                          {"kind": "nonlinear_pl", "n": 7, "m": 3},
                          {"kind": "composite", "dim": 8, "kinds": ["l2", "zero"]},
                          {"kind": "composite", "dim": 8, "kinds": ["l1"]},

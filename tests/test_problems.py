@@ -202,6 +202,41 @@ def test_gap_bound_covers_the_gap(seed, dim, cond, kinds, gamma, box_bounds, sig
     assert Fraction(p._gap_bound(x)) >= gap
 
 
+class TestDesignMatrix:
+    @pytest.mark.parametrize("build", [
+        lambda: make_quadratic(1, 64, 100.0),
+        lambda: make_composite(1, 64, 0.4, ("l1", "box")),
+        lambda: make_rank_deficient(1, 64, 40),
+    ], ids=["quadratic", "composite", "rank_deficient"])
+    def test_w_is_c_contiguous(self, build):
+        # a fresh evaluation reads W by row chunks W[s], contiguous only in a
+        # row-major W
+        assert build().W.flags.c_contiguous
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**16), half=st.integers(2, 32),
+       cond=st.sampled_from([1.0, 2.0, 100.0, 1e4, 1e8, 9.9e9]),
+       share=st.floats(0.0, 1.0))
+def test_singular_values_are_the_prescribed_ones(seed, half, cond, share):
+    # the sorted singular values of W equal the prescribed spectrum to
+    # dim eps sigma_max; a rank-deficient W has exactly dim - rank zeros
+    dim = 2 * half
+    rank = half + 1 + int(share * (half - 2))
+    cases = [
+        (make_quadratic(seed, dim, cond), np.geomspace(1.0, np.sqrt(cond), dim)),
+        (make_composite(seed, dim, 0.4, ("l1", "box"), cond_number=cond),
+         np.geomspace(1.0, np.sqrt(cond), dim)),
+        (make_rank_deficient(seed, dim, rank),
+         np.concatenate([np.zeros(dim - rank), np.geomspace(1.0, 3.0, rank)])),
+    ]
+    for p, sigma in cases:
+        tol = dim * np.finfo(float).eps * sigma[-1]
+        found = np.sort(np.linalg.svd(p.W, compute_uv=False))
+        np.testing.assert_allclose(found, sigma, rtol=0.0, atol=tol)
+    assert np.count_nonzero(found <= tol) == dim - rank
+
+
 class TestNonlinearPl:
     def test_linear_case_constants(self):
         p = make_nonlinear_pl(seed=1, n=20, m=10, eps=0.0)
