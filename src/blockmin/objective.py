@@ -20,8 +20,8 @@ import numpy as np
 # step evaluates afresh each point this many step hook calls away from the
 # last fresh evaluation, so that the rounding of the updates cannot build up
 # over a run. On make_quadratic(0, 256, 100), ||grad f|| drifted from a fresh
-# evaluation by up to 6.2e-13 over 3,000 AM steps and 2.0e-12 over 3,000 FGM
-# steps without the refresh, and by up to 1.4e-13 and 1.1e-13 with it.
+# evaluation by up to 5.7e-13 over 3,000 AM steps without the refresh, and by
+# up to 2.1e-13 with it.
 REFRESH_STEPS = 32
 
 
@@ -101,11 +101,10 @@ class ObjectiveHandle:
         The smooth part f.
     block_gradient : callable (x, i) -> ndarray of length n_i
         Gradient of f over the coordinates of block i.
-    block_argmin : callable (p, i) -> ndarray, optional
-        Full-length point minimizing F over block i with the other blocks
-        fixed at p.x, for a Point p; p.f and p.g are known there, so a solver
-        may start from them. Only the block-i coordinates of the result are
-        used.
+    block_argmin : callable (p, i) -> ndarray of length n_i, optional
+        Block-i coordinates of a point minimizing F over block i with the
+        other blocks fixed at p.x, for a Point p; p.f and p.g are known there,
+        so a solver may start from them.
     terms : tuple of per-block composite terms, optional
         Each term provides value(x_i), prox(z, step) (or None), and the flags
         is_zero / unconstrained; see blockmin.proxmaps. None means g == 0.
@@ -257,13 +256,13 @@ class ObjectiveHandle:
         """
         if self.block_argmin is None:
             raise ValueError(f"objective provides no block minimizer (block {i})")
-        z = np.asarray(self.block_argmin(p, i), dtype=float)
-        if z.shape != (self.dim,):
-            raise ValueError(
-                f"block_argmin({i}) returned shape {z.shape}, expected ({self.dim},)")
-        out = p.x.copy()
         idx = self.partition.blocks[i]
-        out[idx] = z[idx]
+        z = np.asarray(self.block_argmin(p, i), dtype=float)
+        if z.shape != (idx.size,):
+            raise ValueError(
+                f"block_argmin({i}) returned shape {z.shape}, expected ({idx.size},)")
+        out = p.x.copy()
+        out[idx] = z
         return out
 
     def block_min(self, p: Point, i: int) -> Point:

@@ -435,18 +435,15 @@ class CompositeQuadraticProblem:
     def block_argmin(self, p: Point, i: int) -> np.ndarray:
         idx = self.partition.blocks[i]
         term = None if self.terms is None else self.terms[i]
-        out = p.x.copy()
         # normal equations of the block least squares with the rest fixed:
         # G_ii (z - x_i) = W_i^T (b - W x) = -g_i / 2
         if term is None or term.is_zero:
-            out[idx] += solve_spd(self._facts[i], -0.5 * p.g[idx])
-            return out
+            return p.x[idx] + solve_spd(self._facts[i], -0.5 * p.g[idx])
         gram = self._facts[i].source  # the factorization keeps G_ii
         lin = gram @ p.x[idx] - 0.5 * p.g[idx]
         weight, lo, hi = (a[idx] for a in self._bounds)
-        out[idx] = _active_set_solve(gram, lin, p.x[idx], weight, lo, hi,
-                                     0.5 * self.l_blocks[i], self._last[i])
-        return out
+        return _active_set_solve(gram, lin, p.x[idx], weight, lo, hi,
+                                 0.5 * self.l_blocks[i], self._last[i])
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(
@@ -607,12 +604,6 @@ class NonlinearEqPlProblem:
         m = self.n_residuals
         return self.amat @ x + self.eps * np.sin(x[:m]) + self.c
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        m = self.n_residuals
-        jac = self.amat.copy()
-        jac[np.arange(m), np.arange(m)] += self.eps * np.cos(x[:m])
-        return jac
-
     def smooth_value(self, x: np.ndarray) -> float:
         r = self.residual(x)
         return float(r @ r)
@@ -670,7 +661,7 @@ class NonlinearEqPlProblem:
         carries, without a Jacobian (see _block_hessian). A solve that reaches
         neither stop within _NEWTON_MAX_STEPS steps raises SolverError."""
         idx = self.partition.blocks[i]
-        p, f, g = start.x.copy(), start.f, start.g
+        p, f, g = start.x, start.f, start.g
         r = self.residual(p) if start.cache is None else start.cache
         shift = smallest = 0.0
         for _ in range(_NEWTON_MAX_STEPS):
@@ -696,7 +687,7 @@ class NonlinearEqPlProblem:
             while True:
                 trial[idx] = p[idx] - step
                 if np.array_equal(trial[idx], p[idx]):
-                    return p
+                    return p[idx]
                 f_trial, g_trial, cache = self.value_and_gradient(trial)
                 if f_trial <= f + _NEWTON_F_ROUNDING * (1.0 + f):
                     break
@@ -705,7 +696,7 @@ class NonlinearEqPlProblem:
         else:
             raise SolverError(f"Newton solve of block {i} did not reach its gradient "
                               f"floor in {_NEWTON_MAX_STEPS} steps")
-        return p
+        return p[idx]
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(

@@ -9,9 +9,11 @@ Sweep boundaries sit at k % n_blocks == 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,7 +32,7 @@ _STATE_LIMIT = 1e50
 _LINE_SEARCH_TOL = 1e-10
 _LINE_SEARCH_MAX_PROBES = 40
 
-# A decrease f(y) - f(x_next) at most this times (1 + |f(y)|) is rounding: an
+# A decrease f(y) - f(x^k) at most this times (1 + |f(y)|) is rounding: an
 # AAM coefficient equation without a positive root then means convergence.
 _F_ROUNDING = 4.0 * np.finfo(float).eps
 
@@ -39,11 +41,11 @@ _F_ROUNDING = 4.0 * np.finfo(float).eps
 class SolverConfig:
     """Run parameters shared by all solvers.
 
-    max_iters caps the recorded iterations. A run also stops once F(x^k) - F*
-    <= target_gap (when set and the handle knows F*) or once the gradient
-    norm it monitors drops to grad_tolerance (for AM, on smooth objectives
-    only). mu_assumed = 0 runs the accelerated method in "strong convexity
-    unknown" mode; l_known = None selects the adaptive coefficient rule.
+    After each record a run stops at F(x^k) - F* <= target_gap (when set and
+    the handle knows F*), then at k = max_iters; an iteration ends it once its
+    gradient norm is at most grad_tolerance (AM: smooth objectives only).
+    mu_assumed is the strong convexity AAM and FGM assume (0: none); l_known =
+    None selects AAM's adaptive coefficient rule and FGM the handle's L.
     """
 
     max_iters: int = 100
@@ -224,16 +226,46 @@ def choose_a_adaptive(f_y: float, f_next: float, grad_y: np.ndarray,
                          2.0 * delta * a_sum * tau)
 
 
-def _record(h: ObjectiveHandle, k: int, p: Point, **fields) -> IterationRecord:
-    """Trace row at the Point p: F(p.x) and ||grad f(p.x)|| from its f and g."""
-    return IterationRecord(k=k, x=p.x.copy(), composite_value=h.composite_value(p.x, smooth=p.f),
-                           grad_norm=float(np.linalg.norm(p.g)), **fields)
+def _run(method: str, h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig,
+         iterations: Callable[[Point], Iterator[tuple[Point, dict]]]) -> SolverTrace:
+    """The run loop of every solver: iterations(x^0) yields (Point, record
+    fields) for k = 0, 1, ... and returns a status if it ends the run. Each
+    record takes F and ||grad f|| from the Point's f and g; after each one
+    the run stops at target_gap, then at max_iters."""
+    t_start = time.perf_counter()
+    steps = iterations(h.evaluate(np.array(x0, dtype=float)))
+    records: list[IterationRecord] = []
+    while True:
+        try:
+            p, fields = next(steps)
+        except StopIteration as stop:
+            status = stop.value
+            break
+        rec = IterationRecord(k=len(records), x=p.x.copy(),
+                              composite_value=h.composite_value(p.x, smooth=p.f),
+                              grad_norm=float(np.linalg.norm(p.g)), **fields,
+                              wall_time=time.perf_counter() - t_start)
+        records.append(rec)
+        met = (cfg.target_gap is not None and h.optimum is not None
+               and rec.composite_value - float(h.optimum[1]) <= cfg.target_gap)
+        if met or rec.k == cfg.max_iters:
+            status = "target_gap" if met else "max_iters"
+            break
+    return SolverTrace(method, records, status, cfg, h.n_blocks)
 
 
-def _target_met(h: ObjectiveHandle, rec: IterationRecord, cfg: SolverConfig) -> bool:
-    """True when a target gap is set, the optimum is known and rec is within it."""
-    return (cfg.target_gap is not None and h.optimum is not None
-            and rec.composite_value - float(h.optimum[1]) <= cfg.target_gap)
+def _add_to_lower_model(h: ObjectiveHandle, v: Point, y: Point, a: float, a_sum: float,
+                        tau: float, mu: float) -> tuple[Point, float, float] | None:
+    """(v', A + a, tau') once the term of a at y joins psi (see run_aam), v' a
+    step from v; None when a or v' is not finite or exceeds _STATE_LIMIT."""
+    if not math.isfinite(a) or a > _STATE_LIMIT:
+        return None
+    a_sum += a
+    tau_next = 1.0 + mu * a_sum
+    v_next = (tau * v.x + mu * a * y.x - a * y.g) / tau_next
+    if not np.all(np.isfinite(v_next)) or float(np.abs(v_next).max()) > _STATE_LIMIT:
+        return None
+    return h.step(v, v_next), a_sum, tau_next
 
 
 def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace:
@@ -245,22 +277,16 @@ def run_am(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace
     """
     if h.block_argmin is None:
         raise ValueError("alternating minimization needs block_argmin")
-    p = h.evaluate(np.array(x0, dtype=float))
-    t_start = time.perf_counter()
-    records = [_record(h, 0, p)]
-    status = "max_iters"
-    for k in range(1, cfg.max_iters + 1):
-        i = (k - 1) % h.n_blocks
-        p = h.block_min(p, i)
-        rec = _record(h, k, p, block=i, wall_time=time.perf_counter() - t_start)
-        records.append(rec)
-        if h.is_smooth() and rec.grad_norm <= cfg.grad_tolerance:
-            status = "grad_tolerance"
-            break
-        if _target_met(h, rec, cfg):
-            status = "target_gap"
-            break
-    return SolverTrace("am", records, status, cfg, h.n_blocks)
+
+    def iterations(p: Point):
+        yield p, {}
+        for i in itertools.cycle(range(h.n_blocks)):
+            if h.is_smooth() and float(np.linalg.norm(p.g)) <= cfg.grad_tolerance:
+                return "grad_tolerance"
+            p = h.block_min(p, i)
+            yield p, dict(block=i)
+
+    return _run("am", h, x0, cfg, iterations)
 
 
 def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace:
@@ -272,7 +298,8 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     adaptive from the measured decrease otherwise), then the momentum update.
     Smooth unconstrained objectives only.
 
-    The momentum point v^k is the minimizer of the lower model
+    The momentum point v^k is the minimizer of the lower model (Nesterov's
+    estimating sequence, Introductory Lectures on Convex Optimization, 2004)
     psi_k(x) = ||x - x^0||^2 / 2
                + sum_{j<=k} a_j (f(y_j) + <grad f(y_j), x - y_j> + (mu/2) ||x - y_j||^2),
     whose Hessian is tau_k I with tau_k = 1 + mu A_k. So the state is
@@ -284,80 +311,71 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
     if not h.is_smooth():
         raise SolverError("accelerated solver supports g == 0 only")
     mu = cfg.mu_assumed
-    x = v = h.evaluate(np.array(x0, dtype=float))
-    tau, a_sum = 1.0, 0.0
-    t_start = time.perf_counter()
-    records = [_record(h, 0, x, a=0.0, a_sum=a_sum, tau=tau, v=x.x)]
-    status = "max_iters"
-    for k in range(1, cfg.max_iters + 1):
-        if _target_met(h, records[-1], cfg):
-            status = "target_gap"
-            break
-        beta, y = exact_line_search(h, x, v)
-        if float(np.linalg.norm(y.g)) <= cfg.grad_tolerance:
-            status = "grad_tolerance"
-            break
-        i = greedy_block(h, y.g)
-        x_next = h.block_min(y, i)
-        rec = _record(h, k, x_next, block=i, beta=beta, y=y.x, f_y=y.f, grad_y=y.g)
-        try:
-            if cfg.l_known is not None:
-                a = choose_a_known_L(a_sum, tau, mu, cfg.l_known, h.n_blocks)
-            else:
-                a = choose_a_adaptive(y.f, rec.composite_value, y.g, y.x, a_sum, tau, mu, v.x)
-        except NoPositiveRoot:
-            # Beyond rounding, the adaptive rule lacks a root only at k = 1
-            # (A = 0) with ||grad f(y)||^2 <= 2 mu delta, delta = f(y) -
-            # f(x_next): then mu > mu_PL, as delta <= f(y) - f* <=
-            # ||grad f(y)||^2 / (2 mu_PL).
-            delta = y.f - rec.composite_value
-            too_large = cfg.l_known is None and delta > _F_ROUNDING * (1.0 + abs(y.f))
-            status = "mu_too_large" if too_large else "converged"
-            break
-        if not math.isfinite(a) or a > _STATE_LIMIT:
-            status = "diverged"
-            break
-        a_sum += a
-        tau_next = 1.0 + mu * a_sum
-        v_next = (tau * v.x + mu * a * y.x - a * y.g) / tau_next
-        if not np.all(np.isfinite(v_next)) or float(np.abs(v_next).max()) > _STATE_LIMIT:
-            status = "diverged"
-            break
-        x, v, tau = x_next, h.step(v, v_next), tau_next
-        rec.a, rec.a_sum, rec.tau, rec.v = a, a_sum, tau, v_next
-        rec.wall_time = time.perf_counter() - t_start
-        records.append(rec)
-    return SolverTrace("aam", records, status, cfg, h.n_blocks)
+
+    def iterations(x: Point):
+        v, tau, a_sum = x, 1.0, 0.0
+        yield x, dict(a=0.0, a_sum=a_sum, tau=tau, v=x.x)
+        while True:
+            beta, y = exact_line_search(h, x, v)
+            if float(np.linalg.norm(y.g)) <= cfg.grad_tolerance:
+                return "grad_tolerance"
+            i = greedy_block(h, y.g)
+            x = h.block_min(y, i)
+            try:
+                if cfg.l_known is not None:
+                    a = choose_a_known_L(a_sum, tau, mu, cfg.l_known, h.n_blocks)
+                else:
+                    a = choose_a_adaptive(y.f, x.f, y.g, y.x, a_sum, tau, mu, v.x)
+            except NoPositiveRoot:
+                # Beyond rounding, the adaptive rule lacks a root only at k = 1
+                # (A = 0) with ||grad f(y)||^2 <= 2 mu delta, delta = f(y) -
+                # f(x^k): then mu > mu_PL, as delta <= f(y) - f* <=
+                # ||grad f(y)||^2 / (2 mu_PL).
+                delta = y.f - x.f
+                too_large = cfg.l_known is None and delta > _F_ROUNDING * (1.0 + abs(y.f))
+                return "mu_too_large" if too_large else "converged"
+            moved = _add_to_lower_model(h, v, y, a, a_sum, tau, mu)
+            if moved is None:
+                return "diverged"
+            v, a_sum, tau = moved
+            yield x, dict(block=i, beta=beta, a=a, a_sum=a_sum, tau=tau, y=y.x, v=v.x,
+                          f_y=y.f, grad_y=y.g)
+
+    return _run("aam", h, x0, cfg, iterations)
 
 
 def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace:
-    """Fast gradient baseline with fixed step 1/L.
-
-    z_{k+1} = v_k - grad f(v_k)/L, then v_{k+1} = z_k + k/(k+3) (z_{k+1} - z_k).
+    """Fast gradient baseline: the similar-triangles method (Gasnikov &
+    Nesterov, Comput. Math. Math. Phys. 58(1), 2018) on AAM's lower model.
+    With a^2 / ((A + a)(tau + mu a)) = 1/L and t = a / (A + a) it makes
+    y = x + t (v - x), moves v as AAM does with grad f(y), and sets
+    x' = x + t (v' - x), which is y - grad f(y) / L at mu = 0. No a > 0 solves
+    the equation at A = 0 once mu_assumed >= L: mu_too_large at k = 0.
     """
     l_const = cfg.l_known if cfg.l_known is not None else h.l_global
     if l_const is None:
         raise SolverError("fast gradient method needs a known L")
     if not h.is_smooth():
         raise SolverError("fast gradient method supports g == 0 only")
-    z = v = h.evaluate(np.array(x0, dtype=float))
-    t_start = time.perf_counter()
-    records = [_record(h, 0, z)]
-    status = "max_iters"
-    for k in range(cfg.max_iters):
-        if records[-1].grad_norm <= cfg.grad_tolerance:
-            status = "grad_tolerance"
-            break
-        if _target_met(h, records[-1], cfg):
-            status = "target_gap"
-            break
-        z_new = v.x - v.g / l_const
-        if not np.all(np.isfinite(z_new)) or float(np.abs(z_new).max()) > _STATE_LIMIT:
-            status = "diverged"  # possible when the supplied L is too small
-            break
-        z_next = h.step(v, z_new)
-        v = h.affine(z, z_next, k / (k + 3.0))
-        z = z_next
-        records.append(_record(h, k + 1, z, v=v.x.copy(),
-                               wall_time=time.perf_counter() - t_start))
-    return SolverTrace("fgm", records, status, cfg, h.n_blocks)
+    mu = cfg.mu_assumed
+
+    def iterations(x: Point):
+        v, tau, a_sum = x, 1.0, 0.0
+        yield x, dict(a=0.0, a_sum=a_sum, tau=tau, v=x.x)
+        if mu >= l_const:
+            return "mu_too_large"
+        while True:
+            if float(np.linalg.norm(x.g)) <= cfg.grad_tolerance:
+                return "grad_tolerance"
+            a = choose_a_known_L(a_sum, tau, mu, l_const, 1)
+            t = a / (a_sum + a)
+            moved = _add_to_lower_model(h, v, h.affine(x, v, t), a, a_sum, tau, mu)
+            if moved is None:
+                return "diverged"
+            v, a_sum, tau = moved
+            # x' = v' + (1 - t)(x - v'), made from v', whose chain is refreshed:
+            # made from x, f would keep the rounding of every f since x^0
+            x = h.affine(v, x, 1.0 - t)
+            yield x, dict(a=a, a_sum=a_sum, tau=tau, v=v.x)
+
+    return _run("fgm", h, x0, cfg, iterations)

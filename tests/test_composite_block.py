@@ -116,7 +116,8 @@ def test_block_argmin_meets_kkt_and_matches_coordinate_descent(n, i, point_seed,
     if term.is_zero:
         return
     x = point(p, point_seed, scale)
-    out = p.block_argmin(p.handle().evaluate(x), i)
+    h = p.handle()
+    out = h.exact_block_min(h.evaluate(x), i)
     idx = p.partition.blocks[i]
     gram, lin = block_problem(p, x, i)
     z = out[idx]
@@ -165,10 +166,11 @@ def test_block_argmin_gives_the_floats_of_a_fresh_factorization():
         if p.terms[i].is_zero:
             continue
         idx = p.partition.blocks[i]
-        start = p.handle().evaluate(xs[n])
+        h = p.handle()
+        start = h.evaluate(xs[n])
         gram = p._facts[i].source
         free = p._last[i].free
-        out = p.block_argmin(start, i)
+        out = h.exact_block_min(start, i)
         reused += free is not None and p._last[i].free is free
         weight, lo, hi = (a[idx] for a in p._bounds)
         lin = gram @ start.x[idx] - 0.5 * start.g[idx]
@@ -242,7 +244,8 @@ def test_pattern_solves_and_factorizations_are_pinned(monkeypatch):
 def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     p = problem(2)
     x = point(p, 7, 1.0)
-    expected = [p.block_argmin(p.handle().evaluate(x), i) for i in (0, 1)]
+    h = p.handle()
+    expected = [h.exact_block_min(h.evaluate(x), i) for i in (0, 1)]
     pattern_solve = problems._pattern_solve
     calls = []
 
@@ -255,7 +258,7 @@ def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     monkeypatch.setattr(problems, "_pattern_solve", warm_start_fails)
     for i in (0, 1):
         calls.clear()
-        out = p.block_argmin(p.handle().evaluate(x), i)
+        out = h.exact_block_min(h.evaluate(x), i)
         assert len(calls) >= 2
         assert np.abs(out - expected[i]).max() <= 1e-12 * (1.0 + np.abs(out).max())
 

@@ -39,9 +39,7 @@ def four_block_quadratic(seed=0, dim=16, cond=80.0, merged=False):
         cols = w[:, idx]
         rest = p.x.copy()
         rest[idx] = 0.0
-        out = p.x.copy()
-        out[idx] = np.linalg.solve(cols.T @ cols, cols.T @ (b - w @ rest))
-        return out
+        return np.linalg.solve(cols.T @ cols, cols.T @ (b - w @ rest))
 
     def line_min(p, q):
         d = q.x - p.x

@@ -1,7 +1,8 @@
 """The Newton block solver of the nonlinear PL problem: exactness, descent,
 agreement with an independent trust-region solve, the factorizations the
 Hessian shift costs, the AM stop it enables, and the gradient and block
-Hessian it builds without a Jacobian, against ones built from jacobian()."""
+Hessian it builds without a Jacobian, against ones built from the
+Jacobian."""
 
 import dataclasses
 import functools
@@ -17,6 +18,7 @@ from blockmin.errors import NotSpd, SolverError
 from blockmin.linalg import cholesky
 from blockmin.objective import ObjectiveHandle
 from blockmin.problems import NonlinearEqPlProblem
+from conftest import jacobian
 
 SHAPES = [(20, 14), (100, 70), (200, 140)]
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -71,7 +73,8 @@ def test_block_argmin_is_exact_descends_and_keeps_other_block(seed, shape, point
                                                               scale, i):
     p = problem(seed, shape)
     x = point(p, point_seed, scale)
-    z = p.block_argmin(p.handle().evaluate(x), i)
+    h = p.handle()
+    z = h.exact_block_min(h.evaluate(x), i)
     f_x = p.smooth_value(x)
     f_z, g_z, _ = p.value_and_gradient(z)
     idx = p.partition.blocks[i]
@@ -83,14 +86,18 @@ def test_block_argmin_is_exact_descends_and_keeps_other_block(seed, shape, point
 
 @DETERMINISTIC
 @given(seed=st.integers(0, 7), shape=st.sampled_from(SHAPES),
-       point_seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 0.25, 0.5]),
+       point_seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 0.25]),
        i=st.integers(0, 1))
 def test_block_value_matches_trust_region_reference(seed, shape, point_seed, scale, i):
-    # within the scale of the default starts (0.4); from scale 1 on a block
-    # can have several local minima, and the two methods may pick different ones
+    # near the solution a block has one minimum. From the scale of the
+    # default starts (0.4) on it can have several, and the two methods may
+    # pick different ones: over seeds 0-7, n = 20 and 100, 40 points and both
+    # blocks, they differ in 0 of 1,280 draws at scales 0.1 and 0.25, in 2 at
+    # 0.4 and in 3 at 0.5 (twice with Newton's the higher value)
     p = problem(seed, shape)
     x = point(p, point_seed, scale)
-    f_newton = p.smooth_value(p.block_argmin(p.handle().evaluate(x), i))
+    h = p.handle()
+    f_newton = p.smooth_value(h.exact_block_min(h.evaluate(x), i))
     f_ref = p.smooth_value(trust_exact_block_min(p, x, i))
     assert abs(f_newton - f_ref) <= 1e-13 * (1.0 + f_ref)
 
@@ -113,7 +120,8 @@ def test_indefinite_block_hessian_is_shifted(monkeypatch):
             raise
 
     monkeypatch.setattr(problems, "cholesky", counted)
-    z = p.block_argmin(p.handle().evaluate(x), 0)
+    h = p.handle()
+    z = h.exact_block_min(h.evaluate(x), 0)
     f_z, g_z, _ = p.value_and_gradient(z)
     assert np.linalg.norm(g_z[idx]) <= 1e-12 * (1.0 + f_z)
     assert f_z < p.smooth_value(x)
@@ -178,7 +186,7 @@ def test_gradient_and_block_hessian_match_the_jacobian_forms(seed, case, eps, po
     x = point(p, point_seed, scale)
     f, g, r = p.value_and_gradient(x)
     assert np.array_equal(r, p.residual(x)) and f == float(r @ r)
-    g_ref = 2.0 * (p.jacobian(x).T @ r)
+    g_ref = 2.0 * (jacobian(p, x).T @ r)
     assert np.linalg.norm(g - g_ref) <= 1e-13 * (1.0 + np.linalg.norm(g_ref))
     hess = p._block_hessian(i, x, r)
     hess_ref = block_hessian(p, x, p.partition.blocks[i])
@@ -188,11 +196,7 @@ def test_gradient_and_block_hessian_match_the_jacobian_forms(seed, case, eps, po
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_am_and_aam_form_no_jacobian(monkeypatch, seed):
-    # the Newton loop and every point carry the residual alone; jacobian()
-    # is the reference the test above compares against
-    def no_jacobian(self, x):
-        raise AssertionError("a Jacobian was formed")
-
+    # the Newton loop and every point carry the residual alone
     made = []
     make_point = ObjectiveHandle._point
 
@@ -200,7 +204,6 @@ def test_am_and_aam_form_no_jacobian(monkeypatch, seed):
         made.append(make_point(h, *args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(NonlinearEqPlProblem, "jacobian", no_jacobian)
     monkeypatch.setattr(ObjectiveHandle, "_point", recorded)
     p = make_nonlinear_pl(seed, 200, 140)
     cfg = SolverConfig(max_iters=400, target_gap=1e-10)

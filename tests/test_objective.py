@@ -20,7 +20,7 @@ def simple_handle():
         partition=part,
         smooth_value=lambda x: 0.5 * float(x @ x),
         block_gradient=lambda x, i: x[part.blocks[i]].copy(),
-        block_argmin=lambda p, i: np.zeros_like(p.x))
+        block_argmin=lambda p, i: np.zeros(1))
 
 
 class TestBlockPartition:

@@ -231,9 +231,9 @@ def test_block_steps_are_refreshed(quad16, rng):
                       max_size=3 * REFRESH_STEPS))
 def test_chained_points_match_fresh_evaluations(n, seed, scale, moves):
     # chains of the points the solvers make from other points: an FGM
-    # iteration (a gradient step from v, then v between the last two z), an
-    # AAM iteration (y between x and v, a block step from y, then the
-    # momentum point v as a step from v) and an AM block step. Every point
+    # iteration (y between x and v, the momentum point v as a step from v,
+    # then x between x and the new v), an AAM iteration (y between x and v, a
+    # block step from y, then v as a step from v) and an AM block step. Every point
     # stays within rounding of a fresh evaluation, and a step point is
     # evaluated afresh exactly when it would be the REFRESH_STEPS-th of its chain
     prob = AFFINE_PROBLEMS[n]
@@ -258,19 +258,20 @@ def test_chained_points_match_fresh_evaluations(n, seed, scale, moves):
         made.append(y)
         return y
 
-    for k, move in enumerate(moves):
+    for move in moves:
         i = int(rng.integers(h.n_blocks))
-        if move == "fgm":
-            z = made_from(v, h.step(v, v.x - v.g / prob.l_global))
-            v, x = affine(x, z, k / (k + 3.0)), z
-        elif move == "aam":
-            y = affine(x, v, float(rng.uniform()))
-            x = made_from(y, h.block_min(y, i))
-            a = float(rng.uniform()) / prob.l_global
-            v_next = (v.x + prob.mu_global * a * y.x - a * y.g) / (1.0 + prob.mu_global * a)
-            v = made_from(v, h.step(v, v_next))
-        else:
+        if move == "am":
             x = made_from(x, h.block_min(x, i))
+            continue
+        t = float(rng.uniform())
+        y = affine(x, v, t)
+        if move == "aam":
+            x = made_from(y, h.block_min(y, i))
+        a = float(rng.uniform()) / prob.l_global
+        v_next = (v.x + prob.mu_global * a * y.x - a * y.g) / (1.0 + prob.mu_global * a)
+        v = made_from(v, h.step(v, v_next))
+        if move == "fgm":
+            x = affine(x, v, t)
     m = np.max([np.abs(p.x) for p in made], axis=0)
     for p in made:
         assert_matches_fresh(prob, p, 2.0 * m)
@@ -296,8 +297,8 @@ def _assert_records_match_fresh(prob, trace):
     lambda: make_composite(11, 64, 0.4, ("l1", "box"))],
     ids=["quad256", "quad256_4blocks", "rankdef64", "composite64"])
 def test_long_runs_stay_within_rounding_of_fresh_evaluations(make):
-    # 3,000 AM and 1,000 AAM steps, most at the rounding floor, where each
-    # record's F and ||grad f|| come from a chain of block points
+    # 3,000 AM, 1,000 AAM and 3,000 FGM steps, most at the rounding floor,
+    # where each record's F and ||grad f|| come from a chain of points
     prob = make()
     h = prob.handle()
     floor = 1e-300  # below any gradient floor, so that the runs last
@@ -307,6 +308,8 @@ def test_long_runs_stay_within_rounding_of_fresh_evaluations(make):
         for mu, l_known in ((0.0, None), (prob.mu_global, prob.l_global)):
             _assert_records_match_fresh(prob, run_aam(h, prob.default_start, SolverConfig(
                 max_iters=1000, grad_tolerance=floor, mu_assumed=mu, l_known=l_known)))
+            _assert_records_match_fresh(prob, run_fgm(h, prob.default_start, SolverConfig(
+                max_iters=3000, grad_tolerance=floor, mu_assumed=mu, l_known=prob.l_global)))
 
 
 def _solver_runs(p):
@@ -433,16 +436,17 @@ class TestOracleCounts:
         calls = calls_per_iteration(
             quad32.handle(), lambda h, c: run_fgm(h, quad32.default_start, c),
             lambda n: SolverConfig(max_iters=n, l_known=quad32.l_global))
-        # z is a step from the momentum point, which is an affine point
+        # the momentum point v is a step from the last; y and x are affine
+        # points between x and the old and the new v
         assert calls == {"value_and_gradient": 0, "smooth_value": 0, "block_gradient": 0,
                          "block_argmin": 0, "line_minimizer": 0,
-                         "affine_value_and_gradient": 1, "step_value_and_gradient": 1}
+                         "affine_value_and_gradient": 2, "step_value_and_gradient": 1}
 
     def test_fgm_refresh(self, quad32):
         # one fresh evaluation at the start and then one about every
-        # REFRESH_STEPS iterations, never more often: the momentum point after
-        # a refreshed z weighs the older z, and the count of its chain, by
-        # 3 / (k + 3) only
+        # REFRESH_STEPS iterations, never more often: only the momentum point
+        # is a step, and x and y, affine points between x and v, never reach
+        # the count of v's chain
         n = 10 * REFRESH_STEPS
         hc, counts = counted(quad32.handle())
         trace = run_fgm(hc, quad32.default_start, SolverConfig(
@@ -477,11 +481,11 @@ class TestOracleCounts:
                          "affine_value_and_gradient": 0, "step_value_and_gradient": 0}
 
     def test_am_and_fgm_without_hook(self, quad32):
-        # AM evaluates its iterate; FGM its z and its momentum point v
+        # AM evaluates its iterate; FGM its y, its momentum point v and its x
         h = without_hook(quad32.handle())
         am = calls_per_iteration(h, lambda h, c: run_am(h, quad32.default_start, c),
                                  lambda n: SolverConfig(max_iters=n))
         fgm = calls_per_iteration(h, lambda h, c: run_fgm(h, quad32.default_start, c),
                                   lambda n: SolverConfig(max_iters=n, l_known=quad32.l_global))
         assert (am["smooth_value"], am["block_gradient"], am["block_argmin"]) == (1, 2, 1)
-        assert (fgm["smooth_value"], fgm["block_gradient"], fgm["block_argmin"]) == (2, 4, 0)
+        assert (fgm["smooth_value"], fgm["block_gradient"], fgm["block_argmin"]) == (3, 6, 0)

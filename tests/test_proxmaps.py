@@ -155,7 +155,9 @@ class TestProxPlCertificate:
 
     def test_zero_slack_at_optimum(self, quad16):
         h = quad16.handle()
-        trace = run_am(h, quad16.x_star, SolverConfig(max_iters=1))
+        # x* has ||grad f|| below the default grad_tolerance, where AM would
+        # stop at k = 0; a floor under it makes the one step
+        trace = run_am(h, quad16.x_star, SolverConfig(max_iters=1, grad_tolerance=1e-300))
         rep = check_prox_pl(h, trace, quad16.mu_blocks, quad16.f_star)
         assert len(rep.rows) == 1
         assert rep.rows[0].slack == pytest.approx(0.0, abs=1e-9)
@@ -178,7 +180,7 @@ class TestProxPlCertificate:
         part = BlockPartition.contiguous([1, 1, 1])
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: float(x @ x),
                             block_gradient=lambda x, i: 2 * x[part.blocks[i]],
-                            block_argmin=lambda p, i: np.where(np.arange(3) == i, 0.0, p.x))
+                            block_argmin=lambda p, i: np.zeros(1))
         trace = run_am(h, np.ones(3), SolverConfig(max_iters=3))
         with pytest.raises(ValueError):
             check_prox_pl(h, trace, [1.0, 1.0, 1.0], 0.0)
