@@ -566,10 +566,12 @@ def make_composite(seed: int, dim: int, gamma: float,
 # ---------------------------------------------------------------------------
 
 # Block Newton loop: it stops at a block gradient of _NEWTON_GRAD_FLOOR (1 + f).
-# Near the minimizer the decrease of f drops below its rounding noise first, so
-# a step may raise f by _NEWTON_F_ROUNDING (1 + f). A loop that reaches the step
-# cap has not found the block minimum, and fails.
+# A step must win _NEWTON_MODEL_SHARE of the decrease its quadratic model
+# predicts. Near the minimizer the decrease of f drops below its rounding noise
+# first, so a step may miss that by _NEWTON_F_ROUNDING (1 + f). A loop that
+# reaches the step cap has not found the block minimum, and fails.
 _NEWTON_GRAD_FLOOR = 1e-14
+_NEWTON_MODEL_SHARE = 0.25
 _NEWTON_F_ROUNDING = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 50
 
@@ -655,11 +657,13 @@ class NonlinearEqPlProblem:
         """Newton's method on block i from the Point start (Nocedal & Wright,
         Numerical Optimization, 2nd ed., sec. 3.4): shift the block Hessian
         until Cholesky succeeds, doubling the shift from half the one the last
-        step accepted, halve the step until f falls (within rounding), and stop
-        once the block gradient is at its rounding floor or a step no longer
-        moves the iterate. Each Hessian comes from the residual the iterate
-        carries, without a Jacobian (see _block_hessian). A solve that reaches
-        neither stop within _NEWTON_MAX_STEPS steps raises SolverError."""
+        step accepted, halve the step until f falls by a quarter of what the
+        shifted quadratic model predicts (a trust region's ratio test, ibid.
+        sec. 4.1), which cuts back a step across a ridge, and stop once the
+        block gradient is at its rounding floor or a step no longer moves the
+        iterate. Each Hessian comes from the residual the iterate carries,
+        without a Jacobian (see _block_hessian). A solve that reaches neither
+        stop within _NEWTON_MAX_STEPS steps raises SolverError."""
         idx = self.partition.blocks[i]
         p, f, g = start.x, start.f, start.g
         r = self.residual(p) if start.cache is None else start.cache
@@ -683,15 +687,19 @@ class NonlinearEqPlProblem:
             if not np.isfinite(step).all():
                 # halving never shrinks a NaN or inf step (from a non-finite gradient)
                 raise SolverError("Newton step is not finite")
+            # the model predicts a decrease of alpha (1 - alpha / 2) g . step
+            # for the step alpha step
+            slope, alpha = float(g[idx] @ step), 1.0
             trial = p.copy()
             while True:
-                trial[idx] = p[idx] - step
+                trial[idx] = p[idx] - alpha * step
                 if np.array_equal(trial[idx], p[idx]):
                     return p[idx]
                 f_trial, g_trial, cache = self.value_and_gradient(trial)
-                if f_trial <= f + _NEWTON_F_ROUNDING * (1.0 + f):
+                won = _NEWTON_MODEL_SHARE * alpha * (1.0 - 0.5 * alpha) * slope
+                if f_trial <= f - won + _NEWTON_F_ROUNDING * (1.0 + f):
                     break
-                step = 0.5 * step
+                alpha *= 0.5
             p, f, g, r = trial, f_trial, g_trial, cache
         else:
             raise SolverError(f"Newton solve of block {i} did not reach its gradient "

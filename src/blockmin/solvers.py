@@ -44,8 +44,9 @@ class SolverConfig:
     After each record a run stops at F(x^k) - F* <= target_gap (when set and
     the handle knows F*), then at k = max_iters; an iteration ends it once its
     gradient norm is at most grad_tolerance (AM: smooth objectives only).
-    mu_assumed is the strong convexity AAM and FGM assume (0: none); l_known =
-    None selects AAM's adaptive coefficient rule and FGM the handle's L.
+    mu_assumed is the strong convexity AAM assumes (0: none; FGM takes 0
+    only); l_known = None selects AAM's adaptive coefficient rule and FGM the
+    handle's L.
     """
 
     max_iters: int = 100
@@ -232,8 +233,9 @@ def _run(method: str, h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig,
     fields) for k = 0, 1, ... and returns a status if it ends the run. Each
     record takes F and ||grad f|| from the Point's f and g; after each one
     the run stops at target_gap, then at max_iters."""
+    p0 = h.evaluate(np.array(x0, dtype=float))
     t_start = time.perf_counter()
-    steps = iterations(h.evaluate(np.array(x0, dtype=float)))
+    steps = iterations(p0)
     records: list[IterationRecord] = []
     while True:
         try:
@@ -346,30 +348,28 @@ def run_aam(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
 
 def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrace:
     """Fast gradient baseline: the similar-triangles method (Gasnikov &
-    Nesterov, Comput. Math. Math. Phys. 58(1), 2018) on AAM's lower model.
-    With a^2 / ((A + a)(tau + mu a)) = 1/L and t = a / (A + a) it makes
+    Nesterov, Comput. Math. Math. Phys. 58(1), 2018) on AAM's lower model
+    at mu = 0. With a^2 = (A + a) / L and t = a / (A + a) it makes
     y = x + t (v - x), moves v as AAM does with grad f(y), and sets
-    x' = x + t (v' - x), which is y - grad f(y) / L at mu = 0. No a > 0 solves
-    the equation at A = 0 once mu_assumed >= L: mu_too_large at k = 0.
+    x' = x + t (v' - x), which is y - grad f(y) / L.
     """
     l_const = cfg.l_known if cfg.l_known is not None else h.l_global
     if l_const is None:
         raise SolverError("fast gradient method needs a known L")
     if not h.is_smooth():
         raise SolverError("fast gradient method supports g == 0 only")
-    mu = cfg.mu_assumed
+    if cfg.mu_assumed != 0.0:
+        raise SolverError("fast gradient method supports mu_assumed == 0 only")
 
     def iterations(x: Point):
         v, tau, a_sum = x, 1.0, 0.0
         yield x, dict(a=0.0, a_sum=a_sum, tau=tau, v=x.x)
-        if mu >= l_const:
-            return "mu_too_large"
         while True:
             if float(np.linalg.norm(x.g)) <= cfg.grad_tolerance:
                 return "grad_tolerance"
-            a = choose_a_known_L(a_sum, tau, mu, l_const, 1)
+            a = choose_a_known_L(a_sum, tau, 0.0, l_const, 1)
             t = a / (a_sum + a)
-            moved = _add_to_lower_model(h, v, h.affine(x, v, t), a, a_sum, tau, mu)
+            moved = _add_to_lower_model(h, v, h.affine(x, v, t), a, a_sum, tau, 0.0)
             if moved is None:
                 return "diverged"
             v, a_sum, tau = moved

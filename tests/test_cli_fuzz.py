@@ -223,20 +223,18 @@ def test_fuzzed_config_exits_with_a_code(tmp_path_factory, cfg):
 
 @FUZZ
 @given(cfg=st.sampled_from([VALID_CONFIGS[0], VALID_CONFIGS[3]]), mu=st.floats(0.0, 1e12),
-       known_l=st.booleans())
-def test_any_mu_assumed_exits_with_a_code(tmp_path_factory, cfg, mu, known_l):
+       known_l=st.booleans(), on_fgm=st.booleans())
+def test_any_mu_assumed_exits_with_a_code(tmp_path_factory, cfg, mu, known_l, on_fgm):
     # from mu_assumed = n L on (200 for the quadratic) aam_main and
     # aam_Ak_growth do not apply, and the trace leaves their bound cells
-    # empty; from mu_assumed = L on FGM ends at k = 0. An uncaught exception,
-    # which would end the CLI in a traceback, fails the test
+    # empty; FGM refuses mu_assumed > 0 as a solver error. An uncaught
+    # exception, which would end the CLI in a traceback, fails the test
     cfg = json.loads(json.dumps(cfg))
     for entry in cfg["solvers"]:
-        if entry["method"] in ("aam", "fgm"):
+        if entry["method"] == "aam" or (on_fgm and entry["method"] == "fgm"):
             entry["mu_assumed"] = mu
             if known_l:
                 entry["l_known"] = max(mu, 1.0)
-            else:
-                entry.pop("l_known", None)
     d = tmp_path_factory.mktemp("mu")
     cfg_path = d / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -451,53 +451,44 @@ class TestRunFgm:
                         SolverConfig(max_iters=500, target_gap=1e-6, l_known=p.l_global))
         assert trace.status == "target_gap"
 
-    @pytest.mark.parametrize("mu", [0.0, 2.0])
-    def test_similar_triangles(self, quad16, mu):
-        # y = x + t (v - x) and x' = x + t (v' - x) with t = a / A'; at mu = 0
-        # x' = y - grad f(y) / L. Records hold x, v and the scalars only
+    def test_similar_triangles(self, quad16):
+        # y = x + t (v - x) and x' = x + t (v' - x) = y - grad f(y) / L with
+        # t = a / A'. Records hold x, v and the scalars only
         h = quad16.handle()
         lconst = quad16.l_global
-        trace = run_fgm(h, quad16.default_start,
-                        SolverConfig(max_iters=30, mu_assumed=mu, l_known=lconst))
+        trace = run_fgm(h, quad16.default_start, SolverConfig(max_iters=30, l_known=lconst))
         assert trace.status == "max_iters"
         r0 = trace.records[0]
         assert (r0.a, r0.a_sum, r0.tau) == (0.0, 0.0, 1.0)
         for prev, rec in zip(trace.records, trace.records[1:]):
             assert rec.y is None and rec.grad_y is None
-            assert rec.a == choose_a_known_L(prev.a_sum, prev.tau, mu, lconst, 1)
-            assert rec.a_sum == prev.a_sum + rec.a and rec.tau == 1.0 + mu * rec.a_sum
+            assert rec.a == choose_a_known_L(prev.a_sum, prev.tau, 0.0, lconst, 1)
+            assert rec.a_sum == prev.a_sum + rec.a and rec.tau == 1.0
             t = rec.a / rec.a_sum
             y = prev.x + t * (prev.v - prev.x)
             g = h.evaluate(y).g
-            v_next = (prev.tau * prev.v + mu * rec.a * y - rec.a * g) / rec.tau
             scale = 1.0 + np.abs(prev.v).max() + np.abs(y).max()
-            assert np.abs(rec.v - v_next).max() <= 1e-12 * scale, rec.k
+            assert np.abs(rec.v - (prev.v - rec.a * g)).max() <= 1e-12 * scale, rec.k
             assert np.abs(rec.x - (prev.x + t * (rec.v - prev.x))).max() <= 1e-12 * scale, rec.k
-            if mu == 0.0:
-                assert np.abs(rec.x - (y - g / lconst)).max() <= 1e-12 * scale, rec.k
+            assert np.abs(rec.x - (y - g / lconst)).max() <= 1e-12 * scale, rec.k
 
-    @pytest.mark.parametrize("mu", [0.0, 2.0])
-    def test_recorded_gaps_track_fresh_evaluations(self, mu):
+    def test_recorded_gaps_track_fresh_evaluations(self):
         # x is an affine point every iteration and never a step, so its f and
         # g come from the momentum point's chain, which is refreshed. Made
-        # from the last x instead, f kept the rounding of the early, large
-        # values: the recorded gap stalled at 3e-13 for mu = mu* = 2, where a
-        # fresh evaluation gives 1e-27 (f* is 0 to rounding here)
+        # from the last x instead, f would keep the rounding of the early,
+        # large values (f* is 0 to rounding here)
         p = make_quadratic(0, 256, 100.0)
         h = p.handle()
         trace = run_fgm(h, p.default_start, SolverConfig(
-            max_iters=1100, grad_tolerance=1e-300, mu_assumed=mu, l_known=p.l_global))
+            max_iters=1100, grad_tolerance=1e-300, l_known=p.l_global))
         assert trace.final.k == 1100
         for r in trace.records:
             fresh = h.evaluate(r.x).f - p.f_star
             assert abs(r.composite_value - p.f_star - fresh) <= 1e-6 * abs(fresh) + 1e-20, r.k
 
-    def test_mu_at_or_above_l(self, quad16):
-        # the coefficient equation has no positive root at A = 0
-        for cfg in (SolverConfig(mu_assumed=quad16.l_global, l_known=quad16.l_global),
-                    SolverConfig(mu_assumed=2.0 * quad16.l_global)):
-            trace = run_fgm(quad16.handle(), quad16.default_start, cfg)
-            assert (trace.status, trace.final.k) == ("mu_too_large", 0)
+    def test_mu_assumed_rejected(self, quad16):
+        with pytest.raises(SolverError, match="mu_assumed == 0 only"):
+            run_fgm(quad16.handle(), quad16.default_start, SolverConfig(mu_assumed=1.0))
 
 
 class TestStopping:
@@ -521,6 +512,18 @@ class TestStopping:
         capped = run(quad16.handle(), quad16.default_start,
                      SolverConfig(max_iters=full.final.k, target_gap=1e-6))
         assert (capped.status, len(capped.records)) == ("target_gap", len(full.records))
+
+    def test_am_gradient_checked_by_the_next_iteration(self):
+        # f = ||x||^2 / 2 over two singleton blocks: the sweep ends at x = 0,
+        # so the record at k = 2 has a zero gradient. The iteration after it
+        # checks the gradient, so a run that stops at k = 2 reports max_iters
+        part = BlockPartition.contiguous([1, 1])
+        h = ObjectiveHandle(partition=part, smooth_value=lambda x: 0.5 * float(x @ x),
+                            block_gradient=lambda x, i: x[part.blocks[i]].copy(),
+                            block_argmin=lambda p, i: np.zeros(1))
+        for max_iters, status in ((2, "max_iters"), (3, "grad_tolerance")):
+            trace = run_am(h, np.array([1.0, 2.0]), SolverConfig(max_iters=max_iters))
+            assert (trace.status, trace.final.k, trace.final.grad_norm) == (status, 2, 0.0)
 
     @pytest.mark.parametrize("run", [run_am, run_aam, run_fgm])
     def test_start_at_optimum(self, quad16, run):
