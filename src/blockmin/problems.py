@@ -659,11 +659,12 @@ class NonlinearEqPlProblem:
         until Cholesky succeeds, doubling the shift from half the one the last
         step accepted, halve the step until f falls by a quarter of what the
         shifted quadratic model predicts (a trust region's ratio test, ibid.
-        sec. 4.1), which cuts back a step across a ridge, and stop once the
-        block gradient is at its rounding floor or a step no longer moves the
-        iterate. Each Hessian comes from the residual the iterate carries,
-        without a Jacobian (see _block_hessian). A solve that reaches neither
-        stop within _NEWTON_MAX_STEPS steps raises SolverError."""
+        sec. 4.1), which cuts back a step the model does not describe, and
+        stop once the block gradient is at its rounding floor or a step no
+        longer moves the iterate. Each Hessian comes from the residual the
+        iterate carries, without a Jacobian (see _block_hessian). A solve that
+        reaches neither stop within _NEWTON_MAX_STEPS steps raises
+        SolverError."""
         idx = self.partition.blocks[i]
         p, f, g = start.x, start.f, start.g
         r = self.residual(p) if start.cache is None else start.cache

@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmin import BlockPartition, SolverConfig, make_nonlinear_pl, problems, run_aam, run_am
@@ -88,6 +88,9 @@ def test_block_argmin_is_exact_descends_and_keeps_other_block(seed, shape, point
 @given(seed=st.integers(0, 7), shape=st.sampled_from(SHAPES),
        point_seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 0.25, 0.5]),
        i=st.integers(0, 1))
+# the first full Newton step here (length 8.3) lowers f from 3.97 to 3.69 only,
+# far less than its model predicts; taken, it leads to a higher minimum (0.916)
+@example(seed=4, shape=(20, 14), point_seed=30224, scale=0.5, i=0)
 def test_block_value_matches_trust_region_reference(seed, shape, point_seed, scale, i):
     # within about the scale of the default starts (0.4). A block whose
     # columns of A have a singular value below eps can have several local
