@@ -11,6 +11,7 @@ slacks in (-FAIL_TOL, -WARN_TOL) scaled are counted as warnings.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,6 +62,9 @@ class CertificateReport:
 
 def _row(k: int, bound: float, measured: float, tol: float,
          lower_bound: bool = False, rounding: float = 0.0) -> CertificateRow:
+    # a bound beyond the float range is the largest float: its slack stays
+    # finite, and a lower bound there fails
+    bound = min(bound, sys.float_info.max)
     slack = (measured - bound) if lower_bound else (bound - measured)
     return CertificateRow(k=k, bound_value=bound, measured_value=measured, slack=slack,
                           passed=slack >= -(tol * (1.0 + abs(bound)) + rounding))
@@ -158,7 +162,10 @@ def check_aam_Ak(trace: SolverTrace, l_global: float, mu: float, n_blocks: int,
         if r.k == 1:
             bound = max(bound, 1.0 / nl)
         if geo is not None:
-            bound = max(bound, (1.0 / nl) * geo ** (-r.k + 1))
+            try:
+                bound = max(bound, (1.0 / nl) * geo ** (-r.k + 1))
+            except OverflowError:
+                bound = math.inf
         rows.append(_row(r.k, bound, r.a_sum, tol, lower_bound=True))
     return CertificateReport("aam_Ak_growth", tuple(rows))
 
@@ -195,7 +202,7 @@ def check_am_sublinear(trace: SolverTrace, l_blocks, radius: float, f_star: floa
     lmin = min(l_blocks)
     rows = []
     for n in range(2, len(gaps)):
-        bound = max(gaps[0] / 2.0 ** ((n - 1) / 2.0),
+        bound = max(gaps[0] * 2.0 ** (-(n - 1) / 2.0),
                     8.0 * lmin * radius * radius / (n - 1))
         rows.append(_row(n, bound, gaps[n], tol))
     return CertificateReport("am_sublinear", tuple(rows))

@@ -304,13 +304,15 @@ def read_trace_csv(path) -> dict[str, list[dict]]:
                     }
                 except ValueError as exc:
                     raise TraceParseError(f"non-numeric field in row {row!r}") from exc
-                if not all(math.isfinite(v) for v in parsed.values() if v is not None):
+                if not all(math.isfinite(v) for v in parsed.values() if isinstance(v, float)):
                     raise TraceParseError(f"non-finite field in row {row!r}")
                 per_solver.setdefault(row["solver"], []).append(parsed)
     except OSError as exc:
         raise TraceParseError(f"cannot read trace {path}: {exc}") from exc
-    for rows in per_solver.values():
+    for name, rows in per_solver.items():
         rows.sort(key=lambda r: r["k"])
+        if [r["k"] for r in rows] != list(range(len(rows))):
+            raise TraceParseError(f"rows of solver {name!r} are not k = 0, 1, 2, ...")
     return per_solver
 
 
@@ -319,7 +321,7 @@ def _trace_from_rows(rows: list[dict], method: str, info: InstanceInfo) -> Solve
         k=r["k"], x=None, composite_value=r["f_gap"] + info.f_star,
         grad_norm=r["grad_norm"], block=r["block"], beta=r["beta"],
         a=r["a"], a_sum=r["A"], tau=r["tau"]) for r in rows]
-    return SolverTrace(method, records, "from_csv", SolverConfig(), info.n_blocks)
+    return SolverTrace(method, records, "from_csv", info.n_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,8 @@ class ObjectiveHandle:
         as the Point's cache. When present, evaluate goes through it.
     affine_value_and_gradient : callable (p, q, t) -> (f, g), optional
         f and grad f at p.x + t (q.x - p.x), computed from the Points p and q
-        with no fresh evaluation (for a quadratic f, the gradient is affine in
-        t and f quadratic, with its curvature read off q.g - p.g). affine uses
-        it when present.
+        with no fresh evaluation, f weighing p.f by 1 - t and q.f by t (for a
+        quadratic f, less a curvature term read off q.g - p.g). affine uses it.
     step_value_and_gradient : callable (p, x, i) -> (f, g), optional
         f and grad f at x, computed from the Point p with less work than a
         fresh evaluation (for least squares, from one product with the Gram
@@ -221,7 +220,8 @@ class ObjectiveHandle:
 
     def affine(self, p: Point, q: Point, t: float) -> Point:
         """The Point at p.x + t (q.x - p.x): from affine_value_and_gradient
-        when the handle has it, evaluated afresh otherwise."""
+        when the handle has it, evaluated afresh otherwise. For t in [0, 1] its
+        steps is at most the larger of p's and q's, so it needs no refresh."""
         x = p.x + t * (q.x - p.x)
         if self.affine_value_and_gradient is None:
             return self.evaluate(x)

@@ -99,7 +99,6 @@ class SolverTrace:
     method: str
     records: list[IterationRecord]
     status: str
-    config: SolverConfig
     n_blocks: int
 
     @property
@@ -253,7 +252,7 @@ def _run(method: str, h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig,
         if met or rec.k == cfg.max_iters:
             status = "target_gap" if met else "max_iters"
             break
-    return SolverTrace(method, records, status, cfg, h.n_blocks)
+    return SolverTrace(method, records, status, h.n_blocks)
 
 
 def _add_to_lower_model(h: ObjectiveHandle, v: Point, y: Point, a: float, a_sum: float,
@@ -373,9 +372,7 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             if moved is None:
                 return "diverged"
             v, a_sum, tau = moved
-            # x' = v' + (1 - t)(x - v'), made from v', whose chain is refreshed:
-            # made from x, f would keep the rounding of every f since x^0
-            x = h.affine(v, x, 1.0 - t)
+            x = h.affine(x, v, t)
             yield x, dict(a=a, a_sum=a_sum, tau=tau, v=v.x)
 
     return _run("fgm", h, x0, cfg, iterations)

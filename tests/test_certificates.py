@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ def synthetic_trace(gaps, f_star=0.0, method="aam", a_sums=None):
             grad_norm=0.0, a=None if a_sums is None or k == 0 else a_sums[k] - a_sums[k - 1],
             a_sum=None if a_sums is None else a_sums[k], tau=1.0,
             block=0 if method == "am" and k > 0 else None))
-    return SolverTrace(method, records, "max_iters", SolverConfig(), 1)
+    return SolverTrace(method, records, "max_iters", 1)
 
 
 class TestAmLinear:
@@ -120,6 +123,16 @@ class TestAamAk:
         rep0 = check_aam_Ak(trace, 1.0, 0.0, 2)
         rep1 = check_aam_Ak(trace, 1.0, 0.5, 2)
         assert rep1.rows[0].bound_value >= rep0.rows[0].bound_value
+
+    def test_geometric_branch_beyond_the_float_range(self):
+        # L = n = 1, mu = 1/4: the branch is 2^(k-1), which leaves the float
+        # range at k = 1,025. Its rows fail there with a finite slack
+        a_sums = [0.0] + [2.0 ** min(k - 1, 1023) for k in range(1, 1100)]
+        rep = check_aam_Ak(synthetic_trace([1.0] * 1100, a_sums=a_sums), 1.0, 0.25, 1)
+        assert len(rep.rows) == 1099 and rep.first_failure == 1025
+        assert all(r.passed for r in rep.rows[:1024])
+        assert rep.rows[-1].bound_value == sys.float_info.max
+        assert math.isfinite(rep.worst_slack) and rep.worst_slack < 0.0
 
 
 class TestAamAdaptive:
@@ -236,6 +249,14 @@ class TestAmSublinear:
         trace = synthetic_trace([8.0, 4.0, 1.0, 0.4, 0.2], method="am")
         rep = check_am_sublinear(trace, (1e-9, 1e-9), 1e-6, 0.0)
         assert rep.rows[1].bound_value == pytest.approx(8.0 / 2.0)
+
+    def test_geometric_branch_underflows_past_2048_sweeps(self):
+        # 2^((N - 1) / 2) leaves the float range at N = 2,049; its inverse
+        # underflows, and the 1/(N - 1) branch carries the bound
+        trace = synthetic_trace([1.0] + [0.0] * 2099, method="am")
+        rep = check_am_sublinear(trace, (1.0, 1.0), 1.0, 0.0)
+        assert rep.passed and len(rep.rows) == 2098
+        assert rep.rows[-1].bound_value == 8.0 / 2098
 
     def test_too_short(self, rankdef16):
         # one complete sweep: the bound starts at N = 2, so there are no rows,

@@ -353,6 +353,24 @@ class TestVerify:
             assert main(["verify", "--trace", str(trace), "--config", str(bad_path)]) == 2
             assert "'certificates' must be a list of strings" in capsys.readouterr().err
 
+    def test_rows_must_be_k_0_1_2(self, run_outputs, tmp_path, capsys):
+        # run writes each solver's rows as k = 0, 1, 2, ...; a trace whose k
+        # column is edited is an input error, never a check at a made-up k
+        cfg_path, trace = run_outputs
+        lines = trace.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("1,aam0,"))
+        bad = tmp_path / "bad.csv"
+        for edit in ("100000", "1" + "0" * 400, "2", "-1", "0"):
+            edited = lines.copy()
+            edited[at] = edit + edited[at][1:]
+            bad.write_text("\n".join(edited) + "\n")
+            capsys.readouterr()
+            assert main(["verify", "--trace", str(bad), "--config", str(cfg_path)]) == 2
+            assert "rows of solver 'aam0' are not k = 0, 1, 2, ..." in capsys.readouterr().err
+        # a solver whose rows start at k = 1
+        bad.write_text("\n".join(lines[:at - 1] + lines[at:]) + "\n")
+        assert main(["verify", "--trace", str(bad), "--config", str(cfg_path)]) == 2
+
     def test_vacuous_certificates_fail_strict(self, tmp_path, capsys):
         # two AM sweeps and three AAM iterations: every certificate checks
         # fewer than 5 rows, passes, and is flagged

@@ -166,6 +166,20 @@ def test_block_point_matches_a_fresh_evaluation(n, seed, scale, i):
     assert_matches_fresh(prob, block, np.abs(p.x) + np.abs(block.x))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(n=st.integers(0, len(AFFINE_PROBLEMS) - 1), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_affine_point_takes_f_from_both_ends(n, seed, scale):
+    # f weighs p.f by 1 - t and q.f by t, as steps weighs their counts, so the
+    # ends give p.f and q.f bit for bit
+    prob = AFFINE_PROBLEMS[n]
+    h = prob.handle()
+    rng = np.random.default_rng(seed)
+    p = h.evaluate(prob.x_star + scale * rng.standard_normal(h.dim))
+    q = h.step(p, prob.x_star + scale * rng.standard_normal(h.dim))
+    assert h.affine(p, q, 0.0).f == p.f and h.affine(p, q, 1.0).f == q.f
+
+
 # the affine problems and one whose fresh evaluation takes W in two row chunks
 STEP_PROBLEMS = AFFINE_PROBLEMS + [make_quadratic(0, 512, 100.0)]
 
