@@ -78,8 +78,8 @@ class Point:
     """A point x of an objective with f = f(x), g = grad f(x) and an opaque
     per-problem cache (the nonlinear system's residual r; else None), all
     filled when ObjectiveHandle.evaluate, affine, step or block_min makes it.
-    steps counts step hook calls since a fresh evaluation: 0 for an evaluated
-    point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps
+    steps counts hook calls since a fresh evaluation: 0 for an evaluated
+    point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps + 1
     for an affine one, whose rounding combines those of p and q so weighted.
     """
 
@@ -220,13 +220,16 @@ class ObjectiveHandle:
 
     def affine(self, p: Point, q: Point, t: float) -> Point:
         """The Point at p.x + t (q.x - p.x): from affine_value_and_gradient
-        when the handle has it, evaluated afresh otherwise. For t in [0, 1] its
-        steps is at most the larger of p's and q's, so it needs no refresh."""
+        when the handle has it and the point is under REFRESH_STEPS steps from
+        a fresh evaluation, evaluated afresh otherwise. Its steps is one more
+        than p's and q's weighted by |1 - t| and |t|, so that a point made
+        again and again from itself (FGM's x) is refreshed too: its f would
+        otherwise keep the rounding of the first, large values of the run."""
         x = p.x + t * (q.x - p.x)
-        if self.affine_value_and_gradient is None:
+        steps = abs(1.0 - t) * p.steps + abs(t) * q.steps + 1.0
+        if self.affine_value_and_gradient is None or steps >= REFRESH_STEPS:
             return self.evaluate(x)
-        return self._point(x, *self.affine_value_and_gradient(p, q, t),
-                           steps=abs(1.0 - t) * p.steps + abs(t) * q.steps)
+        return self._point(x, *self.affine_value_and_gradient(p, q, t), steps=steps)
 
     def step(self, p: Point, x: np.ndarray, block: int | None = None) -> Point:
         """The Point at x, made from the Point p (with block = i, x differs from

@@ -474,10 +474,10 @@ class TestRunFgm:
 
     def test_recorded_gaps_track_fresh_evaluations(self):
         # x is an affine point between the last x and the new v every
-        # iteration and never a step; its f weighs the last x's f by 1 - t and
-        # v's, whose chain is refreshed, by t, so the rounding of the early,
-        # large values fades instead of staying in every later f (f* is 0 to
-        # rounding here)
+        # iteration and never a step; its f weighs the last x's f by 1 - t, so
+        # the rounding of the early, large values fades only as A_j / A_k
+        # while f falls geometrically, unless x's chain is refreshed as a
+        # chain of steps is (f* is 0 to rounding here)
         p = make_quadratic(0, 256, 100.0)
         h = p.handle()
         trace = run_fgm(h, p.default_start, SolverConfig(
