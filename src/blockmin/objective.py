@@ -78,8 +78,8 @@ class Point:
     """A point x of an objective with f = f(x), g = grad f(x) and an opaque
     per-problem cache (the nonlinear system's residual r; else None), all
     filled when ObjectiveHandle.evaluate, affine, step or block_min makes it.
-    steps counts hook calls since a fresh evaluation: 0 for an evaluated
-    point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps + 1
+    steps counts step hook calls since a fresh evaluation: 0 for an evaluated
+    point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps
     for an affine one, whose rounding combines those of p and q so weighted.
     """
 
@@ -125,8 +125,9 @@ class ObjectiveHandle:
         as the Point's cache. When present, evaluate goes through it.
     affine_value_and_gradient : callable (p, q, t) -> (f, g), optional
         f and grad f at p.x + t (q.x - p.x), computed from the Points p and q
-        with no fresh evaluation, f weighing p.f by 1 - t and q.f by t (for a
-        quadratic f, less a curvature term read off q.g - p.g). affine uses it.
+        with no fresh evaluation (for a quadratic f, the gradient is affine in
+        t and f quadratic, with its curvature read off q.g - p.g). affine uses
+        it when present.
     step_value_and_gradient : callable (p, x, i) -> (f, g), optional
         f and grad f at x, computed from the Point p with less work than a
         fresh evaluation (for least squares, from one product with the Gram
@@ -220,16 +221,12 @@ class ObjectiveHandle:
 
     def affine(self, p: Point, q: Point, t: float) -> Point:
         """The Point at p.x + t (q.x - p.x): from affine_value_and_gradient
-        when the handle has it and the point is under REFRESH_STEPS steps from
-        a fresh evaluation, evaluated afresh otherwise. Its steps is one more
-        than p's and q's weighted by |1 - t| and |t|, so that a point made
-        again and again from itself (FGM's x) is refreshed too: its f would
-        otherwise keep the rounding of the first, large values of the run."""
+        when the handle has it, evaluated afresh otherwise."""
         x = p.x + t * (q.x - p.x)
-        steps = abs(1.0 - t) * p.steps + abs(t) * q.steps + 1.0
-        if self.affine_value_and_gradient is None or steps >= REFRESH_STEPS:
+        if self.affine_value_and_gradient is None:
             return self.evaluate(x)
-        return self._point(x, *self.affine_value_and_gradient(p, q, t), steps=steps)
+        return self._point(x, *self.affine_value_and_gradient(p, q, t),
+                           steps=abs(1.0 - t) * p.steps + abs(t) * q.steps)
 
     def step(self, p: Point, x: np.ndarray, block: int | None = None) -> Point:
         """The Point at x, made from the Point p (with block = i, x differs from

@@ -419,12 +419,11 @@ class CompositeQuadraticProblem:
 
     def affine_value_and_gradient(self, p: Point, q: Point, t: float
                                   ) -> tuple[float, np.ndarray]:
-        """f and grad f at p.x + t d, d = q.x - p.x, with no product: f is
-        (1 - t) p.f + t q.f - t (1 - t) d . G d with G d = (q.g - p.g) / 2, so
-        p.f at t = 0 and q.f at t = 1 exactly, and grad f is p.g + t (q.g - p.g)."""
+        """f and grad f at p.x + t d, d = q.x - p.x, with no product: G d is
+        (q.g - p.g) / 2, so the step t d of step_value_and_gradient gives
+        f(p.x) + t d . (p.g + t (q.g - p.g) / 2) and p.g + t (q.g - p.g)."""
         dg = q.g - p.g
-        f = (1.0 - t) * p.f + t * q.f - 0.5 * t * (1.0 - t) * float((q.x - p.x) @ dg)
-        return f, p.g + t * dg
+        return p.f + t * float((q.x - p.x) @ (p.g + 0.5 * t * dg)), p.g + t * dg
 
     def line_minimizer(self, p: Point, q: Point) -> float:
         """-(p.g . d) / (d . (q.g - p.g)) for d = q.x - p.x, with no product as

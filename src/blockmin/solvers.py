@@ -372,7 +372,9 @@ def run_fgm(h: ObjectiveHandle, x0: np.ndarray, cfg: SolverConfig) -> SolverTrac
             if moved is None:
                 return "diverged"
             v, a_sum, tau = moved
-            x = h.affine(x, v, t)
+            # x' = v' + (1 - t)(x - v'), made from v', whose chain is refreshed:
+            # made from x, f would keep the rounding of every f since x^0
+            x = h.affine(v, x, 1.0 - t)
             yield x, dict(a=a, a_sum=a_sum, tau=tau, v=v.x)
 
     return _run("fgm", h, x0, cfg, iterations)

@@ -473,11 +473,10 @@ class TestRunFgm:
             assert np.abs(rec.x - (y - g / lconst)).max() <= 1e-12 * scale, rec.k
 
     def test_recorded_gaps_track_fresh_evaluations(self):
-        # x is an affine point between the last x and the new v every
-        # iteration and never a step; its f weighs the last x's f by 1 - t, so
-        # the rounding of the early, large values fades only as A_j / A_k
-        # while f falls geometrically, unless x's chain is refreshed as a
-        # chain of steps is (f* is 0 to rounding here)
+        # x is an affine point every iteration and never a step, so its f and
+        # g come from the momentum point's chain, which is refreshed. Made
+        # from the last x instead, f would keep the rounding of the early,
+        # large values (f* is 0 to rounding here)
         p = make_quadratic(0, 256, 100.0)
         h = p.handle()
         trace = run_fgm(h, p.default_start, SolverConfig(
