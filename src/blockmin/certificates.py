@@ -20,7 +20,7 @@ import numpy as np
 from .errors import TooShort
 from .objective import ObjectiveHandle
 from .proxmaps import prox_map
-from .solvers import SolverTrace
+from .solvers import SolverConfig, SolverTrace
 
 FAIL_TOL = 1e-8
 WARN_TOL = 1e-10
@@ -308,10 +308,10 @@ def estimate_empirical_rate(trace: SolverTrace, f_star: float,
     return float(np.exp(slope_lin)), float(slope_log)
 
 
-def _mu_below_nl(info, mu_run: float) -> str | None:
+def _mu_below_nl(info, run) -> str | None:
     # from mu = n L on, the factor 1 - sqrt(mu / (n L)) leaves [0, 1)
     return ("applies to mu_assumed < n L runs only" if info.l_global is not None
-            and mu_run >= info.n_blocks * info.l_global else None)
+            and run.mu_assumed >= info.n_blocks * info.l_global else None)
 
 
 @dataclass(frozen=True)
@@ -321,17 +321,17 @@ class Certificate:
     method: the solver whose trace the check reads, "am" or "aam".
     constants: the instance constants the check reads, by attribute name of
         ``blockmin.cli.InstanceInfo``; None there means unknown.
-    from_csv: (trace, instance, mu assumed by the run) -> report, on a trace
+    from_csv: (trace, instance, the run's SolverConfig) -> report, on a trace
         rebuilt from trace.csv; None when the check needs the iterate vectors,
         which the CSV does not keep.
-    applies: (instance, mu assumed by the run) -> why the bound does not hold
+    applies: (instance, the run's SolverConfig) -> why the bound does not hold
         for that run, or None; verify and the trace's bound columns ask it.
     """
 
     method: str
     constants: tuple[str, ...]
-    from_csv: Callable[[SolverTrace, object, float], CertificateReport] | None
-    applies: Callable[[object, float], str | None] = lambda info, mu_run: None
+    from_csv: Callable[[SolverTrace, object, SolverConfig], CertificateReport] | None
+    applies: Callable[[object, SolverConfig], str | None] = lambda info, run: None
 
 
 # The lambdas look each check up on this module when they run, so a check
@@ -339,28 +339,32 @@ class Certificate:
 CERTIFICATES = {
     "am_linear_pl": Certificate(
         "am", ("l_blocks", "mu_blocks", "f_star"),
-        lambda t, c, mu: check_am_linear(t, c.l_blocks, c.mu_blocks, c.f_star)),
+        lambda t, c, run: check_am_linear(t, c.l_blocks, c.mu_blocks, c.f_star)),
     "am_sublinear": Certificate(
         "am", ("l_blocks", "sublevel_radius", "f_star"),
-        lambda t, c, mu: check_am_sublinear(t, c.l_blocks, c.sublevel_radius, c.f_star)),
+        lambda t, c, run: check_am_sublinear(t, c.l_blocks, c.sublevel_radius, c.f_star)),
     "aam_main": Certificate(
         "aam", ("l_global", "radius", "f_star"),
-        lambda t, c, mu: check_aam_main(t, c.l_global, mu, c.n_blocks, c.radius, c.f_star),
+        lambda t, c, run: check_aam_main(t, c.l_global, run.mu_assumed, c.n_blocks,
+                                         c.radius, c.f_star),
         _mu_below_nl),
     "aam_Ak_growth": Certificate(
         "aam", ("l_global",),
-        lambda t, c, mu: check_aam_Ak(t, c.l_global, mu, c.n_blocks), _mu_below_nl),
+        # a run given l_known grows A_k by that L
+        lambda t, c, run: check_aam_Ak(t, c.l_global if run.l_known is None else run.l_known,
+                                       run.mu_assumed, c.n_blocks), _mu_below_nl),
     "aam_recurrence": Certificate("aam", (), None),
     "aam_adaptive": Certificate(
         "aam", ("mu_true", "f_star"),
-        lambda t, c, mu: check_aam_adaptive(t, c.mu_true, c.f_star),
-        lambda c, mu: None if mu == 0.0 else "applies to mu_assumed = 0 runs only"),
+        lambda t, c, run: check_aam_adaptive(t, c.mu_true, c.f_star),
+        lambda c, run: (None if run.mu_assumed == 0.0
+                        else "applies to mu_assumed = 0 runs only")),
     "nearly_pl_combined": Certificate(
         "am", ("l_blocks", "mu_blocks", "f_star"),
-        lambda t, c, mu: check_nearly_pl(t, c.l_blocks, c.mu_blocks, c.f_star),
+        lambda t, c, run: check_nearly_pl(t, c.l_blocks, c.mu_blocks, c.f_star),
         # a block that cannot move fails its proximal-PL inequality whenever F > F*
-        lambda c, mu: ("does not apply to a block whose box is a single point"
-                       if c.point_box else None)),
+        lambda c, run: ("does not apply to a block whose box is a single point"
+                        if c.point_box else None)),
     "sufficient_decrease": Certificate("am", ("l_blocks",), None),
     "prox_pl": Certificate("am", ("mu_blocks", "f_star"), None),
 }

@@ -240,7 +240,7 @@ def _bound_columns(method: str, trace: SolverTrace, info: InstanceInfo, cfg: Sol
     says nothing at k, or where verify would not check its certificate on the run."""
     def checked(kind):
         cert = certs.CERTIFICATES[kind]
-        return cert.method == method and _unchecked(cert, info, cfg.mu_assumed)[0] is None
+        return cert.method == method and _unchecked(cert, info, cfg)[0] is None
 
     main = checked("aam_main")
     factor = (certs.am_linear_factor(info.l_blocks, info.mu_blocks)
@@ -317,6 +317,14 @@ def read_trace_csv(path) -> dict[str, list[dict]]:
 
 
 def _trace_from_rows(rows: list[dict], method: str, info: InstanceInfo) -> SolverTrace:
+    """The run's trace; TraceParseError where a row at k >= 1 lacks a cell a
+    certificate reads: an AM block in [0, n), an AAM a > 0 and A > 0."""
+    for r in rows[1:]:
+        if method == "am" and r["block"] not in range(info.n_blocks):
+            raise TraceParseError(f"row k = {r['k']} of an am run has no block in "
+                                  f"[0, {info.n_blocks})")
+        if method == "aam" and not min(r["a"] or 0.0, r["A"] or 0.0) > 0.0:
+            raise TraceParseError(f"row k = {r['k']} of an aam run needs a > 0 and A > 0")
     records = [IterationRecord(
         k=r["k"], x=None, composite_value=r["f_gap"] + info.f_star,
         grad_norm=r["grad_norm"], block=r["block"], beta=r["beta"],
@@ -417,12 +425,12 @@ def recorded_constants(trace_path, spec: dict) -> dict | None:
     return found if in_range else None
 
 
-def _unchecked(cert: certs.Certificate, info: InstanceInfo, mu_run: float):
+def _unchecked(cert: certs.Certificate, info: InstanceInfo, run: SolverConfig):
     """(why verify does not check cert on a run, whether that counts as a skip),
     or (None, False) when it does; a run cert does not apply to is not counted."""
     if cert.from_csv is None:
         return "needs full iterate vectors (library-level only)", True
-    not_applicable = cert.applies(info, mu_run)
+    not_applicable = cert.applies(info, run)
     if not_applicable is not None:
         return not_applicable, False
     missing = [c for c in cert.constants if getattr(info, c) is None]
@@ -449,7 +457,7 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             raise TraceParseError(f"trace has no rows for solver {name!r}")
         rows = per_solver[name]
         trace = _trace_from_rows(rows, method, info)
-        mu_run = _solver_config(entry, info).mu_assumed  # only AAM checks read it
+        run = _solver_config(entry, info)  # only AAM checks read it
         # built-in sanity certificate: gaps never dip below the floor
         bad = [r["k"] for r in rows if r["f_gap"] < GAP_FLOOR * (1.0 + abs(info.f_star))]
         results.append({"certificate": "gap_nonnegative", "solver": name,
@@ -462,12 +470,12 @@ def cmd_verify(trace_path, config_path, strict: bool = False) -> int:
             cert = certs.CERTIFICATES[kind]
             if cert.method != method:
                 continue  # certificate simply targets another solver
-            reason, counted = _unchecked(cert, info, mu_run)
+            reason, counted = _unchecked(cert, info, run)
             if reason is not None:
                 results.append({"certificate": kind, "solver": name, "skipped": reason})
                 skipped += counted
                 continue
-            report = cert.from_csv(trace, info, mu_run)
+            report = cert.from_csv(trace, info, run)
             results.append({
                 "certificate": kind, "solver": name, "passed": report.passed,
                 "worst_slack": report.worst_slack,

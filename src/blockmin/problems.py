@@ -32,9 +32,12 @@ Two families:
 The seeded least squares (make_quadratic, make_rank_deficient, make_composite)
 take W = diag(sigma) Q with prescribed singular values sigma and one Haar
 orthogonal Q; _design_matrix says why no left factor U of W = U diag(sigma) V^T
-is drawn. make_nonlinear_pl keeps both factors of its A: its eps sin term acts
-on the residual coordinate by coordinate, so a rotation of the residual would
-change that family.
+is drawn. They pass sigma on, so the build takes the spectrum of G as sigma^2
+and, with no terms, x* as W^T (b / sigma^2) plus one refinement step; a W
+given without sigma keeps eigvalsh(G), a Cholesky solve and lstsq.
+make_nonlinear_pl keeps both factors of its A: its eps sin term acts on the
+residual coordinate by coordinate, so a rotation of the residual would change
+that family.
 """
 
 from __future__ import annotations
@@ -262,15 +265,18 @@ def _block_slice(idx: np.ndarray) -> slice | np.ndarray:
 class CompositeQuadraticProblem:
     """F(x) = ||W x - b||^2 + sum_i g_i(x_i) over the blocks of ``partition``,
     each g_i an l1, box or zero term or None, which is a zero term;
-    ``terms=None`` means every g_i = 0.
+    ``terms=None`` means every g_i = 0. ``sigma``, if given, states that
+    W = diag(sigma) Q with Q orthogonal, as the seeded builds draw it.
 
-    The rest is built once, from these four: G = W^T W and its spectrum
-    (``l_global``, ``mu_global``, ``lambda_min_plus``), the rows of G in each
-    block (views for a contiguous block), the Cholesky factors of the block
-    Gram matrices G_ii with the L_i, and, unless both are given, ``x_star``
-    and ``f_star``: in closed form with no terms (``lstsq`` when W is rank
-    deficient), otherwise by the active-set solve from zero; SolverError if
-    ``_gap_bound`` cannot prove its gap at most 1e-10 (1 + |F|).
+    The rest is built once: G = W^T W and its spectrum (``l_global``,
+    ``mu_global``, ``lambda_min_plus``), sigma^2 if given, else eigvalsh(G);
+    the rows of G in each block (views for a contiguous block), the Cholesky
+    factors of the block Gram matrices G_ii with the L_i, and, unless both
+    are given, ``x_star`` and ``f_star``. With no terms: W^T (b / sigma^2)
+    over the sigma^2 above the rank threshold (the min-norm solution) and one
+    refinement step if sigma is given, else a Cholesky solve, or ``lstsq``
+    when W is rank deficient; with terms, the active-set solve from zero;
+    SolverError if ``_gap_bound`` cannot prove its gap at most 1e-10 (1 + |F|).
     """
 
     W: np.ndarray
@@ -280,6 +286,7 @@ class CompositeQuadraticProblem:
     x_star: np.ndarray | None = None
     f_star: float | None = None
     default_start: np.ndarray | None = None
+    sigma: np.ndarray | None = field(default=None, repr=False)
     l_global: float = field(init=False)
     mu_global: float = field(init=False)
     lambda_min_plus: float = field(init=False)
@@ -305,10 +312,12 @@ class CompositeQuadraticProblem:
         self.l_blocks = tuple(2.0 * spectral_extremes(f.source)[1] for f in self._facts)
 
     def _spectrum_and_optimum(self, gram: np.ndarray):
-        """The global constants from gram = W^T W and, unless both are given,
-        x_star and f_star."""
-        lam = np.linalg.eigvalsh(gram)
-        positive = lam[lam > _RANK_RTOL * max(1.0, lam[-1])]
+        """The global constants from sigma, or from gram = W^T W without it,
+        and, unless both are given, x_star and f_star."""
+        s2 = None if self.sigma is None else self.sigma ** 2
+        lam = np.linalg.eigvalsh(gram) if s2 is None else np.sort(s2)
+        floor = _RANK_RTOL * max(1.0, lam[-1])
+        positive = lam[lam > floor]
         full_rank = positive.size == lam.size
         self.l_global = 2.0 * lam[-1]
         self.mu_global = 2.0 * lam[0] if full_rank else 0.0
@@ -318,7 +327,12 @@ class CompositeQuadraticProblem:
         value = ObjectiveHandle(self.partition, self.smooth_value, self.block_gradient,
                                 terms=self.terms).composite_value
         if self.terms is None:
-            if full_rank:
+            if s2 is not None:
+                # refined once: without it, grad f(x*) is about twice Cholesky's
+                inv = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > floor)
+                x = self.W.T @ (inv * self.b)
+                x -= self.W.T @ (inv * (self.W @ x - self.b))
+            elif full_rank:
                 x = solve_spd(cholesky(gram), self.W.T @ self.b)
             else:
                 x = np.linalg.lstsq(self.W, self.b, rcond=None)[0]
@@ -340,8 +354,10 @@ class CompositeQuadraticProblem:
         of W^T r (Higham, Accuracy and Stability, 2nd ed., ch. 3). As
         ||W^T dr||_{G^-1} <= ||dr||, the gap is at most (||s|| / sqrt(lam)
         + 2 ||dr|| + 2 ||e|| / sqrt(lam))^2 / 4, lam = mu_global / 2 less
-        (rows + dim) eps ||W||_F^2: the error of G and of its spectrum, a
-        margin far above the rounding of s and of the norms."""
+        (rows + dim) eps ||W||_F^2. That margin covers the error of the
+        computed G against the exact sigma^2 mu_global comes from when sigma
+        is given, or that of G and of its computed spectrum without sigma,
+        and is far above the rounding of s and of the norms."""
         rows, dim = self.W.shape
         eps = np.finfo(float).eps
         lam = 0.5 * self.mu_global - (rows + dim) * eps * float(np.trace(self._gram))
@@ -475,16 +491,17 @@ class QuadraticSplitProblem(CompositeQuadraticProblem):
     sublevel-set radius from the smallest positive eigenvalue of W^T W."""
 
     @classmethod
-    def from_matrix(cls, W, b, rng: np.random.Generator | None = None
-                    ) -> "QuadraticSplitProblem":
+    def from_matrix(cls, W, b, rng: np.random.Generator | None = None,
+                    sigma: np.ndarray | None = None) -> "QuadraticSplitProblem":
         """Instance for f(x) = ||W x - b||^2, started at x_star plus a standard
-        normal draw from rng (a generator seeded 0 when None)."""
+        normal draw from rng (a generator seeded 0 when None); sigma as in
+        CompositeQuadraticProblem."""
         W = np.asarray(W, dtype=float)
         b = np.asarray(b, dtype=float)
         dim = W.shape[1]
         if dim % 2 != 0 or dim < 2:
             raise ValueError("dimension must be even and >= 2")
-        prob = cls(W=W, b=b, partition=BlockPartition.halves(dim), terms=None)
+        prob = cls(W=W, b=b, partition=BlockPartition.halves(dim), terms=None, sigma=sigma)
         rng = np.random.default_rng(0) if rng is None else rng
         prob.default_start = prob.x_star + rng.standard_normal(dim)
         return prob
@@ -509,7 +526,7 @@ def make_quadratic(seed: int, dim: int, cond_number: float) -> QuadraticSplitPro
     rng = np.random.default_rng(seed)
     W = _design_matrix(rng, sigma)
     b = rng.standard_normal(dim)
-    return QuadraticSplitProblem.from_matrix(W, b, rng)
+    return QuadraticSplitProblem.from_matrix(W, b, rng, sigma)
 
 
 def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem:
@@ -520,7 +537,7 @@ def make_rank_deficient(seed: int, dim: int, rank: int) -> QuadraticSplitProblem
     rng = np.random.default_rng(seed)
     W = _design_matrix(rng, sigma)
     b = rng.standard_normal(dim)
-    return QuadraticSplitProblem.from_matrix(W, b, rng)
+    return QuadraticSplitProblem.from_matrix(W, b, rng, sigma)
 
 
 def make_composite(seed: int, dim: int, gamma: float,
@@ -556,7 +573,7 @@ def make_composite(seed: int, dim: int, gamma: float,
 
     terms = tuple(build_term(k) for k in kinds)
     prob = CompositeQuadraticProblem(W=W, b=b, partition=BlockPartition.halves(dim),
-                                     terms=terms)
+                                     terms=terms, sigma=sigma)
     prob.default_start = np.clip(prob.x_star + rng.standard_normal(dim), *prob._bounds[1:])
     return prob
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from blockmin import certificates as certs
 from blockmin import cli, problems
 from blockmin.cli import _json_text, main
 from blockmin.errors import SolverError
@@ -370,6 +371,47 @@ class TestVerify:
         # a solver whose rows start at k = 1
         bad.write_text("\n".join(lines[:at - 1] + lines[at:]) + "\n")
         assert main(["verify", "--trace", str(bad), "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("solver, column, value", [
+        ("am", "block", ""), ("am", "block", "2"), ("am", "block", "-1"),
+        ("am", "block", "5"), ("aam0", "a", ""), ("aam0", "a", "0"), ("aam0", "a", "-1"),
+        ("aam0", "A", ""), ("aam0", "A", "0"), ("aam0", "A", "-2.5")])
+    def test_cells_a_certificate_reads_are_checked(self, run_outputs, tmp_path, capsys,
+                                                   solver, column, value):
+        # at k >= 1 an AM row needs a block in [0, n), here n = 2, and an AAM
+        # row a > 0 and A > 0: an edited cell is an input error, never a
+        # traceback or a check that reads another block's L_i
+        cfg_path, trace = run_outputs
+        lines = trace.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"3,{solver},"))
+        cells = lines[at].split(",")
+        cells[cli.CSV_HEADER.index(column)] = value
+        lines[at] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(bad), "--config", str(cfg_path)]) == 2
+        assert f"row k = 3 of an {solver[:3]} run" in capsys.readouterr().err
+
+    def test_aam_Ak_growth_reads_the_run_l(self, tmp_path, capsys):
+        # l_known = 1e4 is 50 times L = 200: A_k grows as k^2 / (4 n l_known),
+        # below the k^2 / (4 n L) that the instance's L would demand from k = 1
+        cfg = {"instance": {"kind": "quadratic", "seed": 0, "dim": 8, "cond_number": 100.0},
+               "solvers": [{"name": "aam", "method": "aam", "max_iters": 40,
+                            "mu_assumed": "optimal", "l_known": 1e4,
+                            "grad_tolerance": 1e-300}],
+               "certificates": ["aam_Ak_growth"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        code, report = verify_report(out / "trace.csv", cfg_path, capsys, "--strict")
+        assert code == 0
+        (result,) = [r for r in report["results"] if r["certificate"] == "aam_Ak_growth"]
+        assert result["passed"] and result["rows"] == 40
+        info = cli.InstanceInfo(cfg["instance"])
+        trace = cli._trace_from_rows(cli.read_trace_csv(out / "trace.csv")["aam"], "aam", info)
+        assert certs.check_aam_Ak(trace, info.l_global, info.mu_true, 2).first_failure == 1
 
     def test_vacuous_certificates_fail_strict(self, tmp_path, capsys):
         # two AM sweeps and three AAM iterations: every certificate checks

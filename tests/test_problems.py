@@ -238,6 +238,73 @@ def test_singular_values_are_the_prescribed_ones(seed, half, cond, share):
     assert np.count_nonzero(found <= tol) == dim - rank
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**16), half=st.integers(1, 128),
+       cond=st.sampled_from([1.0, 2.0, 100.0, 1e4, 1e6, 1e8]),
+       deficient=st.booleans(), share=st.floats(0.0, 1.0))
+def test_known_spectrum_build_matches_the_generic_one(seed, half, cond, deficient, share):
+    # the seeded builds take L, mu and lambda_min_plus from sigma^2 and x* from
+    # W^T (b / sigma^2) refined once: the constants are within the margin
+    # _gap_bound grants the spectrum of the computed G, and x* is the min-norm
+    # least-squares solution that lstsq and the generic from_matrix find
+    dim = 2 * half
+    if deficient and dim >= 4:
+        p = make_rank_deficient(seed, dim, half + 1 + int(share * (half - 2)))
+    else:
+        p = make_quadratic(seed, dim, cond)
+    gram = p.W.T @ p.W
+    lam = np.linalg.eigvalsh(gram)
+    margin = sum(p.W.shape) * np.finfo(float).eps * np.trace(gram)
+    assert abs(p.l_global / 2 - lam[-1]) <= margin
+    assert abs(p.mu_global / 2 - lam[0]) <= margin
+    x = np.linalg.lstsq(p.W, p.b, rcond=None)[0]
+    tol = 1e-9 * (1.0 + np.linalg.norm(p.x_star))
+    assert np.linalg.norm(p.x_star - x) <= tol
+    # the generic build solves the normal equations by Cholesky, whose forward
+    # error grows as eps kappa(G) (Higham, Accuracy and Stability, 2nd ed.,
+    # sec. 20.4): 6.5e-9 at dim 2, cond 1e8
+    generic = problems.QuadraticSplitProblem.from_matrix(p.W, p.b)
+    kappa = p.l_global / (2.0 * p.lambda_min_plus)
+    assert (np.linalg.norm(p.x_star - generic.x_star)
+            <= tol + dim * np.finfo(float).eps * kappa * np.linalg.norm(p.x_star))
+    assert abs(p.lambda_min_plus - generic.lambda_min_plus) <= margin
+
+
+def test_seeded_builds_take_the_spectrum_from_sigma(monkeypatch):
+    # eigvalsh, cholesky and lstsq of the full G or W run in a generic build
+    # only: a seeded one takes the spectrum from sigma, and with no terms x*
+    # from W^T (b / sigma^2); the composite optimum still takes an active-set solve
+    shapes = {"eigvalsh": [], "cholesky": [], "lstsq": []}
+
+    def recording(name, kernel):
+        def call(a, *args, **kwargs):
+            shapes[name].append(a.shape)
+            return kernel(a, *args, **kwargs)
+        return call
+
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "lstsq"), (problems, "cholesky")):
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    full = (16, 16)
+
+    def full_calls():
+        found = {name: s.count(full) for name, s in shapes.items()}
+        for s in shapes.values():
+            s.clear()
+        return found
+
+    make_quadratic(0, 16, 100.0)
+    deficient = make_rank_deficient(0, 16, 12)
+    assert full_calls() == {"eigvalsh": 0, "cholesky": 0, "lstsq": 0}
+    make_composite(0, 16, 0.4, ("l1", "box"))
+    assert full_calls()["eigvalsh"] == 0
+    problems.QuadraticSplitProblem.from_matrix(deficient.W, deficient.b)
+    assert full_calls() == {"eigvalsh": 1, "cholesky": 0, "lstsq": 1}
+    quad = make_quadratic(1, 16, 100.0)
+    full_calls()
+    problems.QuadraticSplitProblem.from_matrix(quad.W, quad.b)
+    assert full_calls() == {"eigvalsh": 1, "cholesky": 1, "lstsq": 0}
+
+
 class TestNonlinearPl:
     def test_linear_case_constants(self):
         p = make_nonlinear_pl(seed=1, n=20, m=10, eps=0.0)
@@ -315,7 +382,7 @@ def test_factored_matrices_are_finite_and_exactly_symmetric(monkeypatch):
     n_nonlinear = len(seen["cholesky"])
     comp = make_composite(1, 16, 0.4, ("l1", "box"))
     run_am(comp.handle(), comp.default_start, cfg)
-    make_quadratic(0, 16, 100.0)  # block factors and the closed-form optimum
+    make_quadratic(0, 16, 100.0)  # the block factors
     assert 0 < n_nonlinear < len(seen["cholesky"])
     assert len(seen["spectral_extremes"]) == 4  # the L_i of both builds
     for a in seen["cholesky"] + seen["spectral_extremes"]:
