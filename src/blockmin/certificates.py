@@ -314,6 +314,13 @@ def _mu_below_nl(info, run) -> str | None:
             and run.mu_assumed >= info.n_blocks * info.l_global else None)
 
 
+def _two_blocks(info, run) -> str | None:
+    # the paper proves AM's linear rate for two blocks, and Beck's sublinear
+    # bound is a two-block one; from n = 4 the factor prod_i (1 - mu / L_i)
+    # fails on least squares
+    return "applies to two-block runs only" if info.n_blocks > 2 else None
+
+
 @dataclass(frozen=True)
 class Certificate:
     """One certificate kind as ``blockmin verify`` runs it.
@@ -339,10 +346,12 @@ class Certificate:
 CERTIFICATES = {
     "am_linear_pl": Certificate(
         "am", ("l_blocks", "mu_blocks", "f_star"),
-        lambda t, c, run: check_am_linear(t, c.l_blocks, c.mu_blocks, c.f_star)),
+        lambda t, c, run: check_am_linear(t, c.l_blocks, c.mu_blocks, c.f_star),
+        _two_blocks),
     "am_sublinear": Certificate(
         "am", ("l_blocks", "sublevel_radius", "f_star"),
-        lambda t, c, run: check_am_sublinear(t, c.l_blocks, c.sublevel_radius, c.f_star)),
+        lambda t, c, run: check_am_sublinear(t, c.l_blocks, c.sublevel_radius, c.f_star),
+        _two_blocks),
     "aam_main": Certificate(
         "aam", ("l_global", "radius", "f_star"),
         lambda t, c, run: check_aam_main(t, c.l_global, run.mu_assumed, c.n_blocks,
@@ -363,8 +372,8 @@ CERTIFICATES = {
         "am", ("l_blocks", "mu_blocks", "f_star"),
         lambda t, c, run: check_nearly_pl(t, c.l_blocks, c.mu_blocks, c.f_star),
         # a block that cannot move fails its proximal-PL inequality whenever F > F*
-        lambda c, run: ("does not apply to a block whose box is a single point"
-                        if c.point_box else None)),
+        lambda c, run: _two_blocks(c, run) or (
+            "does not apply to a block whose box is a single point" if c.point_box else None)),
     "sufficient_decrease": Certificate("am", ("l_blocks",), None),
     "prox_pl": Certificate("am", ("mu_blocks", "f_star"), None),
 }

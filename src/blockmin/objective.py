@@ -78,9 +78,11 @@ class Point:
     """A point x of an objective with f = f(x), g = grad f(x) and an opaque
     per-problem cache (the nonlinear system's residual r; else None), all
     filled when ObjectiveHandle.evaluate, affine, step or block_min makes it.
-    steps counts step hook calls since a fresh evaluation: 0 for an evaluated
-    point, p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps
-    for an affine one, whose rounding combines those of p and q so weighted.
+    steps is the refresh counter of step: 0 for an evaluated point,
+    p.steps + 1 for a step from p, and |1 - t| p.steps + |t| q.steps for an
+    affine one. It does not bound the error of f: an affine point's f is p.f
+    plus an increment, so it carries p's rounding plus the increment's,
+    whatever the weights.
     """
 
     x: np.ndarray
@@ -101,10 +103,13 @@ class ObjectiveHandle:
         The smooth part f.
     block_gradient : callable (x, i) -> ndarray of length n_i
         Gradient of f over the coordinates of block i.
-    block_argmin : callable (p, i) -> ndarray of length n_i, optional
+    block_argmin : callable (p, i) -> ndarray of length n_i or Point, optional
         Block-i coordinates of a point minimizing F over block i with the
         other blocks fixed at p.x, for a Point p; p.f and p.g are known there,
-        so a solver may start from them.
+        so a solver may start from them. A solver that evaluated its result
+        may return that Point instead, whose x differs from p.x in block i
+        only (the nonlinear system's Newton solve does); least squares
+        returns coordinates.
     terms : tuple of per-block composite terms, optional
         Each term provides value(x_i), prox(z, step) (or None), and the flags
         is_zero / unconstrained; see blockmin.proxmaps. None means g == 0.
@@ -249,22 +254,33 @@ class ObjectiveHandle:
                     total += float(t.value(x[idx]))
         return total
 
-    def exact_block_min(self, p: Point, i: int) -> np.ndarray:
-        """Minimize F over block i with the other blocks fixed at p.x.
-
-        The result is spliced onto p.x so only block-i coordinates change.
-        """
+    def _solve_block(self, p: Point, i: int) -> tuple[np.ndarray, Point | None]:
+        """(block_argmin(p, i) spliced onto p.x, the Point it returned or None)."""
         if self.block_argmin is None:
             raise ValueError(f"objective provides no block minimizer (block {i})")
         idx = self.partition.blocks[i]
-        z = np.asarray(self.block_argmin(p, i), dtype=float)
+        z = self.block_argmin(p, i)
+        q = None
+        if isinstance(z, Point):
+            q = self._point(self._check_dim(z.x), z.f, z.g, z.cache)
+            z = q.x[idx]
+        z = np.asarray(z, dtype=float)
         if z.shape != (idx.size,):
             raise ValueError(
                 f"block_argmin({i}) returned shape {z.shape}, expected ({idx.size},)")
         out = p.x.copy()
         out[idx] = z
-        return out
+        return out, q
+
+    def exact_block_min(self, p: Point, i: int) -> np.ndarray:
+        """Minimize F over block i with the other blocks fixed at p.x.
+
+        The result is spliced onto p.x so only block-i coordinates change.
+        """
+        return self._solve_block(p, i)[0]
 
     def block_min(self, p: Point, i: int) -> Point:
-        """The Point at exact_block_min(p, i), a step from p in block i."""
-        return self.step(p, self.exact_block_min(p, i), i)
+        """The Point at exact_block_min(p, i): the one block_argmin returned,
+        when it returns one, else a step from p in block i."""
+        x, q = self._solve_block(p, i)
+        return self.step(p, x, i) if q is None else q

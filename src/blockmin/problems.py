@@ -27,7 +27,11 @@ Two families:
   underdetermined system, gradient-dominated by construction; blocks are
   minimized by a globalised Newton loop on the block Hessian, built in
   O(n_i^2) from the residual each point carries and two per-block constants
-  of A, without forming the Jacobian.
+  of A, without forming the Jacobian. The loop takes chord steps from its
+  last Cholesky factor, and builds and factors a new Hessian at the first
+  step, after a step its ratio test halved, and after a step that shrank the
+  block gradient less than tenfold; its gradient floor, ratio test and step
+  cap hold for every step. It returns the Point it evaluated last.
 
 The seeded least squares (make_quadratic, make_rank_deficient, make_composite)
 take W = diag(sigma) Q with prescribed singular values sigma and one Haar
@@ -586,11 +590,14 @@ def make_composite(seed: int, dim: int, gamma: float,
 # A step must win _NEWTON_MODEL_SHARE of the decrease its quadratic model
 # predicts. Near the minimizer the decrease of f drops below its rounding noise
 # first, so a step may miss that by _NEWTON_F_ROUNDING (1 + f). A loop that
-# reaches the step cap has not found the block minimum, and fails.
+# reaches the step cap has not found the block minimum, and fails. Steps reuse
+# the last factor of the block Hessian while each is taken whole and shrinks
+# the block gradient's norm by at least _CHORD_GRAD_DROP.
 _NEWTON_GRAD_FLOOR = 1e-14
 _NEWTON_MODEL_SHARE = 0.25
 _NEWTON_F_ROUNDING = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 50
+_CHORD_GRAD_DROP = 10.0
 
 
 @dataclass
@@ -670,37 +677,47 @@ class NonlinearEqPlProblem:
         hess[below, below] += 2.0 * (e * e - self.eps * np.sin(x[cols]) * r[cols])
         return hess
 
-    def block_argmin(self, start: Point, i: int) -> np.ndarray:
+    def block_argmin(self, start: Point, i: int) -> Point:
         """Newton's method on block i from the Point start (Nocedal & Wright,
-        Numerical Optimization, 2nd ed., sec. 3.4): shift the block Hessian
-        until Cholesky succeeds, doubling the shift from half the one the last
-        step accepted, halve the step until f falls by a quarter of what the
+        Numerical Optimization, 2nd ed., sec. 3.4), with chord steps (Kelley,
+        Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5):
+        a step solves with the last Cholesky factor of the block Hessian, and
+        the loop builds and factors a new Hessian only at the first step, after
+        a step the ratio test halved, and after a step that shrank the block
+        gradient's norm by less than _CHORD_GRAD_DROP. It shifts a new Hessian
+        until Cholesky succeeds, doubling the shift from half the one last
+        factored, halves the step until f falls by a quarter of what the
         shifted quadratic model predicts (a trust region's ratio test, ibid.
         sec. 4.1), which cuts back a step the model does not describe, and
-        stop once the block gradient is at its rounding floor or a step no
+        stops once the block gradient is at its rounding floor or a step no
         longer moves the iterate. Each Hessian comes from the residual the
         iterate carries, without a Jacobian (see _block_hessian). A solve that
-        reaches neither stop within _NEWTON_MAX_STEPS steps raises
-        SolverError."""
+        reaches neither stop within _NEWTON_MAX_STEPS steps, chord or Newton,
+        raises SolverError. It returns the Point of its last accepted step,
+        with the f, g and residual of the evaluation that accepted it, or
+        start's values when no step was taken."""
         idx = self.partition.blocks[i]
         p, f, g = start.x, start.f, start.g
         r = self.residual(p) if start.cache is None else start.cache
+        g_norm = float(np.linalg.norm(g[idx]))
         shift = smallest = 0.0
+        fact = None
         for _ in range(_NEWTON_MAX_STEPS):
-            if float(np.linalg.norm(g[idx])) <= _NEWTON_GRAD_FLOOR * (1.0 + f):
+            if g_norm <= _NEWTON_GRAD_FLOOR * (1.0 + f):
                 break
-            hess = self._block_hessian(i, p, r)
-            # the search starts from half the last accepted shift, or from 0
-            # below the smallest shift: from the accepted shift itself the
-            # iterates would never get the plain Newton step back
-            shift = 0.5 * shift if 0.5 * shift >= smallest else 0.0
-            while True:
-                try:
-                    fact = cholesky(hess + shift * np.eye(idx.size) if shift else hess)
-                    break
-                except NotSpd:
-                    smallest = 1e-3 * (1.0 + float(np.abs(hess).max()))
-                    shift = max(2.0 * shift, smallest)
+            if fact is None:
+                hess = self._block_hessian(i, p, r)
+                # the search starts from half the last factored shift, or from
+                # 0 below the smallest shift: from that shift itself the
+                # iterates would never get the plain Newton step back
+                shift = 0.5 * shift if 0.5 * shift >= smallest else 0.0
+                while True:
+                    try:
+                        fact = cholesky(hess + shift * np.eye(idx.size) if shift else hess)
+                        break
+                    except NotSpd:
+                        smallest = 1e-3 * (1.0 + float(np.abs(hess).max()))
+                        shift = max(2.0 * shift, smallest)
             step = solve_spd(fact, g[idx])
             if not np.isfinite(step).all():
                 # halving never shrinks a NaN or inf step (from a non-finite gradient)
@@ -712,17 +729,20 @@ class NonlinearEqPlProblem:
             while True:
                 trial[idx] = p[idx] - alpha * step
                 if np.array_equal(trial[idx], p[idx]):
-                    return p[idx]
+                    return Point(p, f, g, r)
                 f_trial, g_trial, cache = self.value_and_gradient(trial)
                 won = _NEWTON_MODEL_SHARE * alpha * (1.0 - 0.5 * alpha) * slope
                 if f_trial <= f - won + _NEWTON_F_ROUNDING * (1.0 + f):
                     break
                 alpha *= 0.5
-            p, f, g, r = trial, f_trial, g_trial, cache
+            norm_trial = float(np.linalg.norm(g_trial[idx]))
+            if alpha < 1.0 or _CHORD_GRAD_DROP * norm_trial > g_norm:
+                fact = None
+            p, f, g, r, g_norm = trial, f_trial, g_trial, cache, norm_trial
         else:
             raise SolverError(f"Newton solve of block {i} did not reach its gradient "
                               f"floor in {_NEWTON_MAX_STEPS} steps")
-        return p[idx]
+        return Point(p, f, g, r)
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(

@@ -11,6 +11,8 @@ from blockmin import (BlockPartition, CompositeQuadraticProblem, ObjectiveHandle
                       SolverConfig, check_aam_Ak, check_aam_main,
                       check_aam_recurrence, check_am_linear, greedy_block,
                       run_aam, run_am)
+from blockmin import certificates as certs
+from blockmin import cli
 
 
 def four_block_quadratic(seed=0, dim=16, cond=80.0, merged=False):
@@ -72,6 +74,30 @@ def test_am_cyclic_four_blocks(four_block):
     assert len(trace.sweep_records()) == 21
     rep = check_am_linear(trace, h.l_blocks, h.mu_blocks, f_star)
     assert rep.passed, rep.worst_slack
+
+
+def test_two_block_certificates_do_not_apply_at_four_blocks(four_block):
+    # the AM factor prod_i (1 - mu / L_i) is no bound beyond two blocks, nor
+    # is Beck's sublinear one: verify and the bound_am_linear column leave
+    # those runs alone, as they would from constants recorded in summary.json
+    h, x0, f_star, mu, lconst = four_block
+    cfg = SolverConfig(max_iters=16)
+    trace = run_am(h, x0, cfg)
+    constants = {"n_blocks": 4, "f_star": f_star,
+                 "radius": float(np.linalg.norm(x0 - h.optimum[0])), "l_global": lconst,
+                 "l_blocks": list(h.l_blocks), "mu_blocks": list(h.mu_blocks),
+                 "mu_true": mu, "sublevel_radius": 1.0}
+    four = cli.InstanceInfo({"kind": "quadratic"}, constants)
+    two = cli.InstanceInfo({"kind": "quadratic"}, dict(
+        constants, n_blocks=2, l_blocks=constants["l_blocks"][:2],
+        mu_blocks=constants["mu_blocks"][:2]))
+    for kind in ("am_linear_pl", "nearly_pl_combined", "am_sublinear"):
+        cert = certs.CERTIFICATES[kind]
+        assert cli._unchecked(cert, four, cfg) == ("applies to two-block runs only", False)
+        assert cli._unchecked(cert, two, cfg) == (None, False)
+    for kind in ("aam_main", "aam_Ak_growth", "aam_adaptive"):
+        assert cli._unchecked(certs.CERTIFICATES[kind], four, cfg) == (None, False)
+    assert [linear for _, linear in cli._bound_columns("am", trace, four, cfg)] == [None] * 17
 
 
 def test_aam_four_blocks_bounds(four_block):

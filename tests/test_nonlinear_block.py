@@ -1,8 +1,9 @@
 """The Newton block solver of the nonlinear PL problem: exactness, descent,
-agreement with an independent trust-region solve, the factorizations the
-Hessian shift costs, the AM stop it enables, and the gradient and block
-Hessian it builds without a Jacobian, against ones built from the
-Jacobian."""
+agreement with an independent trust-region solve and the two blocks where the
+two end at different minima, the factorizations the Hessian shift and the
+chord steps cost, the point it hands back, the AM stop it enables, and the
+gradient and block Hessian it builds without a Jacobian, against ones built
+from the Jacobian."""
 
 import dataclasses
 import functools
@@ -97,7 +98,8 @@ def test_block_value_matches_trust_region_reference(seed, shape, point_seed, sca
     # minima, and the two methods may pick different ones: over seeds 0-7,
     # n = 20 and 100, 40 points and both blocks they differ in 1 of 1,280
     # draws at scale 0.4 and in 1 at 0.5, both on seed 4, n = 20, block 0,
-    # whose columns have sigma_min 0.13
+    # whose columns have sigma_min 0.13 (pinned in
+    # test_two_minimum_blocks_are_pinned)
     p = problem(seed, shape)
     x = point(p, point_seed, scale)
     h = p.handle()
@@ -142,6 +144,69 @@ def test_capped_newton_solve_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(problems, "_NEWTON_MAX_STEPS", 1)
     with pytest.raises(SolverError, match="block 0 .* in 1 steps"):
         p.block_argmin(start, 0)
+
+
+# seed 4, n = 20, m = 14, block 0, whose columns of A have sigma_min 0.13:
+# (point seed, scale, Newton's block value, trust-exact's block value)
+TWO_MINIMA = [(35, 0.5, 0.7305124046315922, 0.648839335000834),
+              (8, 0.4, 1.1620363746292324, 1.1963846462710652)]
+
+
+@pytest.mark.parametrize("point_seed, scale, f_newton, f_trust", TWO_MINIMA)
+def test_two_minimum_blocks_are_pinned(point_seed, scale, f_newton, f_trust):
+    # the two draws of the trust-region comparison where the two solves end at
+    # different local minima of one block, each stationary in the block
+    p = problem(4, (20, 14))
+    x = point(p, point_seed, scale)
+    h = p.handle()
+    idx = p.partition.blocks[0]
+    ends = (h.exact_block_min(h.evaluate(x), 0), trust_exact_block_min(p, x, 0))
+    values = []
+    for z in ends:
+        f_z, g_z, _ = p.value_and_gradient(z)
+        assert np.linalg.norm(g_z[idx]) <= 1e-9 * (1.0 + f_z)
+        values.append(f_z)
+    assert abs(values[0] - values[1]) > 0.03
+    assert values[0] == pytest.approx(f_newton, rel=1e-6)
+    assert values[1] == pytest.approx(f_trust, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_solves_reuse_the_factor_and_hand_back_their_point(monkeypatch, seed):
+    # chord steps: a run factors the block Hessian about 1.2 times per block
+    # solve, where a Newton step at every iterate took 2.8. The solve returns
+    # the point it evaluated last, so block_min evaluates nothing more
+    events = []
+    factor = problems.cholesky
+    value_and_gradient = NonlinearEqPlProblem.value_and_gradient
+    block_argmin = NonlinearEqPlProblem.block_argmin
+    block_min = ObjectiveHandle.block_min
+
+    def logged(name, fn):
+        # logged on return, a failed factorization too
+        def call(*args):
+            try:
+                return fn(*args)
+            finally:
+                events.append(name)
+        return call
+
+    monkeypatch.setattr(problems, "cholesky", logged("factor", factor))
+    monkeypatch.setattr(NonlinearEqPlProblem, "value_and_gradient",
+                        logged("evaluate", value_and_gradient))
+    monkeypatch.setattr(NonlinearEqPlProblem, "block_argmin", logged("solved", block_argmin))
+    monkeypatch.setattr(ObjectiveHandle, "block_min", logged("block_min", block_min))
+    p = make_nonlinear_pl(seed, 200, 140)
+    cfg = SolverConfig(max_iters=400, target_gap=1e-10)
+    for run in (run_am, run_aam):
+        events.clear()
+        trace = run(p.handle(), p.default_start, cfg)
+        assert trace.status == "target_gap"
+        solves = events.count("solved")
+        assert solves == trace.final.k
+        assert events.count("factor") <= 1.5 * solves
+        after = [events[j + 1] for j, e in enumerate(events) if e == "solved"]
+        assert after == ["block_min"] * solves
 
 
 @pytest.mark.parametrize("i", [0, 1])
