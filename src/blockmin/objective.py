@@ -254,33 +254,20 @@ class ObjectiveHandle:
                     total += float(t.value(x[idx]))
         return total
 
-    def _solve_block(self, p: Point, i: int) -> tuple[np.ndarray, Point | None]:
-        """(block_argmin(p, i) spliced onto p.x, the Point it returned or None)."""
+    def block_min(self, p: Point, i: int) -> Point:
+        """Minimize F over block i with the other blocks fixed at p.x: the
+        Point block_argmin returned, when it returns one, else a step from p
+        to block_argmin's block spliced onto p.x."""
         if self.block_argmin is None:
             raise ValueError(f"objective provides no block minimizer (block {i})")
-        idx = self.partition.blocks[i]
         z = self.block_argmin(p, i)
-        q = None
         if isinstance(z, Point):
-            q = self._point(self._check_dim(z.x), z.f, z.g, z.cache)
-            z = q.x[idx]
+            return self._point(self._check_dim(z.x), z.f, z.g, z.cache)
+        idx = self.partition.blocks[i]
         z = np.asarray(z, dtype=float)
         if z.shape != (idx.size,):
             raise ValueError(
                 f"block_argmin({i}) returned shape {z.shape}, expected ({idx.size},)")
-        out = p.x.copy()
-        out[idx] = z
-        return out, q
-
-    def exact_block_min(self, p: Point, i: int) -> np.ndarray:
-        """Minimize F over block i with the other blocks fixed at p.x.
-
-        The result is spliced onto p.x so only block-i coordinates change.
-        """
-        return self._solve_block(p, i)[0]
-
-    def block_min(self, p: Point, i: int) -> Point:
-        """The Point at exact_block_min(p, i): the one block_argmin returned,
-        when it returns one, else a step from p in block i."""
-        x, q = self._solve_block(p, i)
-        return self.step(p, x, i) if q is None else q
+        x = p.x.copy()
+        x[idx] = z
+        return self.step(p, x, i)

@@ -12,7 +12,8 @@ Two families:
   patterns once those proposals repeat. Each block keeps the factor of the
   last reduced system it factored for the next pattern with the same free set.
   The Hessian of the smooth part is 2 W^T W, so the declared constants carry
-  that factor of two. A fresh evaluation reads W once, a row chunk at a time.
+  that factor of two. A fresh evaluation is two matrix-vector products with W:
+  the residual r = W x - b, and grad f = 2 W^T r.
   A point p.x + d made from a point p is in Gram form: f and grad f grow by
   grad f(p.x) . d + d . G d and 2 G d, G = W^T W, from one product with G:
   a symmetric one (BLAS symv) that reads one triangle of G for a full step,
@@ -38,7 +39,7 @@ take W = diag(sigma) Q with prescribed singular values sigma and one Haar
 orthogonal Q; _design_matrix says why no left factor U of W = U diag(sigma) V^T
 is drawn. They pass sigma on, so the build takes the spectrum of G as sigma^2
 and, with no terms, x* as W^T (b / sigma^2) plus one refinement step; a W
-given without sigma keeps eigvalsh(G), a Cholesky solve and lstsq.
+given without sigma takes both from one SVD of W, x* by the same rule.
 make_nonlinear_pl keeps both factors of its A: its eps sin term acts on the
 residual coordinate by coordinate, so a rotation of the residual would change
 that family.
@@ -64,7 +65,8 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     the signs of R's diagonal moved into Q (Mezzadri, Notices AMS 54(5), 2007).
     Its transpose is Haar too."""
     q, r = scipy.linalg.qr(rng.standard_normal((n, n)), mode="economic", check_finite=False)
-    # row-major like numpy's qr, so that W = sigma Q keeps contiguous row chunks
+    # row-major like numpy's qr: the layout of W = sigma Q picks the BLAS
+    # kernels of W x and W^T r, and so their floats
     return np.multiply(q, np.sign(np.diag(r)), order="C")
 
 
@@ -91,8 +93,7 @@ def _design_matrix(rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
     ||b||^2, and ||U diag(sigma) Q x - b|| = ||diag(sigma) Q x - U^T b||. For
     b ~ N(0, I) drawn apart from a Haar U, U^T b ~ N(0, I), independent of U
     and Q, so both draws give f the same distribution, and this one saves a QR
-    and a dense product. W is C-ordered like Q, so its row chunks W[s] are
-    contiguous."""
+    and a dense product. W is C-ordered like Q."""
     return sigma[:, None] * _orthogonal(rng, sigma.size)
 
 
@@ -252,11 +253,6 @@ def _active_set_solve(gram, lin, z, weight, lo, hi, lam,
                       f"conditions in {_ACTIVE_SET_MAX_STEPS} FISTA steps")
 
 
-# A fresh evaluation forms r = W x - b and W^T r one row chunk of W at a time,
-# so each chunk is still in cache for its W_c^T r_c: one pass over W in all.
-_CHUNK_BYTES = 1 << 20
-
-
 def _block_slice(idx: np.ndarray) -> slice | np.ndarray:
     """idx as a slice when it is a contiguous range, so that indexing with it
     makes a view; idx itself otherwise."""
@@ -273,14 +269,14 @@ class CompositeQuadraticProblem:
     W = diag(sigma) Q with Q orthogonal, as the seeded builds draw it.
 
     The rest is built once: G = W^T W and its spectrum (``l_global``,
-    ``mu_global``, ``lambda_min_plus``), sigma^2 if given, else eigvalsh(G);
-    the rows of G in each block (views for a contiguous block), the Cholesky
-    factors of the block Gram matrices G_ii with the L_i, and, unless both
-    are given, ``x_star`` and ``f_star``. With no terms: W^T (b / sigma^2)
-    over the sigma^2 above the rank threshold (the min-norm solution) and one
-    refinement step if sigma is given, else a Cholesky solve, or ``lstsq``
-    when W is rank deficient; with terms, the active-set solve from zero;
-    SolverError if ``_gap_bound`` cannot prove its gap at most 1e-10 (1 + |F|).
+    ``mu_global``, ``lambda_min_plus``), sigma^2 if given, else the squared
+    singular values of one SVD of W; the rows of G in each block (views for a
+    contiguous block), the Cholesky factors of the block Gram matrices G_ii
+    with the L_i, and, unless both are given, ``x_star`` and ``f_star``. With
+    no terms: the pseudo-inverse W^+ b over the squared singular values above
+    the rank threshold (the min-norm solution) and one refinement step; with
+    terms, the active-set solve from zero; SolverError if ``_gap_bound``
+    cannot prove its gap at most 1e-10 (1 + |F|).
     """
 
     W: np.ndarray
@@ -295,7 +291,6 @@ class CompositeQuadraticProblem:
     mu_global: float = field(init=False)
     lambda_min_plus: float = field(init=False)
     l_blocks: tuple[float, ...] = field(init=False)
-    _chunks: tuple[slice, ...] = field(init=False, repr=False)
     _gram: np.ndarray = field(init=False, repr=False)
     _gram_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _facts: tuple[SpdFactorization, ...] = field(init=False, repr=False)
@@ -303,9 +298,6 @@ class CompositeQuadraticProblem:
     _last: tuple[_LastFactor, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows, dim = self.W.shape
-        step = max(1, _CHUNK_BYTES // (self.W.itemsize * dim))
-        self._chunks = tuple(slice(a, a + step) for a in range(0, rows, step))
         self._bounds = _term_arrays(self.terms, self.partition)
         self._last = tuple(_LastFactor() for _ in self.partition.blocks)
         gram = self._gram = self.W.T @ self.W  # exactly symmetric: numpy forms it by syrk
@@ -316,33 +308,42 @@ class CompositeQuadraticProblem:
         self.l_blocks = tuple(2.0 * spectral_extremes(f.source)[1] for f in self._facts)
 
     def _spectrum_and_optimum(self, gram: np.ndarray):
-        """The global constants from sigma, or from gram = W^T W without it,
-        and, unless both are given, x_star and f_star."""
-        s2 = None if self.sigma is None else self.sigma ** 2
-        lam = np.linalg.eigvalsh(gram) if s2 is None else np.sort(s2)
+        """The global constants from the squared singular values of W, sigma^2
+        if given, else those of one SVD W = U diag(s) V^T, zero-padded to the
+        dimension; and, unless both are given, x_star and f_star."""
+        dim = self.W.shape[1]
+        if self.sigma is None:
+            u, s, vt = scipy.linalg.svd(self.W, full_matrices=False, check_finite=False)
+            s2 = s * s
+            # W^+ v = V diag(1 / s) U^T v
+            left, right, scale = u.T, vt.T, s
+        else:
+            # W = diag(sigma) Q, so W^+ v = W^T (v / sigma^2)
+            s2 = self.sigma ** 2
+            left, right, scale = None, self.W.T, s2
+        lam = np.sort(np.concatenate([s2, np.zeros(dim - s2.size)]))
         floor = _RANK_RTOL * max(1.0, lam[-1])
         positive = lam[lam > floor]
-        full_rank = positive.size == lam.size
         self.l_global = 2.0 * lam[-1]
-        self.mu_global = 2.0 * lam[0] if full_rank else 0.0
+        self.mu_global = 2.0 * lam[0] if positive.size == dim else 0.0
         self.lambda_min_plus = float(positive[0])
         if self.x_star is not None and self.f_star is not None:
             return
         value = ObjectiveHandle(self.partition, self.smooth_value, self.block_gradient,
                                 terms=self.terms).composite_value
         if self.terms is None:
-            if s2 is not None:
-                # refined once: without it, grad f(x*) is about twice Cholesky's
-                inv = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > floor)
-                x = self.W.T @ (inv * self.b)
-                x -= self.W.T @ (inv * (self.W @ x - self.b))
-            elif full_rank:
-                x = solve_spd(cholesky(gram), self.W.T @ self.b)
-            else:
-                x = np.linalg.lstsq(self.W, self.b, rcond=None)[0]
+            # the min-norm solution W^+ b over the s^2 above the rank
+            # threshold, refined once by W^+ of its residual
+            inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=s2 > floor)
+
+            def pinv(v):
+                return right @ (inv * (v if left is None else left @ v))
+
+            x = pinv(self.b)
+            x -= pinv(self.W @ x - self.b)
             self.x_star, self.f_star = x, value(x)
             return
-        x = _active_set_solve(gram, self.W.T @ self.b, np.zeros(lam.size),
+        x = _active_set_solve(gram, self.W.T @ self.b, np.zeros(dim),
                               *self._bounds, lam[-1])
         f = value(x)
         if self._gap_bound(x) > 1e-10 * (1.0 + abs(f)):
@@ -360,8 +361,8 @@ class CompositeQuadraticProblem:
         + 2 ||dr|| + 2 ||e|| / sqrt(lam))^2 / 4, lam = mu_global / 2 less
         (rows + dim) eps ||W||_F^2. That margin covers the error of the
         computed G against the exact sigma^2 mu_global comes from when sigma
-        is given, or that of G and of its computed spectrum without sigma,
-        and is far above the rounding of s and of the norms."""
+        is given, or that of G and of the computed singular values of W
+        without sigma, and is far above the rounding of s and of the norms."""
         rows, dim = self.W.shape
         eps = np.finfo(float).eps
         lam = 0.5 * self.mu_global - (rows + dim) * eps * float(np.trace(self._gram))
@@ -387,8 +388,7 @@ class CompositeQuadraticProblem:
     # -- objective callables -------------------------------------------------
 
     def smooth_value(self, x: np.ndarray) -> float:
-        # the residual chunk by chunk, the same floats as value_and_gradient's
-        r = np.concatenate([self.W[s] @ x - self.b[s] for s in self._chunks])
+        r = self.W @ x - self.b
         return float(r @ r)
 
     def value_rounding(self, x: np.ndarray) -> float:
@@ -404,21 +404,14 @@ class CompositeQuadraticProblem:
         return rows * eps * f + 2.0 * math.sqrt(f) * delta + delta * delta
 
     def block_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        # a slice of the full gradient: W^T r summed chunk by chunk is not the
-        # same floats as W_i^T r
+        # a slice of the full gradient, so that the per-block oracles give the
+        # floats of value_and_gradient
         return self.value_and_gradient(x)[1][self.partition.blocks[i]]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """f and grad f in one pass over W: each row chunk W_c gives its share
-        r_c of the residual r = W x - b and adds W_c^T r_c to the gradient
-        while the chunk is still in the CPU cache."""
-        r = np.empty(self.W.shape[0])
-        g = np.zeros(x.size)
-        for s in self._chunks:
-            w = self.W[s]
-            r[s] = w @ x - self.b[s]
-            g += w.T @ r[s]
-        return float(r @ r), 2.0 * g
+        """f = r . r and grad f = 2 W^T r from the residual r = W x - b."""
+        r = self.W @ x - self.b
+        return float(r @ r), 2.0 * (self.W.T @ r)
 
     def step_value_and_gradient(self, p: Point, x: np.ndarray, i: int | None
                                 ) -> tuple[float, np.ndarray]:

@@ -117,7 +117,7 @@ def test_block_argmin_meets_kkt_and_matches_coordinate_descent(n, i, point_seed,
         return
     x = point(p, point_seed, scale)
     h = p.handle()
-    out = h.exact_block_min(h.evaluate(x), i)
+    out = h.block_min(h.evaluate(x), i).x
     idx = p.partition.blocks[i]
     gram, lin = block_problem(p, x, i)
     z = out[idx]
@@ -170,7 +170,7 @@ def test_block_argmin_gives_the_floats_of_a_fresh_factorization():
         start = h.evaluate(xs[n])
         gram = p._facts[i].source
         free = p._last[i].free
-        out = h.exact_block_min(start, i)
+        out = h.block_min(start, i).x
         reused += free is not None and p._last[i].free is free
         weight, lo, hi = (a[idx] for a in p._bounds)
         lin = gram @ start.x[idx] - 0.5 * start.g[idx]
@@ -245,7 +245,7 @@ def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     p = problem(2)
     x = point(p, 7, 1.0)
     h = p.handle()
-    expected = [h.exact_block_min(h.evaluate(x), i) for i in (0, 1)]
+    expected = [h.block_min(h.evaluate(x), i).x for i in (0, 1)]
     pattern_solve = problems._pattern_solve
     calls = []
 
@@ -258,7 +258,7 @@ def test_full_fallback_gives_the_same_minimizer(monkeypatch):
     monkeypatch.setattr(problems, "_pattern_solve", warm_start_fails)
     for i in (0, 1):
         calls.clear()
-        out = h.exact_block_min(h.evaluate(x), i)
+        out = h.block_min(h.evaluate(x), i).x
         assert len(calls) >= 2
         assert np.abs(out - expected[i]).max() <= 1e-12 * (1.0 + np.abs(out).max())
 

@@ -104,7 +104,7 @@ class TestExactBlockMin:
         half = 8
         x = p.x_star + rng.standard_normal(16)
         h = p.handle()
-        z = h.exact_block_min(h.evaluate(x), 0)
+        z = h.block_min(h.evaluate(x), 0).x
         Wx, Wy = p.W[:, :half], p.W[:, half:]
         m1 = Wx.T @ Wx
         rhs = Wx.T @ (p.b - Wy @ x[half:])
@@ -115,7 +115,7 @@ class TestExactBlockMin:
         from blockmin import QuadraticSplitProblem
         p = QuadraticSplitProblem.from_matrix(np.eye(4), np.zeros(4))
         h = p.handle()
-        z = h.exact_block_min(h.evaluate(np.array([1.0, -2.0, 3.0, 4.0])), 0)
+        z = h.block_min(h.evaluate(np.array([1.0, -2.0, 3.0, 4.0])), 0).x
         np.testing.assert_allclose(z, [0.0, 0.0, 3.0, 4.0], atol=1e-14)
 
     def test_against_restricted_solve(self, rng):
@@ -126,7 +126,7 @@ class TestExactBlockMin:
         h = p.handle()
         x = rng.standard_normal(4)
         for i, sl in ((0, slice(0, 2)), (1, slice(2, 4))):
-            z = h.exact_block_min(h.evaluate(x), i)
+            z = h.block_min(h.evaluate(x), i).x
             cols = w[:, sl]
             fixed = x.copy()
             fixed[sl] = 0.0
@@ -136,8 +136,8 @@ class TestExactBlockMin:
     def test_idempotent(self, quad16, rng):
         h = quad16.handle()
         x = quad16.x_star + rng.standard_normal(16)
-        once = h.exact_block_min(h.evaluate(x), 1)
-        twice = h.exact_block_min(h.evaluate(once), 1)
+        once = h.block_min(h.evaluate(x), 1).x
+        twice = h.block_min(h.evaluate(once), 1).x
         assert abs(h.composite_value(twice) - h.composite_value(once)) <= 1e-12
 
     def test_idempotent_composite_blocks(self, composite12, box12):
@@ -145,14 +145,14 @@ class TestExactBlockMin:
             h = prob.handle()
             x = prob.default_start
             for i in range(2):
-                once = h.exact_block_min(h.evaluate(x), i)
-                twice = h.exact_block_min(h.evaluate(once), i)
+                once = h.block_min(h.evaluate(x), i).x
+                twice = h.block_min(h.evaluate(once), i).x
                 assert abs(h.composite_value(twice) - h.composite_value(once)) <= 1e-12
 
     def test_improves_over_perturbations(self, composite12, rng):
         h = composite12.handle()
         x = composite12.default_start
-        z = h.exact_block_min(h.evaluate(x), 0)
+        z = h.block_min(h.evaluate(x), 0).x
         idx = h.partition.blocks[0]
         fz = h.composite_value(z)
         for _ in range(50):
@@ -165,7 +165,7 @@ class TestExactBlockMin:
         h = ObjectiveHandle(partition=part, smooth_value=lambda x: 0.0,
                             block_gradient=lambda x, i: np.zeros(1))
         with pytest.raises(ValueError, match="no block minimizer"):
-            h.exact_block_min(h.evaluate(np.zeros(2)), 0)
+            h.block_min(h.evaluate(np.zeros(2)), 0)
 
 
 class TestDeclaredConstants:

@@ -169,7 +169,7 @@ class TestMakeComposite:
         p = composite12
         h = p.handle()
         x = rng.standard_normal(12)
-        z = h.exact_block_min(h.evaluate(x), 1)
+        z = h.block_min(h.evaluate(x), 1).x
         cols = p.W[:, 6:]
         rhs = cols.T @ (p.b - p.W[:, :6] @ x[:6])
         np.testing.assert_allclose(z[6:], np.linalg.solve(cols.T @ cols, rhs),
@@ -210,8 +210,8 @@ class TestDesignMatrix:
         lambda: make_rank_deficient(1, 64, 40),
     ], ids=["quadratic", "composite", "rank_deficient"])
     def test_w_is_c_contiguous(self, build):
-        # a fresh evaluation reads W by row chunks W[s], contiguous only in a
-        # row-major W
+        # the layout of W picks the BLAS kernels of W x and W^T r, and so the
+        # floats of every fresh evaluation: the seeded builds keep W row-major
         assert build().W.flags.c_contiguous
 
 
@@ -260,21 +260,36 @@ def test_known_spectrum_build_matches_the_generic_one(seed, half, cond, deficien
     x = np.linalg.lstsq(p.W, p.b, rcond=None)[0]
     tol = 1e-9 * (1.0 + np.linalg.norm(p.x_star))
     assert np.linalg.norm(p.x_star - x) <= tol
-    # the generic build solves the normal equations by Cholesky, whose forward
-    # error grows as eps kappa(G) (Higham, Accuracy and Stability, 2nd ed.,
-    # sec. 20.4): 6.5e-9 at dim 2, cond 1e8
+    # the generic build takes x* by the same rule from one SVD of W
     generic = problems.QuadraticSplitProblem.from_matrix(p.W, p.b)
-    kappa = p.l_global / (2.0 * p.lambda_min_plus)
-    assert (np.linalg.norm(p.x_star - generic.x_star)
-            <= tol + dim * np.finfo(float).eps * kappa * np.linalg.norm(p.x_star))
+    assert np.linalg.norm(p.x_star - generic.x_star) <= tol
     assert abs(p.lambda_min_plus - generic.lambda_min_plus) <= margin
 
 
+@pytest.mark.parametrize("rows", [5, 8, 12])
+def test_generic_build_of_a_wide_square_or_tall_w(rows, rng):
+    # a W with fewer rows than columns has dim - rows zero singular values,
+    # which the SVD leaves out and the build pads back: mu_global = 0
+    w, b = rng.standard_normal((rows, 8)), rng.standard_normal(rows)
+    p = problems.QuadraticSplitProblem.from_matrix(w, b)
+    gram = w.T @ w
+    lam = np.linalg.eigvalsh(gram)
+    margin = sum(w.shape) * np.finfo(float).eps * np.trace(gram)
+    assert abs(p.l_global / 2 - lam[-1]) <= margin
+    if rows < 8:
+        assert p.mu_global == 0.0
+    else:
+        assert abs(p.mu_global / 2 - lam[0]) <= margin
+    x = np.linalg.lstsq(w, b, rcond=None)[0]
+    assert np.linalg.norm(p.x_star - x) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+
 def test_seeded_builds_take_the_spectrum_from_sigma(monkeypatch):
-    # eigvalsh, cholesky and lstsq of the full G or W run in a generic build
-    # only: a seeded one takes the spectrum from sigma, and with no terms x*
-    # from W^T (b / sigma^2); the composite optimum still takes an active-set solve
-    shapes = {"eigvalsh": [], "cholesky": [], "lstsq": []}
+    # one SVD of the full W runs in a generic build only, and no eigvalsh,
+    # cholesky or lstsq of the full G or W in any build: a seeded one takes the
+    # spectrum from sigma, and with no terms x* from W^T (b / sigma^2); the
+    # composite optimum still takes an active-set solve
+    shapes = {"svd": [], "eigvalsh": [], "cholesky": [], "lstsq": []}
 
     def recording(name, kernel):
         def call(a, *args, **kwargs):
@@ -282,7 +297,8 @@ def test_seeded_builds_take_the_spectrum_from_sigma(monkeypatch):
             return kernel(a, *args, **kwargs)
         return call
 
-    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "lstsq"), (problems, "cholesky")):
+    for owner, name in ((problems.scipy.linalg, "svd"), (np.linalg, "eigvalsh"),
+                        (np.linalg, "lstsq"), (problems, "cholesky")):
         monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
     full = (16, 16)
 
@@ -294,15 +310,17 @@ def test_seeded_builds_take_the_spectrum_from_sigma(monkeypatch):
 
     make_quadratic(0, 16, 100.0)
     deficient = make_rank_deficient(0, 16, 12)
-    assert full_calls() == {"eigvalsh": 0, "cholesky": 0, "lstsq": 0}
+    none = {"svd": 0, "eigvalsh": 0, "cholesky": 0, "lstsq": 0}
+    assert full_calls() == none
     make_composite(0, 16, 0.4, ("l1", "box"))
-    assert full_calls()["eigvalsh"] == 0
+    found = full_calls()
+    assert found["svd"] == found["eigvalsh"] == found["lstsq"] == 0
     problems.QuadraticSplitProblem.from_matrix(deficient.W, deficient.b)
-    assert full_calls() == {"eigvalsh": 1, "cholesky": 0, "lstsq": 1}
+    assert full_calls() == none | {"svd": 1}
     quad = make_quadratic(1, 16, 100.0)
     full_calls()
     problems.QuadraticSplitProblem.from_matrix(quad.W, quad.b)
-    assert full_calls() == {"eigvalsh": 1, "cholesky": 1, "lstsq": 0}
+    assert full_calls() == none | {"svd": 1}
 
 
 class TestNonlinearPl:
@@ -346,7 +364,7 @@ class TestNonlinearPl:
         h = p.handle()
         x = p.x_solution + 0.5 * rng.standard_normal(20)
         for i in range(2):
-            z = h.exact_block_min(h.evaluate(x), i)
+            z = h.block_min(h.evaluate(x), i).x
             gn = np.linalg.norm(h.block_gradient(z, i))
             assert gn <= 1e-9 * (1 + abs(h.smooth_value(z)))
             idx = h.partition.blocks[1 - i]

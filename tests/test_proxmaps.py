@@ -123,7 +123,7 @@ def mapping_norm(h, x, i, step):
 class TestStationarity:
     def test_after_block_min(self, quad16):
         h = quad16.handle()
-        x = h.exact_block_min(h.evaluate(quad16.default_start), 1)
+        x = h.block_min(h.evaluate(quad16.default_start), 1).x
         g = np.linalg.norm(h.evaluate(x).g)
         assert mapping_norm(h, x, 1, 1.0) <= 1e-7 * (1 + g)
 

@@ -251,7 +251,7 @@ class TestCoefficientRules:
         h = quad16.handle()
         rng = np.random.default_rng(0)
         y = quad16.x_star + rng.standard_normal(16)
-        x_next = h.exact_block_min(h.evaluate(y), 0)
+        x_next = h.block_min(h.evaluate(y), 0).x
         v = quad16.x_star + rng.standard_normal(16)
         for mu in (0.0, quad16.mu_global):
             a_sum, tau = 0.7, 1.0 + mu * 0.7
@@ -271,7 +271,7 @@ class TestCoefficientRules:
         rng = np.random.default_rng(1)
         y = quad16.x_star + rng.standard_normal(16)
         i = greedy_block(h, h.evaluate(y).g)
-        x_next = h.exact_block_min(h.evaluate(y), i)
+        x_next = h.block_min(h.evaluate(y), i).x
         a_known = choose_a_known_L(0.0, 1.0, 0.0, quad16.l_global, 2)
         a_adapt = choose_a_adaptive(h.smooth_value(y), h.smooth_value(x_next),
                                     h.evaluate(y).g, y, 0.0, 1.0, 0.0, y)
