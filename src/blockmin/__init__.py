@@ -15,8 +15,8 @@ from .objective import BlockPartition, ObjectiveHandle
 from .problems import (CompositeQuadraticProblem, NonlinearEqPlProblem,
                        QuadraticSplitProblem, make_composite,
                        make_nonlinear_pl, make_quadratic, make_rank_deficient)
-from .proxmaps import (BoxTerm, L1Term, ProxMapResult, ZeroTerm,
-                       d_monotonicity_check, prox_map, soft_threshold)
+from .proxmaps import (BoxTerm, L1Term, ProxMapResult, ZeroTerm, prox_map,
+                       soft_threshold)
 from .solvers import (IterationRecord, SolverConfig, SolverTrace,
                       choose_a_adaptive, choose_a_known_L, exact_line_search,
                       greedy_block, run_aam, run_am, run_fgm)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockPartition", "ObjectiveHandle",
     "ZeroTerm", "L1Term", "BoxTerm", "ProxMapResult",
-    "soft_threshold", "prox_map", "d_monotonicity_check",
+    "soft_threshold", "prox_map",
     "SolverConfig", "SolverTrace", "IterationRecord",
     "run_am", "run_aam", "run_fgm", "exact_line_search", "greedy_block",
     "choose_a_known_L", "choose_a_adaptive",

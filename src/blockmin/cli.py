@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run --config cfg.json --out DIR`` -- execute every configured
-  (solver, instance) pair, write ``trace.csv`` and ``summary.json``.
+  (solver, instance) pair, write ``trace.csv`` and ``summary.json`` as new
+  files.
 * ``verify --trace trace.csv --config cfg.json [--strict]`` -- re-check the
   configured certificates against a trace file; exit 0 only if none is
   violated (with --strict, skipped or vacuous certificates also fail).
@@ -274,9 +275,21 @@ def trace_csv_text(runs, info: InstanceInfo, record_wall: bool) -> str:
     return buf.getvalue()
 
 
+def _write_new(path, text: str):
+    """Write text as UTF-8 to a new file at path. The old path is unlinked
+    first, not truncated: on ext4 a truncating open waits for the write-back
+    of the old contents, tens of ms per file. A symlink there is replaced,
+    and a hard link or open handle to the old file keeps the old bytes."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    with open(path, "xb") as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_trace_csv(path, text: str):
-    """Write the trace text as the exact bytes ``trace_sha256`` digests."""
-    Path(path).write_bytes(text.encode("utf-8"))
+    """Write the trace text, as a new file, as the exact bytes ``trace_sha256``
+    digests."""
+    _write_new(path, text)
 
 
 def read_trace_csv(path) -> dict[str, list[dict]]:
@@ -345,6 +358,10 @@ def _json_text(obj, what: str) -> str:
 
 
 def cmd_run(config_path, out_dir) -> int:
+    """Run every solver entry, then write ``trace.csv`` and ``summary.json``,
+    in that order, each as a new file in place of any old one. A failed
+    solver writes nothing; a failed write is a ConfigError (exit 2) and may
+    leave the trace written before it."""
     cfg = load_config(config_path)
     info = InstanceInfo(cfg["instance"])
     out = Path(out_dir)
@@ -377,8 +394,11 @@ def cmd_run(config_path, out_dir) -> int:
     summary["constants"] = info.constants()
     summary["trace_sha256"] = hashlib.sha256(trace_text.encode("utf-8")).hexdigest()
     text = _json_text(summary, "summary")  # refused before either file is written
-    write_trace_csv(out / "trace.csv", trace_text)
-    (out / "summary.json").write_text(text + "\n", encoding="utf-8")
+    try:
+        write_trace_csv(out / "trace.csv", trace_text)
+        _write_new(out / "summary.json", text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write run output to {out}: {exc}") from exc
     print(f"wrote {out / 'trace.csv'} and {out / 'summary.json'}")
     return 0
 
@@ -519,15 +539,16 @@ def cmd_figure(config_path, out_path) -> int:
         gaps = [r.composite_value - info.f_star for r in trace.records]
         gaps += [gaps[-1]] * (iters + 1 - len(gaps))  # pad early-stopped runs
         columns[name] = gaps
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["k", "am", "aam_mu0", "aam_mu_star", "fgm"])
+    for k in range(iters + 1):
+        writer.writerow([str(k)] + [_fmt(columns[n][k])
+                                    for n in ("am", "aam_mu0", "aam_mu_star", "fgm")])
     out = Path(out_path)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "am", "aam_mu0", "aam_mu_star", "fgm"])
-            for k in range(iters + 1):
-                writer.writerow([str(k)] + [_fmt(columns[n][k])
-                                            for n in ("am", "aam_mu0", "aam_mu_star", "fgm")])
+        _write_new(out, buf.getvalue())
     except OSError as exc:
         raise ConfigError(f"cannot write figure data to {out}: {exc}") from exc
     print(f"wrote {out}")

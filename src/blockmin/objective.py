@@ -111,8 +111,8 @@ class ObjectiveHandle:
         only (the nonlinear system's Newton solve does); least squares
         returns coordinates.
     terms : tuple of per-block composite terms, optional
-        Each term provides value(x_i), prox(z, step) (or None), and the flags
-        is_zero / unconstrained; see blockmin.proxmaps. None means g == 0.
+        Each term provides value(x_i), prox(z, step) (or None), and the flag
+        is_zero; see blockmin.proxmaps. None means g == 0.
     l_global, mu_global : float, optional
         Smoothness / strong convexity constants of f. None means unknown.
     l_blocks, mu_blocks : tuple of float, optional
@@ -186,10 +186,6 @@ class ObjectiveHandle:
         if self.terms is None:
             return True
         return all(t is None or t.is_zero for t in self.terms)
-
-    def block_unconstrained(self, i: int) -> bool:
-        t = self.term(i)
-        return True if t is None else bool(t.unconstrained)
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

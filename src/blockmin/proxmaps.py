@@ -32,7 +32,6 @@ class ZeroTerm:
     """g_i identically zero on an unconstrained block."""
 
     is_zero = True
-    unconstrained = True
 
     def value(self, xi: np.ndarray) -> float:
         return 0.0
@@ -47,7 +46,6 @@ class L1Term:
 
     weight: float
     is_zero = False
-    unconstrained = True
 
     def value(self, xi: np.ndarray) -> float:
         return self.weight * float(np.abs(xi).sum())
@@ -63,7 +61,6 @@ class BoxTerm:
     lo: float
     hi: float
     is_zero = False
-    unconstrained = False
 
     def value(self, xi: np.ndarray) -> float:
         inside = np.all(xi >= self.lo - 1e-12) and np.all(xi <= self.hi + 1e-12)
@@ -116,19 +113,3 @@ def prox_map(h: ObjectiveHandle, x: np.ndarray, i: int, step: float) -> ProxMapR
     diff = t - xi
     model_min = float(gi @ diff) + 0.5 * step * float(diff @ diff) + g_shift
     return ProxMapResult(t_point=t, g_map=step * (xi - t), d_value=-2.0 * step * model_min)
-
-
-def d_monotonicity_check(h: ObjectiveHandle, x: np.ndarray, i: int,
-                         lam1: float, lam2: float, tol: float = 1e-9) -> bool:
-    """True iff D_i(x, lam2) >= D_i(x, lam1) - tol for 0 < lam1 < lam2.
-
-    Requires the block to be unconstrained; monotonicity of the decrease
-    value in the step constant can fail on a constrained feasible set.
-    """
-    if not (0.0 < lam1 < lam2):
-        raise ValueError("need 0 < lam1 < lam2")
-    if not h.block_unconstrained(i):
-        raise ValueError(f"block {i} is constrained")
-    d1 = prox_map(h, x, i, lam1).d_value
-    d2 = prox_map(h, x, i, lam2).d_value
-    return d2 >= d1 - tol

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -72,6 +74,42 @@ class TestRun:
         main(["run", "--config", str(cfg_path), "--out", str(out1)])
         main(["run", "--config", str(cfg_path), "--out", str(out2)])
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    def test_rerun_writes_new_files(self, tmp_path, capsys):
+        # a re-run unlinks the old outputs and creates new ones: a handle held
+        # on the old trace keeps its bytes, and verify reads the new summary
+        cfg_path = next(p for p in SHIPPED if p.stem == "quadratic")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "trace.csv", "rb") as held:
+            first = held.read()
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert os.fstat(held.fileno()).st_nlink == 0
+            held.seek(0)
+            assert held.read() == first
+        assert (hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+                == hashlib.sha256(first).hexdigest())
+        code, report = verify_report(out / "trace.csv", cfg_path, capsys, "--strict")
+        assert (code, report["constants_from"]) == (0, "summary")
+
+    def test_symlinked_output_is_replaced_not_followed(self, tmp_path):
+        cfg_path, _ = base_config(tmp_path)
+        out, target = tmp_path / "out", tmp_path / "elsewhere.csv"
+        out.mkdir()
+        target.write_text("kept")
+        (out / "trace.csv").symlink_to(target)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert not (out / "trace.csv").is_symlink() and target.read_text() == "kept"
+
+    @pytest.mark.parametrize("occupied", ["trace.csv", "summary.json"])
+    def test_failed_output_write_exits_2(self, tmp_path, capsys, occupied):
+        cfg_path, _ = base_config(tmp_path)
+        out = tmp_path / "out"
+        (out / occupied).mkdir(parents=True)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write run output to {out}: ")
+        assert "Traceback" not in err
 
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
